@@ -198,8 +198,6 @@ def build_parser() -> _Parser:
     dc.add_argument("--ntheta", type=int, default=256)
     dc.add_argument("--out", required=True)
 
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for any randomized sampling")
     return p
 
 

@@ -18,9 +18,7 @@ import numpy as np
 
 from .errors import ConvexityError, DomainError
 from .transform import Patch3
-from .util import unit3
-
-TWO_PI = 2.0 * math.pi
+from .util import local_minima, unit3
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ def _pattern_refine(body: SupportBody, u0, delta0: float, refine_tol: float):
 
     best = res(u)
     delta = delta0
-    alphas = np.arange(8) * (TWO_PI / 8)
+    alphas = np.arange(8) * (math.tau / 8)
     while delta > 1e-10 and best > refine_tol:
         t1, t2 = _tangent_basis(u)
         cand = unit3(math.cos(delta) * u[None, :]
@@ -231,19 +229,14 @@ def umbilic_sites(body: SupportBody, grid_n: int = 48,
     """All distinct umbilic directions found from grid local minima."""
     n_phi = max(grid_n, 16)
     phis = (np.arange(n_phi) + 0.5) * (math.pi / n_phi)
-    thetas = np.arange(2 * n_phi) * (TWO_PI / (2 * n_phi))
+    thetas = np.arange(2 * n_phi) * (math.tau / (2 * n_phi))
     P, T = np.meshgrid(phis, thetas, indexing="ij")
     U = np.stack([np.sin(P) * np.cos(T), np.sin(P) * np.sin(T), np.cos(P)],
                  axis=-1)
     r1, r2 = radii_of_curvature(body, U, check=False)
     res = r2 - r1
     cands = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
-    for i in range(n_phi):
-        for j in range(2 * n_phi):
-            i0, i1 = max(i - 1, 0), min(i + 2, n_phi)
-            window = res[i0:i1, [(j - 1) % (2 * n_phi), j, (j + 1) % (2 * n_phi)]]
-            if res[i, j] <= window.min():
-                cands.append(U[i, j])
+    cands += [U[i, j] for i, j in local_minima(res, wrap_cols=True)]
     sites = []
     for c in cands:
         u, ok = _polish_umbilic(body, c)
@@ -369,7 +362,7 @@ class PosedBody:
             return n
 
         return Patch3(point, normal_fn=normal_fn,
-                      u_range=(0.0, math.pi), v_range=(0.0, TWO_PI),
+                      u_range=(0.0, math.pi), v_range=(0.0, math.tau),
                       label=f"posed({self.body.name})")
 
 
@@ -434,7 +427,7 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
     radii = [float(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    thetas = np.arange(n_theta) * (TWO_PI / n_theta)
+    thetas = np.arange(n_theta) * (math.tau / n_theta)
 
     # monotonicity ladder: phi from well inside the largest bin out to the cap
     phi_lo = min(0.01 / max(radii), 1e-4)

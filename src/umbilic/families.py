@@ -75,17 +75,15 @@ def _inverse_quadratic_jets(x, y):
             -2.0 * u2 + 8.0 * y * y * u3)
 
 
-def _radial_jets_from_profile(F, F1, F2):
-    """Jets of f(x, y) = F(r) from the radial profile and its derivatives.
+def _radial_jets_from_profile(profile):
+    """Jets of f(x, y) = F(r) from ``profile(r) -> (F, F', F'')``.
 
-    F1 must vanish at r = 0 for the Cartesian Hessian to stay finite there.
+    F' must vanish at r = 0 for the Cartesian Hessian to stay finite there.
     """
 
     def jets(x, y):
         r = np.hypot(x, y)
-        f = F(r)
-        df = F1(r)
-        ddf = F2(r)
+        f, df, ddf = profile(r)
         with np.errstate(invalid="ignore", divide="ignore"):
             cx, cy = np.where(r > 0.0, x / np.maximum(r, 1e-300), 0.0), \
                      np.where(r > 0.0, y / np.maximum(r, 1e-300), 0.0)
@@ -125,17 +123,7 @@ def _loglog_profile(r):
     return (np.where(low, 0.0, F), np.where(low, 0.0, F1), np.where(low, 0.0, F2))
 
 
-def _loglog_jets(x, y):
-    def F(r):
-        return _loglog_profile(r)[0]
-
-    def F1(r):
-        return _loglog_profile(r)[1]
-
-    def F2(r):
-        return _loglog_profile(r)[2]
-
-    return _radial_jets_from_profile(F, F1, F2)(x, y)
+_loglog_jets = _radial_jets_from_profile(_loglog_profile)
 
 
 def _bates_like_jets(lam):

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import DomainError
 
-TWO_PI = 2.0 * math.pi
-
 #: (f, f1, f2, f11, f12, f22) broadcast over input arrays
 JetArrays = tuple
 
@@ -57,9 +55,9 @@ class PolarPoint:
             raise ValueError("non-finite polar point")
         if self.r < 0.0:
             raise ValueError(f"negative radius {self.r}")
-        t = math.fmod(self.theta, TWO_PI)
+        t = math.fmod(self.theta, math.tau)
         if t < 0.0:
-            t += TWO_PI
+            t += math.tau
         object.__setattr__(self, "theta", t)
 
     def to_point(self) -> Point2:
@@ -153,11 +151,6 @@ class ScalarField:
     meta: dict = dc_field(default_factory=dict)
     jet_kind: str = "analytic"
     grads: Callable | None = None
-
-    def in_domain(self, x, y):
-        if self.domain is None:
-            return np.ones(np.broadcast(x, y).shape, dtype=bool)
-        return self.domain(*broadcast_xy(x, y))
 
     def _check_domain(self, x, y):
         if self.domain is not None and not np.all(self.domain(x, y)):
@@ -304,7 +297,7 @@ def decay_profile(field: ScalarField, radii, n_theta: int = 256) -> DecayProfile
     if n_theta < 8:
         raise ValueError("n_theta must be at least 8")
 
-    thetas = np.arange(n_theta) * (TWO_PI / n_theta)
+    thetas = np.arange(n_theta) * (math.tau / n_theta)
     ct, st = np.cos(thetas), np.sin(thetas)
 
     if field.asymptotic_c is not None:

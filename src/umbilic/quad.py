@@ -8,6 +8,7 @@ pairwise tree so repeated runs agree bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,6 @@ import numpy as np
 from .curvature import PlaneField, curvature_difference_field, principal_deviation_field
 from .field import Direction, ScalarField
 from .util import pairwise_sum
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,8 @@ def disk_nodes(r: float, scheme: QuadScheme):
         wr.append(half * w)
     rs = np.concatenate(rs)
     wr = np.concatenate(wr)
-    thetas = np.arange(scheme.n_theta) * (TWO_PI / scheme.n_theta)
-    dtheta = TWO_PI / scheme.n_theta
+    thetas = np.arange(scheme.n_theta) * (math.tau / scheme.n_theta)
+    dtheta = math.tau / scheme.n_theta
     x = rs[:, None] * np.cos(thetas)[None, :]
     y = rs[:, None] * np.sin(thetas)[None, :]
     weights = (wr * rs)[:, None] * np.full_like(thetas, dtheta)[None, :]
@@ -89,17 +88,17 @@ def boundary_flux(V: PlaneField, r: float, n_theta: int = 256) -> float:
     """Outward flux of V through the circle of radius r (uniform rule)."""
     if r <= 0.0:
         raise ValueError("circle radius must be positive")
-    thetas = np.arange(n_theta) * (TWO_PI / n_theta)
+    thetas = np.arange(n_theta) * (math.tau / n_theta)
     c, s = np.cos(thetas), np.sin(thetas)
     vx, vy = V.vector(r * c, r * s)
-    return pairwise_sum((vx * c + vy * s) * r * (TWO_PI / n_theta))
+    return pairwise_sum((vx * c + vy * s) * r * (math.tau / n_theta))
 
 
 def boundary_majorant(V: PlaneField, r: float, n_theta: int = 256) -> float:
     """Integral of |V| over the circle of radius r; bounds |flux| from above."""
-    thetas = np.arange(n_theta) * (TWO_PI / n_theta)
+    thetas = np.arange(n_theta) * (math.tau / n_theta)
     vx, vy = V.vector(r * np.cos(thetas), r * np.sin(thetas))
-    return pairwise_sum(np.hypot(vx, vy) * r * (TWO_PI / n_theta))
+    return pairwise_sum(np.hypot(vx, vy) * r * (math.tau / n_theta))
 
 
 def divergence_consistency(V: PlaneField, r: float,

@@ -16,10 +16,12 @@ import numpy as np
 from .curvature import (curvature_direction_arrays, dk_dtheta_arrays,
                         residual_arrays)
 from .field import Direction, ScalarField
-from .util import worker_count
+from .util import local_minima, worker_count
 
 RESIDUAL_NAMES = ("dk", "dkdtheta", "P1", "P2", "D")
 CURVATURE_NAMES = ("H", "K", "k1", "k2")
+# grid nodes per sampling block: bounds the jet temporaries of large grids
+_BLOCK_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -137,17 +139,35 @@ def _check_region(region):
     return x0, y0, x1, y1
 
 
-def grid_field(field: ScalarField, residual: str, region, n: int, m: int,
-               X: Direction | None = None, Y: Direction | None = None,
-               theta0: float | None = None) -> Grid:
-    """Sample a named residual on an n-by-m grid over the region.
+def _sample(ev, region, n: int, m: int):
+    """(xs, ys, values) of ``ev`` on an n-by-m grid over the region.
 
-    Row blocks are filled in parallel up to the UMBILIC_THREADS cap; each
-    cell is written independently, so results match the serial run bitwise.
+    Fixed blocks of rows are filled by up to UMBILIC_THREADS workers. The
+    blocks do not depend on the thread count and each node is written
+    once, so every setting gives the same values bitwise.
     """
     x0, y0, x1, y1 = _check_region(region)
     if n < 2 or m < 2:
         raise ValueError("grid needs at least 2 samples per axis")
+    xs = np.linspace(x0, x1, n)
+    ys = np.linspace(y0, y1, m)
+    values = np.empty((n, m), dtype=float)
+    rows = max(1, _BLOCK_POINTS // m)
+
+    def fill(i0):
+        XX, YY = np.meshgrid(xs[i0:i0 + rows], ys, indexing="ij")
+        values[i0:i0 + rows] = ev(XX, YY)
+
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        list(pool.map(fill, range(0, n, rows)))
+    return xs, ys, values
+
+
+def grid_field(field: ScalarField, residual: str, region, n: int, m: int,
+               X: Direction | None = None, Y: Direction | None = None,
+               theta0: float | None = None) -> Grid:
+    """Sample a named residual on an n-by-m grid over the region."""
+    region = _check_region(region)
     params = {}
     if residual == "dk":
         if X is None or Y is None:
@@ -158,22 +178,8 @@ def grid_field(field: ScalarField, residual: str, region, n: int, m: int,
             raise ValueError("residual 'dkdtheta' requires theta0")
         params = {"theta0": float(theta0)}
     ev = _residual_evaluator(field, residual, params)
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, m)
-    XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    values = np.empty((n, m), dtype=float)
-    workers = worker_count()
-    if workers <= 1 or n < 2 * workers:
-        values[:] = ev(XX, YY)
-    else:
-        blocks = np.array_split(np.arange(n), workers)
-
-        def fill(idx):
-            values[idx] = ev(XX[idx], YY[idx])
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, blocks))
-    return Grid(xs, ys, values, residual, (x0, y0, x1, y1), params, ev)
+    xs, ys, values = _sample(ev, region, n, m)
+    return Grid(xs, ys, values, residual, region, params, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -376,27 +382,19 @@ def umbilic_search(field: ScalarField, region, n: int,
     1e-6 are merged.
     """
     x0, y0, x1, y1 = _check_region(region)
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
-    XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    _, _, Dn = _normalized_residuals(field, XX, YY)
+    xs, ys, Dn = _sample(lambda x, y: _normalized_residuals(field, x, y)[2],
+                         region, n, n)
     below = Dn < tol
     frac = float(np.mean(below))
     if frac > 0.5:
         return UmbilicScan([], True, frac)
     # every grid local minimum seeds a refinement; keepers are decided by
     # the refined residual, so umbilics between nodes are still found
-    candidates = []
-    for i in range(n):
-        for j in range(n):
-            i0, i1 = max(i - 1, 0), min(i + 2, n)
-            j0, j1 = max(j - 1, 0), min(j + 2, n)
-            if Dn[i, j] <= Dn[i0:i1, j0:j1].min():
-                candidates.append((float(xs[i]), float(ys[j]), bool(below[i, j])))
     margin_x = 0.05 * (x1 - x0)
     margin_y = 0.05 * (y1 - y0)
     points = []
-    for cx, cy, was_below in candidates:
+    for i, j in local_minima(Dn):
+        cx, cy = float(xs[i]), float(ys[j])
         rx, ry, ok = _newton_refine(field, cx, cy)
         _, _, dn = _normalized_residuals(field, rx, ry)
         dn = float(dn)
@@ -404,10 +402,9 @@ def umbilic_search(field: ScalarField, region, n: int,
                   and y0 - margin_y <= ry <= y1 + margin_y)
         if ok and dn < tol and inside:
             points.append(UmbilicPoint(rx, ry, dn, True))
-        elif was_below:
+        elif below[i, j]:
             # Newton stalled or escaped; keep the coarse grid minimum
-            points.append(UmbilicPoint(cx, cy, float(Dn[xs.searchsorted(cx),
-                                                        ys.searchsorted(cy)]), False))
+            points.append(UmbilicPoint(cx, cy, float(Dn[i, j]), False))
     points.sort(key=lambda p: (p.x, p.y))
     merged = []
     for p in points:
@@ -419,12 +416,12 @@ def umbilic_search(field: ScalarField, region, n: int,
 
 def umbilic_free_floor(field: ScalarField, region, n: int) -> FloorReport:
     """min over the grid of max(|P1|, |P2|) / (1+q)^(3/2), with its argmin."""
-    x0, y0, x1, y1 = _check_region(region)
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
-    XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    P1n, P2n, _ = _normalized_residuals(field, XX, YY)
-    floor_map = np.maximum(np.abs(P1n), np.abs(P2n))
+
+    def ev(x, y):
+        P1n, P2n, _ = _normalized_residuals(field, x, y)
+        return np.maximum(np.abs(P1n), np.abs(P2n))
+
+    xs, ys, floor_map = _sample(ev, region, n, n)
     idx = np.unravel_index(np.argmin(floor_map), floor_map.shape)
     return FloorReport(float(floor_map[idx]),
                        (float(xs[idx[0]]), float(ys[idx[1]])))

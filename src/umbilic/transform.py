@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DomainError, GraphConditionError, NonConvergenceError, RegularityError
 from .field import ScalarField
 
-TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
 
 
@@ -77,7 +76,7 @@ def graph_condition(field: ScalarField, r0: float, n_samples: int = 4096,
             f"|f(o)| = {f0:.3e}, |grad f(o)| = {g0:.3e}")
     n_side = max(8, int(math.sqrt(max(n_samples, 64))))
     rs = np.linspace(r0 / n_side, r0, n_side)
-    thetas = np.arange(n_side) * (TWO_PI / n_side)
+    thetas = np.arange(n_side) * (math.tau / n_side)
     R, T = np.meshgrid(rs, thetas, indexing="ij")
     X, Y = R * np.cos(T), R * np.sin(T)
     _, f1, f2 = field.values_and_grads(X, Y)
@@ -261,7 +260,7 @@ def invert_local_graph(field: ScalarField, r0: float,
         raise GraphConditionError(
             f"radial slope bound fails on disk r0 = {r0:.6g}: "
             f"sup |df/dr| = {report.sup_fr:.6g} >= 1")
-    thetas = np.arange(512) * (TWO_PI / 512)
+    thetas = np.arange(512) * (math.tau / 512)
     fring = src.values_and_grads(r0 * np.cos(thetas), r0 * np.sin(thetas))[0]
     fmax = float(np.max(np.abs(fring)))
     rbar_min = r0 / (r0 * r0 + fmax * fmax)
@@ -296,7 +295,7 @@ class Patch3:
     normal_fn: Callable | None = None
     normal_sign: float = 1.0
     u_range: tuple = (0.0, math.pi)
-    v_range: tuple = (0.0, TWO_PI)
+    v_range: tuple = (0.0, math.tau)
     label: str = "patch"
 
     def _h1(self, u, v):

@@ -1,6 +1,5 @@
-"""Small numeric helpers: deterministic reductions, thread budget, tolerances."""
+"""Small numeric helpers: deterministic reductions, thread budget, local minima."""
 
-import math
 import os
 
 import numpy as np
@@ -32,15 +31,24 @@ def worker_count():
     return max(1, min(n, 64))
 
 
-def wrap_angle(theta):
-    """Reduce an angle to [0, 2*pi)."""
-    t = math.fmod(float(theta), 2.0 * math.pi)
-    return t + 2.0 * math.pi if t < 0.0 else t
+def local_minima(values, wrap_cols=False):
+    """Row-major (i, j) indices of the 3x3 local minima of a 2-D array.
 
-
-def close_rel(a, b, tol, floor=1.0):
-    """True when |a - b| <= tol * max(floor, |a|, |b|)."""
-    return abs(a - b) <= tol * max(floor, abs(a), abs(b))
+    A node is kept when it is <= every node of its 3x3 window. The window
+    is clipped at the row edges; at the column edges it is clipped too,
+    or wraps around with ``wrap_cols``. A NaN node or NaN neighbour rules
+    the node out, as with ``window.min()``.
+    """
+    v = np.asarray(values, dtype=float)
+    n, m = v.shape
+    # edge padding repeats a node already in the clipped window
+    p = np.pad(v, ((1, 1), (0, 0)), mode="edge")
+    p = np.pad(p, ((0, 0), (1, 1)), mode="wrap" if wrap_cols else "edge")
+    low = v
+    for di in range(3):
+        for dj in range(3):
+            low = np.minimum(low, p[di:di + n, dj:dj + m])
+    return np.argwhere(v <= low)
 
 
 def unit3(v):

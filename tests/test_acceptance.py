@@ -222,6 +222,9 @@ def test_10_cli_determinism(tmp_path, monkeypatch):
                            "--radii", "2,4,8"],
                 "floor": ["floor", "--field", "ridge:lam=0.1", "--region",
                           "-5", "-5", "5", "5", "--n", "64"],
+                # 401^2 nodes span several sampling blocks
+                "floor-401": ["floor", "--field", "ridge:lam=0.1", "--region",
+                              "-5", "-5", "5", "5", "--n", "401"],
             }.items():
                 path = tmp_path / f"{tag}-{threads}.csv"
                 assert main(argv + ["--out", str(path)]) == 0

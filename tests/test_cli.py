@@ -52,6 +52,11 @@ def test_usage_errors():
     assert main(["floor", "--field", "unknown_family", "--out", "/tmp/n.csv"]) == 1
     assert main(["umbilic", "scan", "--field", "saddle", "--n", "-5",
                  "--out", "/tmp/n.csv"]) == 1
+    # a grid needs two samples per axis
+    assert main(["umbilic", "scan", "--field", "paraboloid", "--n", "1",
+                 "--out", "/tmp/n.csv"]) == 1
+    assert main(["floor", "--field", "ridge:lam=0.1", "--n", "1",
+                 "--out", "/tmp/n.csv"]) == 1
 
 
 def test_floor_and_scan_outputs(tmp_path):
@@ -122,13 +127,19 @@ def test_csv_determinism_across_threads(tmp_path, monkeypatch, threads):
 
 
 def test_grid_determinism_across_threads(tmp_path, monkeypatch):
-    outs = []
+    blobs = {}
     for threads in ("1", "4"):
         monkeypatch.setenv("UMBILIC_THREADS", threads)
-        path = tmp_path / f"g{threads}.csv"
-        rc = main(["curvature", "map", "--field", "asym_bump", "--quantity",
-                   "H", "--region", "-2", "-2", "2", "2", "--n", "64",
-                   "--m", "33", "--out", str(path)])
-        assert rc == 0
-        outs.append(read(path))
-    assert outs[0] == outs[1]
+        for tag, argv in {
+            "map": ["curvature", "map", "--field", "asym_bump", "--quantity",
+                    "H", "--region", "-2", "-2", "2", "2", "--n", "64",
+                    "--m", "33"],
+            # 301^2 nodes span several sampling blocks
+            "scan": ["umbilic", "scan", "--field", "asym_bump", "--region",
+                     "-3", "-3", "3", "3", "--n", "301"],
+        }.items():
+            path = tmp_path / f"{tag}{threads}.csv"
+            assert main(argv + ["--out", str(path)]) == 0
+            blobs.setdefault(tag, []).append(read(path))
+    for tag, (a, b) in blobs.items():
+        assert a == b, f"{tag} output differs across thread counts"
