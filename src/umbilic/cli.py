@@ -382,15 +382,16 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # DomainError is a ValueError, so it goes before the usage clause
+    except (GraphConditionError, ConvexityError, RegularityError, DomainError) as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (GraphConditionError, ConvexityError, RegularityError, DomainError) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
 
 
 def console_main() -> None:

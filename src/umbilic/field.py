@@ -39,9 +39,6 @@ class Point2:
     def r(self) -> float:
         return math.hypot(self.x, self.y)
 
-    def to_polar(self) -> "PolarPoint":
-        return PolarPoint(self.r, math.atan2(self.y, self.x))
-
 
 @dataclass(frozen=True)
 class PolarPoint:
@@ -78,18 +75,8 @@ class Direction:
     def y(self) -> float:
         return math.sin(self.theta)
 
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
     def perp(self) -> "Direction":
         return Direction(self.theta + 0.5 * math.pi)
-
-    @classmethod
-    def from_vector(cls, vx: float, vy: float) -> "Direction":
-        if vx == 0.0 and vy == 0.0:
-            raise ValueError("zero vector has no direction")
-        return cls(math.atan2(vy, vx))
 
 
 class Jet2(NamedTuple):
@@ -105,10 +92,6 @@ class Jet2(NamedTuple):
     @property
     def grad(self) -> np.ndarray:
         return np.array([self.f1, self.f2])
-
-    @property
-    def hess(self) -> np.ndarray:
-        return np.array([[self.f11, self.f12], [self.f12, self.f22]])
 
     @property
     def q(self) -> float:

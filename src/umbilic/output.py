@@ -21,8 +21,10 @@ def write_csv(path, columns, rows, description: str = "") -> None:
         lines.append(f"# {description}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(format_float(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row))
+        lines.append(",".join(
+            format_float(v) if isinstance(v, (float, np.floating))
+            else str(int(v)) if isinstance(v, (int, np.integer))  # bool too
+            else str(v) for v in row))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .curvature import (curvature_direction_arrays, dk_dtheta_arrays,
                         residual_arrays)
+from .errors import DomainError
 from .field import Direction, ScalarField
 from .util import local_minima, worker_count
 
@@ -22,6 +23,8 @@ RESIDUAL_NAMES = ("dk", "dkdtheta", "P1", "P2", "D")
 CURVATURE_NAMES = ("H", "K", "k1", "k2")
 # grid nodes per sampling block: bounds the jet temporaries of large grids
 _BLOCK_POINTS = 1 << 16
+# contour segments per vertex block: bounds the index and vertex temporaries
+_BLOCK_SEGMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,8 @@ def _sample(ev, region, n: int, m: int):
 
     Fixed blocks of rows are filled by up to UMBILIC_THREADS workers. The
     blocks do not depend on the thread count and each node is written
-    once, so every setting gives the same values bitwise.
+    once, so every setting gives the same values bitwise. Non-finite
+    samples raise DomainError.
     """
     x0, y0, x1, y1 = _check_region(region)
     if n < 2 or m < 2:
@@ -160,6 +164,9 @@ def _sample(ev, region, n: int, m: int):
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         list(pool.map(fill, range(0, n, rows)))
+    bad = values.size - int(np.count_nonzero(np.isfinite(values)))
+    if bad:
+        raise DomainError(f"{bad} of {values.size} grid samples are not finite")
     return xs, ys, values
 
 
@@ -186,9 +193,23 @@ def grid_field(field: ScalarField, residual: str, region, n: int, m: int,
 # marching squares
 # ---------------------------------------------------------------------------
 
-def _edge_point(pa, pb, va, vb):
-    t = va / (va - vb)
-    return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+# Segments of each cell case as (edge, edge) pairs, the table scheme of
+# marching cubes (Lorensen & Cline 1987) and skimage.measure.find_contours.
+# Case bits 1, 2, 4, 8 mark the corners (x0, y0), (x1, y0), (x1, y1),
+# (x0, y1) at or above the level; edges are 0 bottom, 1 right, 2 top,
+# 3 left. The saddles 5 and 10 list the segments of a center at or above
+# the level; a saddle whose center is not reads as the other saddle.
+_CASES = (
+    (), ((3, 0),), ((0, 1),), ((3, 1),), ((1, 2),), ((3, 2), (0, 1)),
+    ((0, 2),), ((3, 2),), ((3, 2),), ((0, 2),), ((3, 0), (1, 2)),
+    ((1, 2),), ((3, 1),), ((0, 1),), ((3, 0),), (),
+)
+_SEGMENT_COUNTS = np.array([len(c) for c in _CASES], dtype=np.uint8)
+_SEGMENT_EDGES = np.array([c + ((0, 0),) * (2 - len(c)) for c in _CASES],
+                          dtype=np.int8)
+# (di, dj) of the two corners each edge runs between, from the first
+_EDGE_CORNERS = np.array([((0, 0), (1, 0)), ((1, 0), (1, 1)),
+                          ((0, 1), (1, 1)), ((0, 0), (0, 1))], dtype=np.int8)
 
 
 def contours(grid: Grid, level: float = 0.0) -> ContourSet:
@@ -198,73 +219,58 @@ def contours(grid: Grid, level: float = 0.0) -> ContourSet:
     the grid carries an evaluator, else by the corner average. Vertices lie
     on cell edges where the sampled residual changes sign.
     """
+    # the cell arrays are freed before the segments are chained
+    return _chain_segments(_segments(grid, level))
+
+
+def _segments(grid: Grid, level: float) -> list:
+    """((x, y), (x, y)) segments in row-major cell order, each cell's in
+    table order."""
     v = grid.values - level
     xs, ys = grid.xs, grid.ys
-    n, m = v.shape
+    up = (v >= 0.0).view(np.uint8)
+    case = (up[:-1, :-1] | up[1:, :-1] << 1 | up[1:, 1:] << 2
+            | up[:-1, 1:] << 3).ravel()
+    saddle = np.flatnonzero((case == 5) | (case == 10))
+    if saddle.size:
+        i, j = np.divmod(saddle, v.shape[1] - 1)
+        if grid.evaluator is not None:
+            center = np.asarray(grid.evaluator(0.5 * (xs[i] + xs[i + 1]),
+                                               0.5 * (ys[j] + ys[j + 1])),
+                                dtype=float) - level
+        else:
+            center = 0.25 * (v[i, j] + v[i + 1, j] + v[i + 1, j + 1]
+                             + v[i, j + 1])
+        flip = saddle[~(center >= 0.0)]
+        case[flip] = 15 - case[flip]
+    counts = _SEGMENT_COUNTS[case]
+    crossed = np.flatnonzero(counts)
+    cell = np.repeat(crossed, counts[crossed])
+    second = np.zeros(cell.size, dtype=np.int8)
+    second[1:] = cell[1:] == cell[:-1]
+    edges = _SEGMENT_EDGES[case[cell], second]
     segments = []
-    for i in range(n - 1):
-        for j in range(m - 1):
-            v00, v10 = v[i, j], v[i + 1, j]
-            v11, v01 = v[i + 1, j + 1], v[i, j + 1]
-            idx = ((v00 >= 0.0) | ((v10 >= 0.0) << 1)
-                   | ((v11 >= 0.0) << 2) | ((v01 >= 0.0) << 3))
-            if idx in (0, 15):
-                continue
-            p00, p10 = (xs[i], ys[j]), (xs[i + 1], ys[j])
-            p11, p01 = (xs[i + 1], ys[j + 1]), (xs[i], ys[j + 1])
-            bottom = lambda: _edge_point(p00, p10, v00, v10)
-            right = lambda: _edge_point(p10, p11, v10, v11)
-            top = lambda: _edge_point(p01, p11, v01, v11)
-            left = lambda: _edge_point(p00, p01, v00, v01)
-            if idx == 1:
-                segments.append((left(), bottom()))
-            elif idx == 2:
-                segments.append((bottom(), right()))
-            elif idx == 3:
-                segments.append((left(), right()))
-            elif idx == 4:
-                segments.append((right(), top()))
-            elif idx == 5:
-                if grid.evaluator is not None:
-                    center = float(grid.evaluator(0.5 * (xs[i] + xs[i + 1]),
-                                                  0.5 * (ys[j] + ys[j + 1]))) - level
-                else:
-                    center = 0.25 * (v00 + v10 + v11 + v01)
-                if center >= 0.0:
-                    segments.append((left(), top()))
-                    segments.append((bottom(), right()))
-                else:
-                    segments.append((left(), bottom()))
-                    segments.append((right(), top()))
-            elif idx == 6:
-                segments.append((bottom(), top()))
-            elif idx == 7:
-                segments.append((left(), top()))
-            elif idx == 8:
-                segments.append((left(), top()))
-            elif idx == 9:
-                segments.append((bottom(), top()))
-            elif idx == 10:
-                if grid.evaluator is not None:
-                    center = float(grid.evaluator(0.5 * (xs[i] + xs[i + 1]),
-                                                  0.5 * (ys[j] + ys[j + 1]))) - level
-                else:
-                    center = 0.25 * (v00 + v10 + v11 + v01)
-                if center >= 0.0:
-                    segments.append((left(), bottom()))
-                    segments.append((right(), top()))
-                else:
-                    segments.append((left(), top()))
-                    segments.append((bottom(), right()))
-            elif idx == 11:
-                segments.append((right(), top()))
-            elif idx == 12:
-                segments.append((left(), right()))
-            elif idx == 13:
-                segments.append((bottom(), right()))
-            elif idx == 14:
-                segments.append((left(), bottom()))
-    return _chain_segments(segments)
+    for k in range(0, cell.size, _BLOCK_SEGMENTS):
+        block = slice(k, k + _BLOCK_SEGMENTS)
+        ends = _crossings(v, xs, ys, cell[block], edges[block])
+        segments += zip(ends, ends)  # consecutive ends pair up
+    return segments
+
+
+def _crossings(v, xs, ys, cell, edges):
+    """Iterator over the (x, y) crossings on the edges ``edges[k, 0]`` and
+    ``edges[k, 1]`` of the flat cell index ``cell[k]``, for k in order."""
+    i, j = np.divmod(cell, v.shape[1] - 1)
+    # corner offsets per segment end: [segment, end, corner, (di, dj)]
+    corners = _EDGE_CORNERS[edges]
+    ai = i[:, None] + corners[:, :, 0, 0]
+    aj = j[:, None] + corners[:, :, 0, 1]
+    bi = i[:, None] + corners[:, :, 1, 0]
+    bj = j[:, None] + corners[:, :, 1, 1]
+    va, vb = v[ai, aj], v[bi, bj]
+    t = va / (va - vb)
+    return zip((xs[ai] + t * (xs[bi] - xs[ai])).ravel().tolist(),
+               (ys[aj] + t * (ys[bj] - ys[aj])).ravel().tolist())
 
 
 def _chain_segments(segments) -> ContourSet:

@@ -19,6 +19,9 @@ from .errors import DomainError, GraphConditionError, NonConvergenceError, Regul
 from .field import ScalarField
 
 _EPS = float(np.finfo(float).eps)
+# exterior graph: bisection budget per solve, and how as_field gets Hessians
+_MAX_BISECTIONS = 200
+_HESSIAN_MODE = "finite-difference"
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +115,7 @@ class ExteriorGraph:
     bisection inside (1/(2 rbar), 1/rbar), which the slope bound
     guarantees to contain exactly one solution. First derivatives follow
     the chain rule; second derivatives (when requested through as_field)
-    use central finite differences, as flagged by second_derivative_mode.
+    use central finite differences, as flagged by the field's "hessian" meta.
     """
 
     source: ScalarField
@@ -120,8 +123,6 @@ class ExteriorGraph:
     rbar_min: float
     scale: float = 1.0
     normalized: bool = False
-    second_derivative_mode: str = "finite-difference"
-    max_bisections: int = 200
 
     def _f_polar(self, r: float, theta: float) -> float:
         c, s = math.cos(theta), math.sin(theta)
@@ -147,7 +148,7 @@ class ExteriorGraph:
         if glo < 0.0 or ghi > 0.0:
             raise NonConvergenceError(
                 "bisection bracket violated; the slope bound does not hold")
-        for _ in range(self.max_bisections):
+        for _ in range(_MAX_BISECTIONS):
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 return mid  # interval at float resolution
@@ -159,7 +160,7 @@ class ExteriorGraph:
             else:
                 hi = mid
         raise NonConvergenceError("bisection did not converge in "
-                                  f"{self.max_bisections} steps")
+                                  f"{_MAX_BISECTIONS} steps")
 
     def evaluate(self, rbar: float, theta: float) -> tuple:
         """(fbar, d fbar / d rbar, d fbar / d theta) at the query point.
@@ -231,7 +232,7 @@ class ExteriorGraph:
                            domain=domain, jet_kind="chain-rule+fd",
                            grads=grads,
                            meta={"rbar_min": self.rbar_min, "scale": self.scale,
-                                 "hessian": self.second_derivative_mode})
+                                 "hessian": _HESSIAN_MODE})
 
 
 def invert_local_graph(field: ScalarField, r0: float,

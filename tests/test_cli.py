@@ -75,6 +75,7 @@ def test_floor_and_scan_outputs(tmp_path):
     assert len(rows) == 1
     x, y = (float(v) for v in rows[0].split(",")[:2])
     assert abs(x) < 1e-8 and abs(y) < 1e-8
+    assert rows[0].split(",")[3] == "1"  # refined, an integer column
 
 
 def test_contour_svg_and_heatmap(tmp_path):
@@ -143,3 +144,20 @@ def test_grid_determinism_across_threads(tmp_path, monkeypatch):
             blobs.setdefault(tag, []).append(read(path))
     for tag, (a, b) in blobs.items():
         assert a == b, f"{tag} output differs across thread counts"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["floor", "--n", "41"],
+    ["contour", "--n", "41", "--m", "41"],
+    ["curvature", "map", "--quantity", "D", "--n", "41", "--m", "41"],
+    ["umbilic", "scan", "--n", "41"],
+])
+def test_nonfinite_grid_exit_code(tmp_path, capsys, argv):
+    # exp overflows far out, so the curvature samples turn nan
+    out = tmp_path / "x.csv"
+    rc = main(argv + ["--field", "separable", "--region", "-1000", "-1000",
+                      "1000", "1000", "--out", str(out)])
+    assert rc == 3
+    assert "grid samples are not finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbilic import (Direction, contours, grid_field, make_field, sign_witness,
                      umbilic_free_floor, umbilic_search)
@@ -202,3 +203,74 @@ def test_witness_coheres_with_vanishing_integrals():
     g = grid_field(field, "dk", (-3, -3, 3, 3), 41, 41, X=EX, Y=EY)
     assert np.max(np.abs(g.values)) > 1e-3
     assert sign_witness(g) is not None
+
+
+# --- marching-squares cases -------------------------------------------------
+
+def _edge_name(x, y):
+    """Edge of the unit cell a vertex lies on."""
+    return ("bottom" if y == 0.0 else "top" if y == 1.0
+            else "left" if x == 0.0 else "right")
+
+
+def _joined_edges(cs):
+    return {frozenset(_edge_name(*p) for p in poly[[0, -1]])
+            for poly in cs.polylines}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_contour_saddle_resolution(sign):
+    # checkerboard cell: case 5 (corners (x0, y0) and (x1, y1) at or above
+    # the level) for sign +1, case 10 for sign -1
+    values = sign * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    xs = ys = np.array([0.0, 1.0])
+    # when the up corners join through the cell, the contour cuts off the
+    # down corners, and the other way round
+    cut_x0y0 = {frozenset(("left", "bottom")), frozenset(("right", "top"))}
+    cut_x1y0 = {frozenset(("left", "top")), frozenset(("bottom", "right"))}
+    up_joined, down_joined = (cut_x1y0, cut_x0y0) if sign > 0 else (cut_x0y0, cut_x1y0)
+
+    def joined(vals, center=None, evaluate=True):
+        ev = (lambda x, y: np.full(np.shape(x), center)) if evaluate else None
+        return _joined_edges(contours(Grid(xs, ys, vals, "custom", (0, 0, 1, 1), {}, ev)))
+
+    assert joined(values, 1.0) == up_joined
+    assert joined(values, -1.0) == down_joined
+    # a NaN center is not at or above the level
+    assert joined(values, math.nan) == down_joined
+    # without an evaluator the corner mean decides; a zero mean counts as up
+    assert joined(values, evaluate=False) == up_joined
+    assert joined(values + 0.5, evaluate=False) == up_joined
+    assert joined(values - 0.5, evaluate=False) == down_joined
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 6), st.data(),
+       st.sampled_from([None, 1.0, -1.0]))
+def test_contour_vertices_one_per_sign_change(n, m, data, center):
+    """Every edge whose ends differ in sign (>= 0 or not) carries one
+    vertex, at its linear crossing, and no other vertex appears."""
+    value = st.one_of(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                      st.floats(-1e6, 1e6))
+    values = np.array(data.draw(st.lists(value, min_size=n * m, max_size=n * m)))
+    values = values.reshape(n, m)
+    xs = np.linspace(-1.0, 1.0, n)
+    ys = np.linspace(-2.0, 3.0, m)
+    ev = None if center is None else (lambda x, y: np.full(np.shape(x), center))
+    cs = contours(Grid(xs, ys, values, "custom", (-1, -2, 1, 3), {}, ev))
+    expected = set()
+    for i, j in np.ndindex(n, m):
+        for k, l in ((i + 1, j), (i, j + 1)):
+            if k == n or l == m:
+                continue
+            va, vb = float(values[i, j]), float(values[k, l])
+            if (va >= 0.0) == (vb >= 0.0):
+                continue
+            t = va / (va - vb)
+            p = (float(xs[i]) + t * (float(xs[k]) - float(xs[i])),
+                 float(ys[j]) + t * (float(ys[l]) - float(ys[j])))
+            assert min(xs[i], xs[k]) <= p[0] <= max(xs[i], xs[k])
+            assert min(ys[j], ys[l]) <= p[1] <= max(ys[j], ys[l])
+            expected.add(p)
+    found = {(float(x), float(y)) for poly in cs.polylines for x, y in poly}
+    assert found == expected
