@@ -146,46 +146,77 @@ def _anisotropy(body: SupportBody, u):
     return np.stack([m11 - m22, 2.0 * m12], axis=-1)
 
 
-def _polish_umbilic(body: SupportBody, u0, max_iter: int = 30):
-    """Newton iteration on the tangent anisotropy, quadratically convergent."""
-    u = unit3(np.asarray(u0, float))
+def _row_norms(x):
+    """Euclidean norm of each row, rounded as ``np.linalg.norm`` of the row
+    alone rounds it (a dot product of the row with itself), so no Newton
+    decision depends on the batch a row sits in."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _solve2(J, rhs):
+    """Solve every 2x2 system J[k] s = rhs[k]; rows with a singular matrix
+    come back with solved[k] false."""
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), bool)
+    except np.linalg.LinAlgError:
+        # a stacked solve raises for the whole stack: solve row by row
+        st = np.zeros_like(rhs)
+        solved = np.zeros(len(J), bool)
+        for k in range(len(J)):
+            try:
+                st[k] = np.linalg.solve(J[k], rhs[k])
+                solved[k] = True
+            except np.linalg.LinAlgError:
+                pass
+        return st, solved
+
+
+def _polish_umbilics(body: SupportBody, u0, max_iter: int = 30):
+    """Newton iteration on the tangent anisotropy, quadratically convergent,
+    on every row of u0 (N, 3) at once. Each row takes the steps it would
+    take alone; returns the polished unit rows and their converged flags."""
+    u = unit3(np.asarray(u0, float).reshape(-1, 3))
+    ok = np.zeros(len(u), bool)
+    live = np.arange(len(u))  # rows still iterating
+    h = 1e-6
     for _ in range(max_iter):
-        F = _anisotropy(body, u)
-        if np.linalg.norm(F) < 1e-13:
-            return u, True
-        t1, t2 = _tangent_basis(u)
-        h = 1e-6
-        Fp1 = _anisotropy(body, unit3(u + h * t1))
-        Fm1 = _anisotropy(body, unit3(u - h * t1))
-        Fp2 = _anisotropy(body, unit3(u + h * t2))
-        Fm2 = _anisotropy(body, unit3(u - h * t2))
-        J = np.column_stack([(Fp1 - Fm1) / (2 * h), (Fp2 - Fm2) / (2 * h)])
-        try:
-            st = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return u, bool(np.linalg.norm(F) < 1e-13)
-        if not np.all(np.isfinite(st)):
-            return u, False
-        step = st[0] * t1 + st[1] * t2
-        ns = np.linalg.norm(step)
-        if ns > 0.5:
-            step *= 0.5 / ns
-        un = unit3(u + step)
-        if np.linalg.norm(_anisotropy(body, un)) >= np.linalg.norm(F):
-            return u, bool(np.linalg.norm(F) < 1e-10)
-        u = un
-    return u, bool(np.linalg.norm(_anisotropy(body, u)) < 1e-10)
+        F = _anisotropy(body, u[live])
+        nF = _row_norms(F)
+        conv = nF < 1e-13
+        ok[live[conv]] = True
+        live, F, nF = live[~conv], F[~conv], nF[~conv]
+        if not live.size:
+            break
+        v = u[live]
+        t1, t2 = _tangent_basis(v)
+        probes = unit3(np.concatenate([v + h * t1, v - h * t1, v + h * t2, v - h * t2]))
+        Fp1, Fm1, Fp2, Fm2 = np.split(_anisotropy(body, probes), 4)
+        J = np.stack([(Fp1 - Fm1) / (2 * h), (Fp2 - Fm2) / (2 * h)], axis=-1)
+        st, solved = _solve2(J, -F)
+        # a singular Jacobian or a non-finite step stops the row unconverged
+        # (its |F| is not below 1e-13 here)
+        keep = solved & np.all(np.isfinite(st), axis=-1)
+        live, v, nF, st = live[keep], v[keep], nF[keep], st[keep]
+        step = st[:, :1] * t1[keep] + st[:, 1:] * t2[keep]
+        ns = _row_norms(step)
+        big = ns > 0.5
+        step[big] *= (0.5 / ns[big])[:, None]
+        un = unit3(v + step)
+        # no descent (a NaN trial residual counts as descent) stops the row
+        stall = _row_norms(_anisotropy(body, un)) >= nF
+        ok[live[stall]] = nF[stall] < 1e-10
+        u[live[~stall]] = un[~stall]
+        live = live[~stall]
+    else:
+        ok[live] = _row_norms(_anisotropy(body, u[live])) < 1e-10
+    return u, ok
 
 
 def _pattern_refine(body: SupportBody, u0, delta0: float, refine_tol: float):
     """Derivative-free shrink search on rho2 - rho1 (robust near kinks)."""
     u = unit3(np.asarray(u0, float))
-
-    def res(v):
-        r1, r2 = radii_of_curvature(body, v, check=False)
-        return float(r2 - r1)
-
-    best = res(u)
+    r1, r2 = radii_of_curvature(body, u, check=False)
+    best = float(r2 - r1)
     delta = delta0
     alphas = np.arange(8) * (math.tau / 8)
     while delta > 1e-10 and best > refine_tol:
@@ -193,10 +224,11 @@ def _pattern_refine(body: SupportBody, u0, delta0: float, refine_tol: float):
         cand = unit3(math.cos(delta) * u[None, :]
                      + math.sin(delta) * (np.cos(alphas)[:, None] * t1
                                           + np.sin(alphas)[:, None] * t2))
-        vals = [res(c) for c in cand]
+        r1, r2 = radii_of_curvature(body, cand, check=False)
+        vals = r2 - r1
         i = int(np.argmin(vals))
         if vals[i] < best:
-            u, best = cand[i], vals[i]
+            u, best = cand[i], float(vals[i])
         else:
             delta *= 0.5
     return u, best
@@ -216,7 +248,7 @@ def find_umbilic(body: SupportBody, grid_n: int = 48,
     u0 = grid[int(np.argmin(res))]
     spacing = 2.0 / math.sqrt(grid.shape[0])
     u1, best = _pattern_refine(body, u0, 4.0 * spacing, refine_tol)
-    u2, ok = _polish_umbilic(body, u1)
+    u2 = _polish_umbilics(body, u1)[0][0]
     rr1, rr2 = radii_of_curvature(body, u2, check=False)
     final = float(rr2 - rr1)
     if final <= best:
@@ -235,19 +267,22 @@ def umbilic_sites(body: SupportBody, grid_n: int = 48,
                  axis=-1)
     r1, r2 = radii_of_curvature(body, U, check=False)
     res = r2 - r1
-    cands = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
-    cands += [U[i, j] for i, j in local_minima(res, wrap_cols=True)]
+    mins = local_minima(res, wrap_cols=True)
+    poles = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    cands = np.concatenate([poles, U[mins[:, 0], mins[:, 1]]])
+    us, _ = _polish_umbilics(body, cands)
+    rr1, rr2 = radii_of_curvature(body, us, check=False)
+    resid = rr2 - rr1
+    # greedy merge in candidate order against the sites accepted so far
     sites = []
-    for c in cands:
-        u, ok = _polish_umbilic(body, c)
-        rr1, rr2 = radii_of_curvature(body, u, check=False)
-        resid = float(rr2 - rr1)
-        if resid >= refine_tol:
+    accepted = np.empty_like(us)
+    good = resid < refine_tol
+    for u, r in zip(us[good], resid[good]):
+        d = accepted[:len(sites)] @ u
+        if np.any((np.arccos(np.minimum(1.0, np.abs(d))) < merge_angle) & (d > 0.0)):
             continue
-        if any(math.acos(min(1.0, abs(float(u @ s.u)))) < merge_angle
-               and float(u @ s.u) > 0.0 for s in sites):
-            continue
-        sites.append(UmbilicSite(u, resid, True))
+        accepted[len(sites)] = u
+        sites.append(UmbilicSite(u, float(r), True))
     sites.sort(key=lambda s: (round(s.u[2], 9), round(s.u[0], 9), round(s.u[1], 9)))
     return sites
 
@@ -456,8 +491,13 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
             n2m = np.sum(qm * qm, axis=-1)
             rb = np.hypot(qm[..., 0], qm[..., 1]) / n2m
             above = rb > target
-            phi_lo_b = np.where(above, mid, phi_lo_b)
-            phi_hi = np.where(above, phi_hi, mid)
+            lo_next = np.where(above, mid, phi_lo_b)
+            hi_next = np.where(above, phi_hi, mid)
+            # the step is a fixed map of (phi_lo_b, phi_hi): once it leaves
+            # both unchanged, the remaining steps would too
+            if np.array_equal(lo_next, phi_lo_b) and np.array_equal(hi_next, phi_hi):
+                break
+            phi_lo_b, phi_hi = lo_next, hi_next
         phi_sol = 0.5 * (phi_lo_b + phi_hi)
         qs, ns = posed.cap_points(phi_sol, thetas)
         n2s = np.sum(qs * qs, axis=-1)

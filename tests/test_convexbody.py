@@ -7,7 +7,10 @@ from umbilic import (ConvexityError, SupportBody, body_point, check_convexity,
                      find_umbilic, parallel_body, pose_at_umbilic,
                      radii_of_curvature, rotate_body, theorem1_pipeline,
                      umbilic_sites)
-from umbilic.convexbody import fibonacci_sphere
+from umbilic.cli import _parse_body
+from umbilic.convexbody import (_anisotropy, _polish_umbilics, _solve2,
+                                _tangent_basis, fibonacci_sphere)
+from umbilic.util import unit3
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -145,6 +148,91 @@ def test_umbilic_sites_triaxial():
         assert s.residual < 1e-8
         # generic quadratic: umbilics avoid the intermediate axis
         assert abs(s.u[1]) < 1e-6
+
+
+CLI_BODIES = ("sphere:R=1.3", "zonal:eps=0.07", "triaxial:ax=0.01,ay=0.05,az=0.09",
+              "shifted:cx=0.2,cy=-0.4,cz=0.1", "quartic:qx=0.03,qy=0.05,qz=0.07")
+
+
+def _polish_reference(body, u0, max_iter=30):
+    """The one-candidate Newton polish the batched one replaced."""
+    u = unit3(np.asarray(u0, float))
+    for _ in range(max_iter):
+        F = _anisotropy(body, u)
+        if np.linalg.norm(F) < 1e-13:
+            return u, True
+        t1, t2 = _tangent_basis(u)
+        h = 1e-6
+        Fp1 = _anisotropy(body, unit3(u + h * t1))
+        Fm1 = _anisotropy(body, unit3(u - h * t1))
+        Fp2 = _anisotropy(body, unit3(u + h * t2))
+        Fm2 = _anisotropy(body, unit3(u - h * t2))
+        J = np.column_stack([(Fp1 - Fm1) / (2 * h), (Fp2 - Fm2) / (2 * h)])
+        try:
+            st = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            return u, bool(np.linalg.norm(F) < 1e-13)
+        if not np.all(np.isfinite(st)):
+            return u, False
+        step = st[0] * t1 + st[1] * t2
+        ns = np.linalg.norm(step)
+        if ns > 0.5:
+            step *= 0.5 / ns
+        un = unit3(u + step)
+        if np.linalg.norm(_anisotropy(body, un)) >= np.linalg.norm(F):
+            return u, bool(np.linalg.norm(F) < 1e-10)
+        u = un
+    return u, bool(np.linalg.norm(_anisotropy(body, u)) < 1e-10)
+
+
+@pytest.mark.parametrize("spec", CLI_BODIES)
+def test_batched_polish_matches_reference(spec):
+    body = _parse_body(spec)
+    starts = np.random.default_rng(7).standard_normal((40, 3))
+    for max_iter in (30, 2):  # 2 also reaches the final test after the loop
+        us, oks = _polish_umbilics(body, starts, max_iter=max_iter)
+        for u0, u, ok in zip(starts, us, oks):
+            ref_u, ref_ok = _polish_reference(body, u0, max_iter=max_iter)
+            assert ok == ref_ok
+            assert np.max(np.abs(u - ref_u)) <= 1e-12
+
+
+def test_polish_rows_independent_of_batch():
+    body = _parse_body(CLI_BODIES[-1])
+    starts = np.random.default_rng(8).standard_normal((25, 3))
+    starts[3] = np.nan  # stops at once, unconverged
+    starts[4] = EZ      # an umbilic: converged at once
+    with np.errstate(invalid="ignore"):
+        us, oks = _polish_umbilics(body, starts)
+        for k, u0 in enumerate(starts):
+            u1, ok1 = _polish_umbilics(body, u0[None])
+            assert np.array_equal(us[k], u1[0], equal_nan=True)
+            assert oks[k] == ok1[0]
+    assert not oks[3] and oks[4]
+
+
+def test_solve2_singular_rows_do_not_spoil_the_stack():
+    J = np.array([[[2.0, 1.0], [0.5, 3.0]], [[1.0, 2.0], [2.0, 4.0]],
+                  [[0.0, 1.0], [-1.0, 0.25]]])
+    rhs = np.array([[1.0, -2.0], [1.0, 1.0], [0.3, 0.7]])
+    st, solved = _solve2(J, rhs)
+    assert solved.tolist() == [True, False, True]
+    for k in (0, 2):
+        assert np.array_equal(st[k], np.linalg.solve(J[k], rhs[k]))
+
+
+@pytest.mark.parametrize("spec, count", [("zonal:eps=0.05", 2),
+                                         ("quartic:qx=0.03,qy=0.05,qz=0.07", 14)])
+def test_umbilic_sites_counts(spec, count):
+    # zonal: the two poles; quartic: the six axis points and one per octant
+    body = _parse_body(spec)
+    sites = umbilic_sites(body, grid_n=17)
+    assert len(sites) == count
+    for s in sites:
+        assert abs(np.linalg.norm(s.u) - 1.0) < 1e-14
+        assert s.residual < 1e-8
+        r1, r2 = radii_of_curvature(body, s.u)
+        assert abs(float(r2 - r1) - s.residual) < 1e-14
 
 
 # --- pose -------------------------------------------------------------------
