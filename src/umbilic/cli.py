@@ -89,6 +89,39 @@ def _parse_body(text):
     raise UsageError(f"unknown body '{name}' (sphere, zonal, triaxial, shifted, quartic)")
 
 
+_REGION = {"nargs": 4, "type": float, "metavar": ("X0", "Y0", "X1", "Y1")}
+_X = ("--X", {"type": float, "default": 0.0})
+_Y = ("--Y", {"type": float, "default": math.pi / 2})
+_THETA0 = ("--theta0", {"type": float, "default": 0.0})
+
+
+def _grid_command(sub, name, summary, *options):
+    """A grid subcommand; ``options`` are (flag, kwargs) pairs after --field."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--field", required=True)
+    for flag, kwargs in options:
+        p.add_argument(flag, **kwargs)
+    p.add_argument("--region", default=(-2.0, -2.0, 2.0, 2.0), **_REGION)
+    p.add_argument("--n", type=int, default=101)
+    p.add_argument("--m", type=int, default=101)
+    for flag, kwargs in (_X, _Y, _THETA0):
+        p.add_argument(flag, **kwargs)
+    p.add_argument("--out", required=True)
+    p.add_argument("--svg")
+
+
+def _flux_command(sub, name, summary, radii, *options):
+    """A flux-ladder subcommand; ``options`` are (flag, kwargs) pairs after --field."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--field", required=True)
+    for flag, kwargs in options:
+        p.add_argument(flag, **kwargs)
+    p.add_argument("--radii", default=radii)
+    p.add_argument("--nr", type=int, default=16)
+    p.add_argument("--ntheta", type=int, default=64)
+    p.add_argument("--out", required=True)
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="umbilic", description=__doc__)
     p.add_argument("--config", help="key=value defaults file; flags override")
@@ -101,34 +134,22 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("curvature", help="curvature maps")
     csub = c.add_subparsers(dest="sub", required=True)
-    cmap = csub.add_parser("map", help="sample a curvature quantity on a grid")
-    cmap.add_argument("--field", required=True)
-    cmap.add_argument("--quantity", default="H",
-                      choices=scan.CURVATURE_NAMES + scan.RESIDUAL_NAMES)
-    cmap.add_argument("--region", nargs=4, type=float, default=(-2.0, -2.0, 2.0, 2.0),
-                      metavar=("X0", "Y0", "X1", "Y1"))
-    cmap.add_argument("--n", type=int, default=101)
-    cmap.add_argument("--m", type=int, default=101)
-    cmap.add_argument("--X", type=float, default=0.0)
-    cmap.add_argument("--Y", type=float, default=math.pi / 2)
-    cmap.add_argument("--theta0", type=float, default=0.0)
-    cmap.add_argument("--out", required=True)
-    cmap.add_argument("--svg")
+    _grid_command(csub, "map", "sample a curvature quantity on a grid",
+                  ("--quantity", {"default": "H",
+                                  "choices": scan.CURVATURE_NAMES + scan.RESIDUAL_NAMES}))
 
     u = sub.add_parser("umbilic", help="umbilic search")
     usub = u.add_subparsers(dest="sub", required=True)
     uscan = usub.add_parser("scan", help="locate umbilics of a graph")
     uscan.add_argument("--field", required=True)
-    uscan.add_argument("--region", nargs=4, type=float, default=(-2.0, -2.0, 2.0, 2.0),
-                       metavar=("X0", "Y0", "X1", "Y1"))
+    uscan.add_argument("--region", default=(-2.0, -2.0, 2.0, 2.0), **_REGION)
     uscan.add_argument("--n", type=int, default=101)
     uscan.add_argument("--tol", type=float, default=1e-8)
     uscan.add_argument("--out", required=True)
 
     fl = sub.add_parser("floor", help="umbilic-free floor of a region")
     fl.add_argument("--field", required=True)
-    fl.add_argument("--region", nargs=4, type=float, default=(-20.0, -20.0, 20.0, 20.0),
-                    metavar=("X0", "Y0", "X1", "Y1"))
+    fl.add_argument("--region", default=(-20.0, -20.0, 20.0, 20.0), **_REGION)
     fl.add_argument("--n", type=int, default=401)
     fl.add_argument("--out", required=True)
 
@@ -144,31 +165,11 @@ def build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="flux-decay and consistency checks")
     vsub = v.add_subparsers(dest="sub", required=True)
-    vt2 = vsub.add_parser("thm2", help="curvature-difference flux decay")
-    vt2.add_argument("--field", required=True)
-    vt2.add_argument("--X", type=float, default=0.0)
-    vt2.add_argument("--Y", type=float, default=math.pi / 2)
-    vt2.add_argument("--radii", default="2,4,8,16")
-    vt2.add_argument("--nr", type=int, default=16)
-    vt2.add_argument("--ntheta", type=int, default=64)
-    vt2.add_argument("--out", required=True)
-    vt3 = vsub.add_parser("thm3", help="principal-deviation flux decay")
-    vt3.add_argument("--field", required=True)
-    vt3.add_argument("--theta0", type=float, default=0.0)
-    vt3.add_argument("--radii", default="2,4,8,16")
-    vt3.add_argument("--nr", type=int, default=16)
-    vt3.add_argument("--ntheta", type=int, default=64)
-    vt3.add_argument("--out", required=True)
-    vd = vsub.add_parser("divergence", help="disk-vs-boundary consistency")
-    vd.add_argument("--field", required=True)
-    vd.add_argument("--which", choices=("v2", "v3"), default="v2")
-    vd.add_argument("--X", type=float, default=0.0)
-    vd.add_argument("--Y", type=float, default=math.pi / 2)
-    vd.add_argument("--theta0", type=float, default=0.0)
-    vd.add_argument("--radii", default="2,4,8")
-    vd.add_argument("--nr", type=int, default=16)
-    vd.add_argument("--ntheta", type=int, default=64)
-    vd.add_argument("--out", required=True)
+    _flux_command(vsub, "thm2", "curvature-difference flux decay", "2,4,8,16", _X, _Y)
+    _flux_command(vsub, "thm3", "principal-deviation flux decay", "2,4,8,16", _THETA0)
+    _flux_command(vsub, "divergence", "disk-vs-boundary consistency", "2,4,8",
+                  ("--which", {"choices": ("v2", "v3"), "default": "v2"}),
+                  _X, _Y, _THETA0)
 
     pl = sub.add_parser("pipeline", help="convex-body pipelines")
     psub = pl.add_subparsers(dest="sub", required=True)
@@ -179,18 +180,8 @@ def build_parser() -> _Parser:
     pt1.add_argument("--ntheta", type=int, default=512)
     pt1.add_argument("--out", required=True)
 
-    ct = sub.add_parser("contour", help="zero contours of a residual")
-    ct.add_argument("--field", required=True)
-    ct.add_argument("--residual", default="D", choices=scan.RESIDUAL_NAMES)
-    ct.add_argument("--region", nargs=4, type=float, default=(-2.0, -2.0, 2.0, 2.0),
-                    metavar=("X0", "Y0", "X1", "Y1"))
-    ct.add_argument("--n", type=int, default=101)
-    ct.add_argument("--m", type=int, default=101)
-    ct.add_argument("--X", type=float, default=0.0)
-    ct.add_argument("--Y", type=float, default=math.pi / 2)
-    ct.add_argument("--theta0", type=float, default=0.0)
-    ct.add_argument("--out", required=True)
-    ct.add_argument("--svg")
+    _grid_command(sub, "contour", "zero contours of a residual",
+                  ("--residual", {"default": "D", "choices": scan.RESIDUAL_NAMES}))
 
     dc = sub.add_parser("decay", help="ring decay profile of a field")
     dc.add_argument("--field", required=True)
@@ -382,7 +373,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # DomainError is a ValueError, so it goes before the usage clause
+    # DomainError and GraphConditionError are ValueErrors: catch them first
     except (GraphConditionError, ConvexityError, RegularityError, DomainError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

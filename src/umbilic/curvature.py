@@ -18,14 +18,15 @@ from typing import Callable
 
 import numpy as np
 
-from .field import Direction, Jet2, ScalarField, directional, rotate_jet_arrays
+from .field import Direction, Jet2, ScalarField, directional_arrays, rotate_jet_arrays
 
 __all__ = [
     "PrincipalData", "UmbilicResiduals", "PlaneField",
     "normal_curvature", "normal_curvature_theta", "dk_dtheta",
     "shape_operator", "umbilic_residuals", "graph_mean_divergence",
     "curvature_difference_field", "principal_deviation_field",
-    "residual_arrays", "curvature_theta_arrays", "dk_dtheta_arrays",
+    "residual_arrays", "principal_arrays", "curvature_theta_arrays",
+    "dk_dtheta_arrays",
 ]
 
 #: a point below this normalized discriminant counts as umbilic
@@ -95,10 +96,24 @@ def residual_arrays(f1, f2, f11, f12, f22):
     return P1, P2, D, q
 
 
+def principal_arrays(f1, f2, f11, f12, f22):
+    """(H, K, k1, k2) from jet component arrays, k1 <= k2:
+
+        H = ((1 + f2^2) f11 - 2 f1 f2 f12 + (1 + f1^2) f22) / (2 (1 + q)^(3/2))
+        K = (f11 f22 - f12^2) / (1 + q)^2
+    """
+    q = f1 * f1 + f2 * f2
+    w = 1.0 + q
+    H = ((1.0 + f2 * f2) * f11 - 2.0 * f1 * f2 * f12
+         + (1.0 + f1 * f1) * f22) / (2.0 * w ** 1.5)
+    K = (f11 * f22 - f12 * f12) / (w * w)
+    s = np.sqrt(np.maximum(H * H - K, 0.0))
+    return H, K, H - s, H + s
+
+
 def curvature_direction_arrays(f1, f2, f11, f12, f22, cx, sx):
     """Normal curvature along the unit direction (cx, sx)."""
-    fX = f1 * cx + f2 * sx
-    fXX = f11 * cx * cx + 2.0 * f12 * cx * sx + f22 * sx * sx
+    fX, fXX = directional_arrays(f1, f2, f11, f12, f22, cx, sx)
     q = f1 * f1 + f2 * f2
     return fXX / ((1.0 + fX * fX) * np.sqrt(1.0 + q))
 
@@ -135,8 +150,7 @@ def dk_dtheta_arrays(f1, f2, f11, f12, f22, theta0):
 def normal_curvature(field: ScalarField, p, X: Direction) -> float:
     """Curvature of the normal slice of graph(f) above p along X."""
     j = field.jet(p)
-    fX, fXX = directional(j, X)
-    return fXX / ((1.0 + fX * fX) * math.sqrt(1.0 + j.q))
+    return float(curvature_direction_arrays(j.f1, j.f2, j.f11, j.f12, j.f22, X.x, X.y))
 
 
 def normal_curvature_theta(field: ScalarField, p, theta: float) -> float:
@@ -172,6 +186,20 @@ def _null_direction(M: np.ndarray) -> np.ndarray:
     return v
 
 
+def _principal_2x2(S: np.ndarray) -> tuple:
+    """(H, K, gap2, k1, k2, e1, e2) of a 2x2 operator: H = tr S / 2, K = det S,
+    gap2 = max(H^2 - K, 0), k1,2 = H -/+ sqrt(gap2), e_i the null direction
+    of S - k_i I."""
+    H = 0.5 * (S[0, 0] + S[1, 1])
+    K = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
+    gap2 = max(H * H - K, 0.0)
+    s = math.sqrt(gap2)
+    k1, k2 = H - s, H + s
+    e1 = _null_direction(S - k1 * np.eye(2))
+    e2 = _null_direction(S - k2 * np.eye(2))
+    return H, K, gap2, k1, k2, e1, e2
+
+
 def shape_operator(field: ScalarField, p, umbilic_tol: float = UMBILIC_TOL) -> PrincipalData:
     """Principal curvatures and directions of graph(f) above p.
 
@@ -192,19 +220,12 @@ def shape_operator(field: ScalarField, p, umbilic_tol: float = UMBILIC_TOL) -> P
         [(1.0 + j.f1 ** 2) * h12 - j.f1 * j.f2 * h11,
          (1.0 + j.f1 ** 2) * h22 - j.f1 * j.f2 * h12],
     ]) / w
-    H = float(0.5 * (S[0, 0] + S[1, 1]))
-    K = float(S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0])
-    gap2 = max(H * H - K, 0.0)
-    s = math.sqrt(gap2)
-    k1, k2 = H - s, H + s
+    H, K, gap2, k1, k2, e1, e2 = _principal_2x2(S)
     umbilic = bool(4.0 * gap2 < umbilic_tol)
     if umbilic:
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
-    else:
-        e1 = _null_direction(S - k1 * np.eye(2))
-        e2 = _null_direction(S - k2 * np.eye(2))
-    return PrincipalData(k1, k2, e1, e2, H, K, umbilic)
+    return PrincipalData(float(k1), float(k2), e1, e2, float(H), float(K), umbilic)
 
 
 def umbilic_residuals(field: ScalarField, p) -> UmbilicResiduals:
@@ -217,11 +238,11 @@ def umbilic_residuals(field: ScalarField, p) -> UmbilicResiduals:
 def graph_mean_divergence(j: Jet2) -> float:
     """div(grad f / sqrt(1 + |grad f|^2)) evaluated analytically from a jet.
 
-    Equals twice the mean curvature of the graph.
+    Equals twice the mean curvature of the graph. The jet goes in as arrays:
+    numpy's scalar power can round unlike its array power, which the H grids use.
     """
-    q = j.q
-    num = (1.0 + j.f2 ** 2) * j.f11 - 2.0 * j.f1 * j.f2 * j.f12 + (1.0 + j.f1 ** 2) * j.f22
-    return num / (1.0 + q) ** 1.5
+    jet = np.array([[j.f1], [j.f2], [j.f11], [j.f12], [j.f22]])
+    return float(2.0 * principal_arrays(*jet)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +265,22 @@ def curvature_difference_field(field: ScalarField, X: Direction, Y: Direction) -
     cy, sy = Y.x, Y.y
 
     def _parts(x, y):
-        f, f1, f2, f11, f12, f22 = field.jet_arrays(x, y)
-        fX = f1 * cx + f2 * sx
-        fY = f1 * cy + f2 * sy
-        return f1, f2, f11, f12, f22, fX, fY
+        jet = field.jet_arrays(x, y)[1:]
+        return (jet, directional_arrays(*jet, cx, sx),
+                directional_arrays(*jet, cy, sy))
 
     def vector(x, y):
-        f1, f2, f11, f12, f22, fX, fY = _parts(x, y)
+        _, (fX, _), (fY, _) = _parts(x, y)
         u = fX * (1.0 + fY * fY)
         v = fY * (1.0 + fX * fX)
         return u * cx - v * cy, u * sx - v * sy
 
     def div(x, y):
-        f1, f2, f11, f12, f22, fX, fY = _parts(x, y)
-        fXX = f11 * cx * cx + 2.0 * f12 * cx * sx + f22 * sx * sx
-        fYY = f11 * cy * cy + 2.0 * f12 * cy * sy + f22 * sy * sy
+        _, (fX, fXX), (fY, fYY) = _parts(x, y)
         return fXX * (1.0 + fY * fY) - fYY * (1.0 + fX * fX)
 
     def integrand(x, y):
-        f1, f2, f11, f12, f22, fX, fY = _parts(x, y)
+        (f1, f2, f11, f12, f22), (fX, _), (fY, _) = _parts(x, y)
         kX = curvature_direction_arrays(f1, f2, f11, f12, f22, cx, sx)
         kY = curvature_direction_arrays(f1, f2, f11, f12, f22, cy, sy)
         q = f1 * f1 + f2 * f2
@@ -287,26 +305,25 @@ def principal_deviation_field(field: ScalarField, theta0: float) -> PlaneField:
     c, s = math.cos(theta0), math.sin(theta0)
 
     def _rotated(x, y):
-        f, f1, f2, f11, f12, f22 = field.jet_arrays(x, y)
-        g1, g2, g11, g12, g22 = rotate_jet_arrays(f1, f2, f11, f12, f22, theta0)
-        q = f1 * f1 + f2 * f2
-        return g1, g2, g11, g12, g22, q
+        _, f1, f2, f11, f12, f22 = field.jet_arrays(x, y)
+        return rotate_jet_arrays(f1, f2, f11, f12, f22, theta0)
 
     def vector(x, y):
-        g1, g2, g11, g12, g22, q = _rotated(x, y)
+        g1, g2, _, _, _ = _rotated(x, y)
         v_rot = g2 / np.sqrt(1.0 + g1 * g1)
         return v_rot * c, v_rot * s
 
     def div(x, y):
-        g1, g2, g11, g12, g22, q = _rotated(x, y)
+        g1, g2, g11, g12, _ = _rotated(x, y)
         w = 1.0 + g1 * g1
         return (w * g12 - g1 * g2 * g11) / w ** 1.5
 
     def integrand(x, y):
-        g1, g2, g11, g12, g22, q = _rotated(x, y)
-        w = 1.0 + g1 * g1
-        dk = 2.0 * (w * g12 - g2 * g1 * g11) / (w * w * np.sqrt(1.0 + q))
-        return dk * w * np.sqrt(1.0 + q)
+        _, f1, f2, f11, f12, f22 = field.jet_arrays(x, y)
+        fX, _ = directional_arrays(f1, f2, f11, f12, f22, c, s)
+        q = f1 * f1 + f2 * f2
+        dk = dk_dtheta_arrays(f1, f2, f11, f12, f22, theta0)
+        return dk * (1.0 + fX * fX) * np.sqrt(1.0 + q)
 
     return PlaneField(vector, div, integrand,
                       label=f"principal-deviation theta0={theta0:.6g}")

@@ -9,8 +9,10 @@ class NonConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
 
 
-class GraphConditionError(RuntimeError):
-    """The radial Lipschitz bound required for graph inversion fails."""
+class GraphConditionError(RuntimeError, ValueError):
+    """A precondition of graph inversion fails: the radial Lipschitz bound,
+    a first-order zero at the origin, or the umbilic critical point of
+    positive curvature that normalization needs."""
 
 
 class ConvexityError(RuntimeError):

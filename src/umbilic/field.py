@@ -146,8 +146,10 @@ class ScalarField:
 
     def jet(self, p) -> Jet2:
         x, y = as_xy(p)
-        out = self.jet_arrays(x, y)
-        j = Jet2(*(float(v) for v in out))
+        # one-element arrays, so the jet rounds as it does on a grid: numpy's
+        # scalar kernels (e.g. of power) can differ from its array kernels
+        out = self.jet_arrays(np.array([x]), np.array([y]))
+        j = Jet2(*(float(np.ravel(v)[0]) for v in out))
         if not all(math.isfinite(v) for v in j):
             raise DomainError(f"non-finite jet of '{self.name}' at ({x}, {y})")
         return j
@@ -185,15 +187,18 @@ def eval_jet(field: ScalarField, p) -> Jet2:
     return field.jet(p)
 
 
+def directional_arrays(f1, f2, f11, f12, f22, c, s):
+    """(f_X, f_XX) along the unit direction X = (c, s), from jet component
+    arrays: f_X = <grad f, X> and f_XX = X^T H X."""
+    return f1 * c + f2 * s, f11 * c * c + 2.0 * f12 * c * s + f22 * s * s
+
+
 def directional(j: Jet2, X: Direction) -> tuple:
     """First and second derivatives of f along the unit direction X.
 
     Returns (f_X, f_XX) with f_X = <grad f, X> and f_XX = X^T H X.
     """
-    c, s = X.x, X.y
-    fX = j.f1 * c + j.f2 * s
-    fXX = j.f11 * c * c + 2.0 * j.f12 * c * s + j.f22 * s * s
-    return fX, fXX
+    return directional_arrays(j.f1, j.f2, j.f11, j.f12, j.f22, X.x, X.y)
 
 
 def rotate_frame(j: Jet2, theta0: float) -> Jet2:
@@ -202,17 +207,15 @@ def rotate_frame(j: Jet2, theta0: float) -> Jet2:
     The gradient rotates by -theta0 and the Hessian is conjugated by the
     rotation; the value is unchanged.
     """
-    c, s = math.cos(theta0), math.sin(theta0)
-    g1 = c * j.f1 + s * j.f2
-    g2 = -s * j.f1 + c * j.f2
-    g11 = c * c * j.f11 + 2.0 * c * s * j.f12 + s * s * j.f22
-    g12 = c * s * (j.f22 - j.f11) + (c * c - s * s) * j.f12
-    g22 = s * s * j.f11 - 2.0 * c * s * j.f12 + c * c * j.f22
-    return Jet2(j.f, g1, g2, g11, g12, g22)
+    g = rotate_jet_arrays(j.f1, j.f2, j.f11, j.f12, j.f22, theta0)
+    return Jet2(j.f, *(float(v) for v in g))
 
 
 def rotate_jet_arrays(f1, f2, f11, f12, f22, theta0):
-    """Array version of the frame rotation; returns the five rotated entries."""
+    """The frame rotation of jet component arrays; returns the five rotated
+    entries. g11 is summed as c*c*f11 + ..., not in the order of
+    ``directional_arrays`` (f11*c*c + ...): the two round differently, and
+    the dk/dtheta outputs are pinned to this order."""
     c, s = np.cos(theta0), np.sin(theta0)
     g1 = c * f1 + s * f2
     g2 = -s * f1 + c * f2

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .curvature import (curvature_direction_arrays, dk_dtheta_arrays,
-                        residual_arrays)
+                        principal_arrays, residual_arrays)
 from .errors import DomainError
 from .field import Direction, ScalarField
 from .util import local_minima, worker_count
@@ -94,45 +94,28 @@ class FloorReport:
     argmin: tuple
 
 
+# quantity name -> its array formula on (f1, f2, f11, f12, f22) and the grid
+# params; the formulas are looked up by module attribute at call time
+_FORMULAS = {
+    "dk": lambda j, p: (curvature_direction_arrays(*j, p["X"].x, p["X"].y)
+                        - curvature_direction_arrays(*j, p["Y"].x, p["Y"].y)),
+    "dkdtheta": lambda j, p: dk_dtheta_arrays(*j, p["theta0"]),
+    "P1": lambda j, p: residual_arrays(*j)[0],
+    "P2": lambda j, p: residual_arrays(*j)[1],
+    "D": lambda j, p: residual_arrays(*j)[2],
+    "H": lambda j, p: principal_arrays(*j)[0],
+    "K": lambda j, p: principal_arrays(*j)[1],
+    "k1": lambda j, p: principal_arrays(*j)[2],
+    "k2": lambda j, p: principal_arrays(*j)[3],
+}
+
+
 def _residual_evaluator(field: ScalarField, name: str, params: dict):
-    if name == "dk":
-        X, Y = params["X"], params["Y"]
-
-        def ev(x, y):
-            _, f1, f2, f11, f12, f22 = field.jet_arrays(x, y)
-            kx = curvature_direction_arrays(f1, f2, f11, f12, f22, X.x, X.y)
-            ky = curvature_direction_arrays(f1, f2, f11, f12, f22, Y.x, Y.y)
-            return kx - ky
-    elif name == "dkdtheta":
-        theta0 = float(params["theta0"])
-
-        def ev(x, y):
-            _, f1, f2, f11, f12, f22 = field.jet_arrays(x, y)
-            return dk_dtheta_arrays(f1, f2, f11, f12, f22, theta0)
-    elif name in ("P1", "P2", "D"):
-        idx = {"P1": 0, "P2": 1, "D": 2}[name]
-
-        def ev(x, y):
-            _, f1, f2, f11, f12, f22 = field.jet_arrays(x, y)
-            return residual_arrays(f1, f2, f11, f12, f22)[idx]
-    elif name in CURVATURE_NAMES:
-        def ev(x, y):
-            _, f1, f2, f11, f12, f22 = field.jet_arrays(x, y)
-            q = f1 * f1 + f2 * f2
-            w = 1.0 + q
-            H = ((1.0 + f2 * f2) * f11 - 2.0 * f1 * f2 * f12
-                 + (1.0 + f1 * f1) * f22) / (2.0 * w ** 1.5)
-            K = (f11 * f22 - f12 * f12) / (w * w)
-            if name == "H":
-                return H
-            if name == "K":
-                return K
-            s = np.sqrt(np.maximum(H * H - K, 0.0))
-            return H - s if name == "k1" else H + s
-    else:
+    formula = _FORMULAS.get(name)
+    if formula is None:
         raise ValueError(f"unknown residual '{name}'; "
                          f"options: {RESIDUAL_NAMES + CURVATURE_NAMES}")
-    return ev
+    return lambda x, y: formula(field.jet_arrays(x, y)[1:], params)
 
 
 def _check_region(region):

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .curvature import _principal_2x2
 from .errors import DomainError, GraphConditionError, NonConvergenceError, RegularityError
 from .field import ScalarField
 
@@ -74,7 +75,7 @@ def graph_condition(field: ScalarField, r0: float, n_samples: int = 4096,
     j0 = field.jet((0.0, 0.0))
     f0, g0 = abs(j0.f), math.hypot(j0.f1, j0.f2)
     if strict_origin and (f0 > 1e-10 or g0 > 1e-10):
-        raise ValueError(
+        raise GraphConditionError(
             f"field must vanish to first order at the origin: "
             f"|f(o)| = {f0:.3e}, |grad f(o)| = {g0:.3e}")
     n_side = max(8, int(math.sqrt(max(n_samples, 64))))
@@ -248,10 +249,11 @@ def invert_local_graph(field: ScalarField, r0: float,
     if normalize:
         j0 = field.jet((0.0, 0.0))
         if abs(j0.f11 - j0.f22) > 1e-8 or abs(j0.f12) > 1e-8:
-            raise ValueError("normalization requires an umbilic critical point "
-                             "at the origin")
+            raise GraphConditionError("normalization requires an umbilic critical "
+                                      "point at the origin")
         if j0.f11 <= 0.0:
-            raise ValueError("normalization requires positive curvature at the origin")
+            raise GraphConditionError("normalization requires positive curvature "
+                                      "at the origin")
         scale = j0.f11 / 2.0
         if scale != 1.0:
             src = _rescaled_field(field, scale)
@@ -375,20 +377,13 @@ def patch_principal(P: Patch3, u: float, v: float,
                               f"degenerates at ({u}, {v})")
     Iinv = np.array([[G, -F], [-F, E]]) / det_I
     W = -Iinv @ np.array([[L, M], [M, N]])
-    H = 0.5 * (W[0, 0] + W[1, 1])
-    K = W[0, 0] * W[1, 1] - W[0, 1] * W[1, 0]
-    gap2 = max(H * H - K, 0.0)
-    s = math.sqrt(gap2)
-    k1, k2 = H - s, H + s
-    umbilic = 2.0 * s < gap_tol * max(1.0, abs(k1), abs(k2))
-    from .curvature import _null_direction
+    _, _, gap2, k1, k2, a1, a2 = _principal_2x2(W)
+    umbilic = 2.0 * math.sqrt(gap2) < gap_tol * max(1.0, abs(k1), abs(k2))
     if umbilic:
         d1 = Pu / np.linalg.norm(Pu)
         d2v = Pv - (Pv @ d1) * d1
         d2 = d2v / np.linalg.norm(d2v)
     else:
-        a1 = _null_direction(W - k1 * np.eye(2))
-        a2 = _null_direction(W - k2 * np.eye(2))
         d1 = a1[0] * Pu + a1[1] * Pv
         d2 = a2[0] * Pu + a2[1] * Pv
         d1 = d1 / np.linalg.norm(d1)

@@ -161,3 +161,17 @@ def test_nonfinite_grid_exit_code(tmp_path, capsys, argv):
     assert rc == 3
     assert "grid samples are not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--field", "gaussian_bump", "--r0", "0.5"], "vanish to first order"),
+    (["--field", "saddle", "--r0", "0.3", "--normalize"], "umbilic critical point"),
+    (["--field", "gaussian_bump", "--r0", "0.3", "--normalize"], "positive curvature"),
+], ids=["origin", "umbilic", "curvature"])
+def test_inversion_precondition_exit_code(tmp_path, capsys, argv, reason):
+    # a failed precondition of the inversion is a failed check, not a usage error
+    out = tmp_path / "x.csv"
+    assert main(["invert", "graph", *argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("check failed:") and reason in err
+    assert not out.exists()

@@ -1,13 +1,16 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from conftest import all_fields, sample_points
 from umbilic import (Direction, curvature_difference_field, dk_dtheta,
-                     graph_mean_divergence, make_field, normal_curvature,
-                     normal_curvature_theta, principal_deviation_field,
-                     shape_operator, umbilic_residuals)
-from umbilic.field import rotate_frame
+                     graph_mean_divergence, list_families, make_field,
+                     normal_curvature, normal_curvature_theta,
+                     principal_deviation_field, shape_operator,
+                     umbilic_residuals)
+from umbilic.curvature import principal_arrays, residual_arrays
+from umbilic.field import rotate_frame, rotate_jet_arrays
 
 
 def rel_close(a, b, tol, floor=1.0):
@@ -147,6 +150,47 @@ def test_shape_operator_invariants(rng):
                 j = field.jet((x, y))
                 g = np.eye(2) + np.outer(j.grad, j.grad)
                 assert abs(pd.e1 @ g @ pd.e2) < 1e-10
+
+
+def _principal_tolerances(H, k1, k2, rel):
+    """Tolerances on (H, K, k_i) of a relative error ``rel`` in H and K.
+
+    k_i = H -/+ s with s = sqrt(H^2 - K); an error e in H^2 - K moves s by
+    at most min(sqrt(e), e / s), which near an umbilic is far above e.
+    """
+    kappa = max(1.0, abs(k1), abs(k2))
+    tol_h, tol_k = rel * kappa, rel * kappa * kappa
+    e = 2.0 * abs(H) * tol_h + tol_k
+    s = 0.5 * (k2 - k1)
+    tol_ki = tol_h + (min(math.sqrt(e), e / s) if s > 0.0 else math.sqrt(e))
+    return tol_h, tol_k, tol_ki
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([spec.name for spec in list_families()]),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi))
+def test_invariants_do_not_change_when_the_frame_rotates(name, u, v, theta):
+    field = make_field(name)
+    lo, hi = field.sample_box
+    p = (lo + u * (hi - lo), lo + v * (hi - lo))
+    jet = field.jet(p)[1:]
+    rotated = rotate_jet_arrays(*jet, theta)
+
+    def dn(f1, f2, f11, f12, f22):
+        return residual_arrays(f1, f2, f11, f12, f22)[2] / (1.0 + f1 * f1 + f2 * f2) ** 3
+
+    H, K, k1, k2 = principal_arrays(*jet)
+    tol_h, tol_k, tol_ki = _principal_tolerances(H, k1, k2, 1e-12)
+    Hr, Kr, k1r, k2r = principal_arrays(*rotated)
+    assert abs(Hr - H) <= tol_h
+    assert abs(Kr - K) <= tol_k
+    assert abs(dn(*rotated) - dn(*jet)) <= tol_k
+    assert abs(k1r - k1) <= tol_ki and abs(k2r - k2) <= tol_ki
+    # the eigen-decomposition of S = g^-1 h is an independent reference
+    pd = shape_operator(field, p)
+    tol_h, tol_k, tol_ki = _principal_tolerances(H, k1, k2, 1e-10)
+    assert abs(pd.H - H) <= tol_h and abs(pd.K - K) <= tol_k
+    assert abs(pd.k1 - k1) <= tol_ki and abs(pd.k2 - k2) <= tol_ki
 
 
 # --- umbilic residuals ------------------------------------------------------

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbilic import (Direction, contours, grid_field, make_field, sign_witness,
-                     umbilic_free_floor, umbilic_search)
-from umbilic.scan import Grid
+from conftest import all_fields
+from umbilic import (Direction, Jet2, contours, dk_dtheta, graph_mean_divergence,
+                     grid_field, make_field, normal_curvature, rotate_frame,
+                     sign_witness, umbilic_free_floor, umbilic_residuals,
+                     umbilic_search)
+from umbilic.curvature import principal_arrays
+from umbilic.field import rotate_jet_arrays
+from umbilic.scan import CURVATURE_NAMES, RESIDUAL_NAMES, Grid
 
 EX = Direction(0.0)
 EY = Direction(math.pi / 2)
@@ -49,6 +54,32 @@ def test_grid_validates():
         grid_field(make_field("saddle"), "nope", (-1, -1, 1, 1), 5, 5)
     with pytest.raises(ValueError):
         grid_field(make_field("saddle"), "dk", (-1, -1, 1, 1), 5, 5)  # no X, Y
+
+
+@pytest.mark.parametrize("field", all_fields(), ids=lambda f: f.name)
+def test_grid_quantities_equal_scalar_apis(field):
+    # each quantity has one array formula; the grid and the scalar API
+    # evaluate it on one jet, so every node agrees bitwise
+    X, Y, theta0 = Direction(0.4), Direction(2.0), 0.9
+    lo, hi = field.sample_box
+    grids = {q: grid_field(field, q, (lo, lo, hi, 0.8 * hi), 7, 6,
+                           X=X, Y=Y, theta0=theta0)
+             for q in CURVATURE_NAMES + RESIDUAL_NAMES}
+    g = grids["D"]
+    for i, x in enumerate(g.xs):
+        for k, y in enumerate(g.ys):
+            p = (float(x), float(y))
+            j = field.jet(p)
+            r = umbilic_residuals(field, p)
+            _, K, k1, k2 = (v[0] for v in principal_arrays(*np.array(j[1:])[:, None]))
+            scalar = {"dk": normal_curvature(field, p, X) - normal_curvature(field, p, Y),
+                      "dkdtheta": dk_dtheta(field, p, theta0),
+                      "P1": r.P1, "P2": r.P2, "D": r.D,
+                      "H": graph_mean_divergence(j) / 2.0, "K": K, "k1": k1, "k2": k2}
+            for q, value in scalar.items():
+                assert grids[q].values[i, k] == value, (q, p)
+            assert rotate_frame(j, theta0) == Jet2(
+                j.f, *rotate_jet_arrays(j.f1, j.f2, j.f11, j.f12, j.f22, theta0))
 
 
 # --- contours ---------------------------------------------------------------
