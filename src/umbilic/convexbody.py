@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvexityError, DomainError
 from .transform import Patch3
-from .util import local_minima, unit3
+from .util import bisect_arrays, local_minima, unit3
 
 
 @dataclass(frozen=True)
@@ -483,22 +483,14 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
         if not (rbar[-1].max() < target < rbar[0].min()):
             raise DomainError(f"target radius {target} outside sampled ladder")
         lo_idx = np.argmax(rbar < target, axis=0)  # first index past the target
-        phi_hi = phis[lo_idx]
-        phi_lo_b = phis[lo_idx - 1]
-        for _ in range(80):
-            mid = 0.5 * (phi_lo_b + phi_hi)
-            qm, _ = posed.cap_points(mid, thetas)
-            n2m = np.sum(qm * qm, axis=-1)
-            rb = np.hypot(qm[..., 0], qm[..., 1]) / n2m
-            above = rb > target
-            lo_next = np.where(above, mid, phi_lo_b)
-            hi_next = np.where(above, phi_hi, mid)
-            # the step is a fixed map of (phi_lo_b, phi_hi): once it leaves
-            # both unchanged, the remaining steps would too
-            if np.array_equal(lo_next, phi_lo_b) and np.array_equal(hi_next, phi_hi):
-                break
-            phi_lo_b, phi_hi = lo_next, hi_next
-        phi_sol = 0.5 * (phi_lo_b + phi_hi)
+
+        def above(phi):
+            qm, _ = posed.cap_points(phi, thetas)
+            rb = np.hypot(qm[..., 0], qm[..., 1]) / np.sum(qm * qm, axis=-1)
+            # a sign, not rb - target: a tie moves hi rather than closing the bracket
+            return np.where(rb > target, 1.0, -1.0)
+
+        phi_sol = bisect_arrays(above, phis[lo_idx - 1], phis[lo_idx])
         qs, ns = posed.cap_points(phi_sol, thetas)
         n2s = np.sum(qs * qs, axis=-1)
         rb = np.hypot(qs[..., 0], qs[..., 1]) / n2s

@@ -1,4 +1,5 @@
-"""Small numeric helpers: deterministic reductions, thread budget, local minima."""
+"""Small numeric helpers: deterministic reductions, thread budget, local minima,
+bracketed bisection."""
 
 import os
 
@@ -49,6 +50,28 @@ def local_minima(values, wrap_cols=False):
         for dj in range(3):
             low = np.minimum(low, p[di:di + n, dj:dj + m])
     return np.argwhere(v <= low)
+
+
+def bisect_arrays(g, lo, hi):
+    """Bisect every bracket [lo, hi] at once; the midpoints at the fixed point.
+
+    Each step evaluates g on all midpoints: g > 0 moves lo up to the
+    midpoint, g < 0 or NaN moves hi down to it, and g == 0 closes the
+    bracket on it. A step is a fixed map of (lo, hi), so the loop stops at
+    the first step that changes neither bracket; every later step would
+    leave them unchanged too. Brackets must be finite.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("bisection brackets must be finite")
+    while True:
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        lo_next = np.where(gm >= 0.0, mid, lo)
+        hi_next = np.where(gm > 0.0, hi, mid)
+        if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
+            return mid
+        lo, hi = lo_next, hi_next
 
 
 def unit3(v):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from umbilic.cli import main
@@ -175,3 +177,18 @@ def test_inversion_precondition_exit_code(tmp_path, capsys, argv, reason):
     err = capsys.readouterr().err
     assert err.startswith("check failed:") and reason in err
     assert not out.exists()
+
+
+def test_invert_graph_saddle_rays_where_f_vanishes(tmp_path):
+    # the ray theta = 0 lies on the saddle's zero set: r = 1/rbar is the root
+    # itself and sits on the upper end of the bisection bracket
+    out = tmp_path / "s.csv"
+    rc = main(["invert", "graph", "--field", "saddle", "--r0", "0.549845",
+               "--radii", "2.88464,22.8315,180.708", "--ntheta", "28",
+               "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "rbar,sup_dev,sup_rbar_grad"
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    assert [row[0] for row in rows] == [2.88464, 22.8315, 180.708]
+    assert all(math.isfinite(v) and v >= 0.0 for row in rows for v in row)

@@ -177,6 +177,127 @@ def test_exterior_field_jets_consistent():
         assert abs(j.f11 - fd.f11) < 1e-3
 
 
+# --- the array exterior graph against per-point reference code --------------
+
+def _reference_solve_r(graph, rbar, theta):
+    """The per-point bracketed bisection the array solve replaced."""
+    assert rbar >= graph.rbar_min
+    lo = 0.5 / rbar
+    hi = min(1.0 / rbar, graph.r0)
+    c, s = math.cos(theta), math.sin(theta)
+
+    def g(r):
+        f = float(graph.source.values_and_grads(r * c, r * s)[0])
+        return r / (r * r + f * f) - rbar
+
+    glo, ghi = g(lo), g(hi)
+    if glo == 0.0:
+        return lo
+    if ghi == 0.0:
+        return hi
+    assert glo > 0.0 and ghi < 0.0, "bisection bracket violated"
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if gm > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("reference bisection did not converge")
+
+
+def _reference_grad(graph, x, y):
+    """(fbar, gx, gy) at one point, by the chain rule on the reference solve."""
+    # per point through the math module: numpy's hypot and arctan2 differ
+    # from math.hypot and math.atan2 in the last bit on some inputs (0.6% and
+    # 7.4% of random inputs with numpy 2.4 on x86-64)
+    rbar = math.hypot(x, y)
+    theta = math.atan2(y, x)
+    r = _reference_solve_r(graph, rbar, theta)
+    c, s = math.cos(theta), math.sin(theta)
+    px, py = r * c, r * s
+    f, f1, f2 = (float(v) for v in graph.source.values_and_grads(px, py))
+    fr = (px * f1 + py * f2) / r
+    ftheta = -py * f1 + px * f2
+    w = r * r + f * f
+    fr_ = (r * r * fr - 2.0 * r * f - f * f * fr) / (f * f - r * r - 2.0 * r * f * fr)
+    ft_ = (r * r - f * f) * ftheta / (w * w)
+    c, s = x / rbar, y / rbar
+    return f / w, c * fr_ - s * ft_ / rbar, s * fr_ + c * ft_ / rbar
+
+
+def _reference_jet(graph, x, y):
+    """Chain-rule gradient and central-difference Hessian at one point."""
+    f, gx, gy = _reference_grad(graph, x, y)
+    h = 1e-7 * max(1.0, math.hypot(x, y))
+    _, gxp, gyp = _reference_grad(graph, x + h, y)
+    _, gxm, gym = _reference_grad(graph, x - h, y)
+    _, gxq, gyq = _reference_grad(graph, x, y + h)
+    _, gxr, gyr = _reference_grad(graph, x, y - h)
+    f11 = (gxp - gxm) / (2 * h)
+    f22 = (gyq - gyr) / (2 * h)
+    f12 = 0.5 * ((gyp - gym) / (2 * h) + (gxq - gxr) / (2 * h))
+    return f, gx, gy, f11, f12, f22
+
+
+# (family, r0 inside its slope bound, normalize); normalization needs an
+# umbilic critical point of positive curvature
+EXTERIOR_CASES = [("sphere_cap", 0.5, False), ("sphere_cap", 0.5, True),
+                  ("paraboloid", 0.4, False), ("paraboloid", 0.4, True),
+                  ("saddle", 0.7, False), ("cylinder", 0.35, False)]
+
+
+def _exterior_points(graph, rng, n):
+    rbar = np.exp(rng.uniform(math.log(1.5), math.log(20.0), n)) / graph.r0
+    theta = rng.uniform(0.0, math.tau, n)
+    return rbar * np.cos(theta), rbar * np.sin(theta)
+
+
+@pytest.mark.parametrize("family, r0, normalize", EXTERIOR_CASES)
+def test_exterior_graph_matches_per_point_reference(rng, family, r0, normalize):
+    graph = invert_local_graph(make_field(family), r0, normalize=normalize)
+    x, y = _exterior_points(graph, rng, 24)
+    rbar = np.array([math.hypot(a, b) for a, b in zip(x, y)])
+    theta = np.array([math.atan2(b, a) for a, b in zip(x, y)])
+    r = graph.solve_r(rbar, theta)
+    assert r.shape == rbar.shape
+    for k in range(rbar.size):
+        assert r[k] == _reference_solve_r(graph, rbar[k], theta[k])
+    jets = graph.as_field().jet_arrays(x.reshape(4, 6), y.reshape(4, 6))
+    for k, idx in enumerate(np.ndindex(4, 6)):
+        ref = _reference_jet(graph, float(x[k]), float(y[k]))
+        assert tuple(float(a[idx]) for a in jets) == ref
+
+
+def test_exterior_solve_closes_on_a_root_at_the_bracket_end():
+    # on the saddle's axes f vanishes, so r = 1/rbar solves exactly; rounding
+    # can put the residual there on either side of zero
+    graph = invert_local_graph(make_field("saddle"), 0.549845)
+    rbar = np.geomspace(2.0, 200.0, 300)
+    for theta in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
+        assert np.array_equal(graph.solve_r(rbar, theta), 1.0 / rbar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(EXTERIOR_CASES), factor=st.floats(1.5, 20.0),
+       theta=st.one_of(st.floats(0.0, math.tau),
+                       st.sampled_from([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])))
+def test_exterior_points_invert_onto_the_source_graph(case, factor, theta):
+    family, r0, normalize = case
+    graph = invert_local_graph(make_field(family), r0, normalize=normalize)
+    rbar = factor / graph.r0
+    x, y = rbar * math.cos(theta), rbar * math.sin(theta)
+    fbar = float(graph.as_field().value(x, y))
+    p = invert_point((x, y, fbar))
+    f = float(graph.source.value(p[0], p[1]))
+    # the bound of the benchmark's exterior check: relative to the point's size
+    assert abs(p[2] - f) <= 1e-10 * (abs(p[2]) + math.hypot(p[0], p[1]))
+
+
 # --- parallel patches -------------------------------------------------------
 
 def test_parallel_sphere():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from umbilic.util import local_minima
+from umbilic.util import bisect_arrays, local_minima
 
 
 def brute_minima(values, wrap_cols=False):
@@ -62,3 +62,85 @@ def test_local_minima_nan_node_and_neighbour(rng, wrap_cols):
     assert (2, 2) not in got and (5, 5) not in got
     assert all(not (abs(i - 5) <= 1 and abs(j - 5) <= 1) for i, j in got)
     assert (0, 7) in got
+
+
+# --- bracketed bisection ----------------------------------------------------
+
+def scalar_bisect(g, lo, hi):
+    """Reference: the per-point bisection loop the exterior graph used to run."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid  # interval at float resolution
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if gm > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError("reference bisection did not converge")
+
+
+def brackets(rng, n):
+    lo = rng.uniform(0.5, 4.0, n)
+    hi = lo + rng.uniform(0.0, 3.0, n)
+    hi[:5] = lo[:5]  # zero-width brackets
+    # roots inside, outside on both sides, and on dyadic points that some
+    # midpoint hits exactly
+    t = rng.uniform(-0.2, 1.2, n)
+    t[5:40] = rng.integers(0, 17, 35) / 16.0
+    return lo, hi, lo + t * (hi - lo)
+
+
+SIGN_FUNCTIONS = {
+    # monotone decreasing: positive left of the root
+    "linear": lambda x, root: root - x,
+    "cubic-ish": lambda x, root: (root - x) * (1.0 + x * x),
+    "sign": lambda x, root: np.where(x < root, 1.0, -1.0),
+    "sign-with-ties": lambda x, root: np.where(x < root, 1.0, np.where(x > root, -1.0, 0.0)),
+    "nan-right": lambda x, root: np.where(x < root, 1.0, np.nan),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SIGN_FUNCTIONS))
+def test_bisect_arrays_matches_scalar_reference(rng, kind):
+    fn = SIGN_FUNCTIONS[kind]
+    lo, hi, root = brackets(rng, 300)
+    calls = []
+
+    def g(x):
+        calls.append(x.shape)
+        return fn(x, root)
+
+    got = bisect_arrays(g, lo, hi)
+    assert got.shape == lo.shape and all(c == lo.shape for c in calls)
+    for k in range(lo.size):
+        ref = scalar_bisect(lambda x: float(fn(np.float64(x), root[k])), lo[k], hi[k])
+        assert got[k] == ref, (k, lo[k], hi[k], root[k])
+    # exact-zero midpoints close their bracket on the midpoint
+    if kind in ("linear", "sign-with-ties"):
+        assert np.any(got == root)
+
+
+def test_bisect_arrays_scalars_and_broadcasting():
+    r = bisect_arrays(lambda x: 2.0 - x * x, 1.0, 2.0)
+    assert np.ndim(r) == 0 and abs(r - np.sqrt(2.0)) <= 4e-16
+    out = bisect_arrays(lambda x: np.array([0.25, 0.5, 0.75]) - x, 0.0, np.ones(3))
+    assert out.tolist() == [0.25, 0.5, 0.75]
+    assert bisect_arrays(lambda x: x, 3.0, 3.0) == 3.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bisect_arrays_rejects_non_finite_brackets(bad):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return -x
+
+    with pytest.raises(ValueError):
+        bisect_arrays(g, np.array([0.0, bad]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        bisect_arrays(g, 0.0, bad)
+    assert not calls
