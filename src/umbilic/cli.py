@@ -17,7 +17,8 @@ from .errors import (ConvexityError, DomainError, GraphConditionError,
                      NonConvergenceError, RegularityError)
 from .families import list_families, parse_field_spec
 from .field import Direction, decay_profile
-from .output import format_float, svg_contours, svg_heatmap, write_csv
+from .output import (format_float, svg_contours, svg_heatmap, write_csv,
+                     write_grid_csv, write_polyline_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -250,10 +251,8 @@ def run(argv) -> int:
         X, Y = _grid_directions(args)
         g = scan.grid_field(field, args.quantity, region, args.n, args.m,
                             X=X, Y=Y, theta0=args.theta0)
-        rows = [(x, y, g.values[i, j]) for i, x in enumerate(g.xs)
-                for j, y in enumerate(g.ys)]
-        write_csv(args.out, ("x", "y", args.quantity), rows,
-                  f"{args.quantity} of graph({field.name}); lengths in plane units")
+        write_grid_csv(args.out, args.quantity, g,
+                       f"{args.quantity} of graph({field.name}); lengths in plane units")
         if args.svg:
             svg_heatmap(g, args.svg)
         return EXIT_OK
@@ -344,12 +343,8 @@ def run(argv) -> int:
                             _positive("n", args.n), _positive("m", args.m),
                             X=X, Y=Y, theta0=args.theta0)
         cs = scan.contours(g)
-        rows = []
-        for pid, poly in enumerate(cs.polylines):
-            for x, y in poly:
-                rows.append((pid, x, y))
-        write_csv(args.out, ("polyline", "x", "y"), rows,
-                  f"zero contours of {args.residual} for {field.name}")
+        write_polyline_csv(args.out, cs.polylines,
+                           f"zero contours of {args.residual} for {field.name}")
         if args.svg:
             svg_contours(cs, g.region, args.svg)
         return EXIT_OK

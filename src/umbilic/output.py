@@ -6,69 +6,99 @@ import numpy as np
 
 
 def format_float(v) -> str:
-    """Shortest decimal that round-trips the float ('.' decimal point)."""
-    f = float(v)
-    if f != f:
-        return "nan"
-    return repr(f)
+    """Shortest decimal that round-trips the float ('.' decimal point);
+    every NaN prints as 'nan'."""
+    return repr(float(v))
+
+
+def _format_cell(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return format_float(v)
+    if isinstance(v, (int, np.integer)):  # bool too
+        return str(int(v))
+    return str(v)
+
+
+def _write_lines(path, columns, description, blocks) -> None:
+    """Header, optional '#' description on top, then each block of lines
+    (every line ending in a newline) as it comes."""
+    with open(path, "w", newline="\n") as fh:
+        if description:
+            fh.write(f"# {description}\n")
+        fh.write(",".join(columns) + "\n")
+        for block in blocks:
+            fh.write(block)
 
 
 def write_csv(path, columns, rows, description: str = "") -> None:
     """Write rows with a header; an optional '#' description line on top
-    names the computed quantity and its units."""
-    lines = []
-    if description:
-        lines.append(f"# {description}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(
-            format_float(v) if isinstance(v, (float, np.floating))
-            else str(int(v)) if isinstance(v, (int, np.integer))  # bool too
-            else str(v) for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    names the computed quantity and its units. Every row is formatted
+    before the file opens, so rows that raise leave no file."""
+    body = "".join([",".join(map(_format_cell, row)) + "\n" for row in rows])
+    _write_lines(path, columns, description, [body])
+
+
+def write_grid_csv(path, column, grid, description: str = "") -> None:
+    """The bytes of ``write_csv`` over the rows (x, y, values[i, j]), x
+    outer: each coordinate and value is formatted once, and one x-row of
+    strings is held at a time."""
+    ys = [repr(y) for y in grid.ys.tolist()]
+
+    def blocks():
+        for x, row in zip(grid.xs.tolist(), grid.values):
+            prefix = f"{x!r},"
+            yield "".join([f"{prefix}{y},{v!r}\n" for y, v in zip(ys, row.tolist())])
+    _write_lines(path, ("x", "y", column), description, blocks())
+
+
+def write_polyline_csv(path, polylines, description: str = "") -> None:
+    """The bytes of ``write_csv`` over the rows (index, x, y) of every
+    vertex of every polyline, one polyline at a time."""
+    def blocks():
+        for pid, poly in enumerate(polylines):
+            prefix = f"{pid},"
+            yield "".join([f"{prefix}{x!r},{y!r}\n" for x, y in poly.tolist()])
+    _write_lines(path, ("polyline", "x", "y"), description, blocks())
 
 
 # fixed two-sided palette so sign changes are visible and goldens stable
-_NEG = (33, 102, 172)
-_MID = (247, 247, 247)
-_POS = (178, 24, 43)
+_NEG = np.array([33.0, 102.0, 172.0])
+_MID = np.array([247.0, 247.0, 247.0])
+_POS = np.array([178.0, 24.0, 43.0])
 
 
-def _lerp(c0, c1, t):
-    return tuple(int(round(a + (b - a) * t)) for a, b in zip(c0, c1))
-
-
-def _color(value, vmax):
+def _colors(values):
+    """(n, m, 3) integer RGB of each value on the palette scaled by max |value|:
+    t = value / vmax clipped to [-1, 1] runs from _MID to _POS (t >= 0) or to
+    _NEG, rounded half to even."""
+    vmax = float(np.max(np.abs(values)))
     if vmax <= 0.0:
-        return _MID
-    t = max(-1.0, min(1.0, value / vmax))
-    if t >= 0.0:
-        return _lerp(_MID, _POS, t)
-    return _lerp(_MID, _NEG, -t)
+        return np.broadcast_to(_MID.astype(np.int64), values.shape + (3,))
+    t = np.clip(values / vmax, -1.0, 1.0)[..., None]
+    rgb = np.where(t >= 0.0, _MID + (_POS - _MID) * t, _MID + (_NEG - _MID) * -t)
+    return np.rint(rgb).astype(np.int64)
 
 
 def svg_heatmap(grid, path, size: int = 640) -> None:
-    """Diverging heatmap of a sampled grid, scaled by max |value|."""
+    """Diverging heatmap of a sampled grid (finite values), scaled by
+    max |value|."""
     values = grid.values
     n, m = values.shape
-    x0, y0, x1, y1 = grid.region
-    vmax = float(np.max(np.abs(values)))
     cw = size / n
     ch = size / m
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-             f'width="{size}" height="{size}" '
-             f'viewBox="0 0 {size} {size}">']
-    for i in range(n):
-        for j in range(m):
-            r, g, b = _color(float(values[i, j]), vmax)
-            # svg y axis points down; flip j so larger y draws higher
-            parts.append(f'<rect x="{i * cw:.2f}" y="{(m - 1 - j) * ch:.2f}" '
-                         f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
-                         f'fill="rgb({r},{g},{b})"/>')
-    parts.append("</svg>")
+    colors = _colors(values)
+    extent = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
+    # svg y axis points down; flip j so larger y draws higher
+    ys = [f"{(m - 1 - j) * ch:.2f}" for j in range(m)]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+                 f'width="{size}" height="{size}" '
+                 f'viewBox="0 0 {size} {size}">\n')
+        for i in range(n):
+            prefix = f'<rect x="{i * cw:.2f}" y="'
+            fh.write("".join([f'{prefix}{y}" {extent} fill="rgb({r},{g},{b})"/>\n'
+                              for y, (r, g, b) in zip(ys, colors[i].tolist())]))
+        fh.write("</svg>\n")
 
 
 def svg_contours(contour_set, region, path, size: int = 640,

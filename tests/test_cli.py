@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -146,6 +147,24 @@ def test_grid_determinism_across_threads(tmp_path, monkeypatch):
             blobs.setdefault(tag, []).append(read(path))
     for tag, (a, b) in blobs.items():
         assert a == b, f"{tag} output differs across thread counts"
+
+
+# sha256 of a map's CSV and heatmap as the per-cell writers wrote them
+MAP_GOLDEN = {
+    "csv": "26a634a1334d38ad2683d7d60ec7b11b59ffecacf86b4785f2d0cc1febec87f9",
+    "svg": "153f2b8801b1232b03b728a6ceb4aa436b1def95bff0922d0fad4f68e1b45c25",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_curvature_map_golden_bytes(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("UMBILIC_THREADS", threads)
+    paths = {"csv": tmp_path / "k.csv", "svg": tmp_path / "k.svg"}
+    assert main(["curvature", "map", "--field", "paraboloid", "--quantity", "K",
+                 "--n", "31", "--m", "23", "--out", str(paths["csv"]),
+                 "--svg", str(paths["svg"])]) == 0
+    for kind, path in paths.items():
+        assert hashlib.sha256(read(path)).hexdigest() == MAP_GOLDEN[kind], kind
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

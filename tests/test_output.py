@@ -1,0 +1,112 @@
+import numpy as np
+import pytest
+
+from umbilic.output import (svg_heatmap, write_csv, write_grid_csv,
+                            write_polyline_csv)
+from umbilic.scan import Grid, contours
+
+
+def read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def grid_of(values, xs=None, ys=None):
+    values = np.asarray(values, dtype=float)
+    n, m = values.shape
+    xs = np.linspace(-1.5, 2.0, n) if xs is None else np.asarray(xs, dtype=float)
+    ys = np.linspace(-1.0, 1.0, m) if ys is None else np.asarray(ys, dtype=float)
+    return Grid(xs, ys, values, "custom", (xs[0], ys[0], xs[-1], ys[-1]))
+
+
+# the per-cell heatmap loop the array writer replaced, kept as the oracle
+_NEG = (33, 102, 172)
+_MID = (247, 247, 247)
+_POS = (178, 24, 43)
+
+
+def _lerp(c0, c1, t):
+    return tuple(int(round(a + (b - a) * t)) for a, b in zip(c0, c1))
+
+
+def _color(value, vmax):
+    if vmax <= 0.0:
+        return _MID
+    t = max(-1.0, min(1.0, value / vmax))
+    if t >= 0.0:
+        return _lerp(_MID, _POS, t)
+    return _lerp(_MID, _NEG, -t)
+
+
+def reference_heatmap(grid, path, size=640):
+    values = grid.values
+    n, m = values.shape
+    vmax = float(np.max(np.abs(values)))
+    cw = size / n
+    ch = size / m
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             f'width="{size}" height="{size}" '
+             f'viewBox="0 0 {size} {size}">']
+    for i in range(n):
+        for j in range(m):
+            r, g, b = _color(float(values[i, j]), vmax)
+            parts.append(f'<rect x="{i * cw:.2f}" y="{(m - 1 - j) * ch:.2f}" '
+                         f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
+                         f'fill="rgb({r},{g},{b})"/>')
+    parts.append("</svg>")
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
+def test_grid_csv_matches_row_writer(tmp_path):
+    # n != m, so a swapped axis shows; values print in every repr style
+    special = [-0.0, 1e-5, 1e16, 5e-324, 2.0]
+    values = np.random.default_rng(7).standard_normal((5, 3))
+    values.flat[:len(special)] = special
+    g = grid_of(values, xs=[-2.0, -0.0, 1e-5, 0.1, 3.0], ys=[-1.0, 0.0, 1e16])
+    rows = [(x, y, g.values[i, j]) for i, x in enumerate(g.xs)
+            for j, y in enumerate(g.ys)]
+    for desc in ("K of graph(paraboloid); lengths in plane units", ""):
+        write_csv(tmp_path / "rows.csv", ("x", "y", "K"), rows, desc)
+        write_grid_csv(tmp_path / "grid.csv", "K", g, desc)
+        assert read(tmp_path / "grid.csv") == read(tmp_path / "rows.csv")
+    lines = read(tmp_path / "grid.csv").decode().splitlines()
+    assert lines[0] == "x,y,K" and lines[1] == "-2.0,-1.0,-0.0"
+    assert lines[2:6] == ["-2.0,0.0,1e-05", "-2.0,1e+16,1e+16",
+                          "-0.0,-1.0,5e-324", "-0.0,0.0,2.0"]
+
+
+@pytest.mark.parametrize("case", ["random", "zero", "extremes", "half"])
+def test_heatmap_matches_per_cell_loop(tmp_path, case):
+    rng = np.random.default_rng(11)
+    values = {
+        "random": rng.standard_normal((9, 6)),
+        # vmax == 0: every cell takes the middle colour
+        "zero": np.zeros((4, 7)),
+        # values at exactly +-vmax, and a signed zero
+        "extremes": np.array([[3.0, -3.0, -0.0], [0.0, 1.5, -2.25]]),
+        # t = +-0.5 puts channels on x.5, which round half to even
+        "half": np.array([[2.0, 1.0, -1.0, -2.0], [0.5, -0.5, 0.25, -0.25]]),
+    }[case]
+    g = grid_of(values)
+    if case == "half":
+        assert 247 + (178 - 247) * 0.5 == 212.5  # lands on a half exactly
+    reference_heatmap(g, tmp_path / "old.svg")
+    svg_heatmap(g, tmp_path / "new.svg")
+    assert read(tmp_path / "new.svg") == read(tmp_path / "old.svg")
+
+
+def test_polyline_csv_matches_row_writer(tmp_path):
+    xs = np.linspace(-2.0, 2.0, 41)
+    ys = np.linspace(-1.5, 1.5, 33)
+    XX, YY = np.meshgrid(xs, ys, indexing="ij")
+    cs = contours(grid_of(XX**2 + 2.0 * YY**2 - 1.0 - 0.3 * XX**3, xs, ys))
+    assert len(cs.polylines) >= 1
+    polylines = cs.polylines + [np.array([[-0.0, 1e-5], [5e-324, 1e16]])]
+    rows = [(pid, x, y) for pid, poly in enumerate(polylines) for x, y in poly]
+    desc = "zero contours of dk for custom"
+    write_csv(tmp_path / "rows.csv", ("polyline", "x", "y"), rows, desc)
+    write_polyline_csv(tmp_path / "poly.csv", polylines, desc)
+    assert read(tmp_path / "poly.csv") == read(tmp_path / "rows.csv")
+    write_polyline_csv(tmp_path / "empty.csv", [], desc)
+    assert read(tmp_path / "empty.csv") == f"# {desc}\npolyline,x,y\n".encode()
