@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvexityError, DomainError
 from .transform import Patch3
-from .util import bisect_arrays, local_minima, unit3
+from .util import _row_norms, _solve2, bisect_arrays, local_minima, unit3
 
 
 @dataclass(frozen=True)
@@ -144,31 +144,6 @@ def _anisotropy(body: SupportBody, u):
     """(m11 - m22, 2 m12) in the transported tangent frame; zero at umbilics."""
     m11, m12, m22, _, _ = _curvature_matrix(body, u)
     return np.stack([m11 - m22, 2.0 * m12], axis=-1)
-
-
-def _row_norms(x):
-    """Euclidean norm of each row, rounded as ``np.linalg.norm`` of the row
-    alone rounds it (a dot product of the row with itself), so no Newton
-    decision depends on the batch a row sits in."""
-    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
-
-
-def _solve2(J, rhs):
-    """Solve every 2x2 system J[k] s = rhs[k]; rows with a singular matrix
-    come back with solved[k] false."""
-    try:
-        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), bool)
-    except np.linalg.LinAlgError:
-        # a stacked solve raises for the whole stack: solve row by row
-        st = np.zeros_like(rhs)
-        solved = np.zeros(len(J), bool)
-        for k in range(len(J)):
-            try:
-                st[k] = np.linalg.solve(J[k], rhs[k])
-                solved[k] = True
-            except np.linalg.LinAlgError:
-                pass
-        return st, solved
 
 
 def _polish_umbilics(body: SupportBody, u0, max_iter: int = 30):

@@ -17,7 +17,7 @@ from .curvature import (curvature_direction_arrays, dk_dtheta_arrays,
                         principal_arrays, residual_arrays)
 from .errors import DomainError
 from .field import Direction, ScalarField
-from .util import local_minima, worker_count
+from .util import _libm, _row_norms, _solve2, local_minima, worker_count
 
 RESIDUAL_NAMES = ("dk", "dkdtheta", "P1", "P2", "D")
 CURVATURE_NAMES = ("H", "K", "k1", "k2")
@@ -206,9 +206,9 @@ def contours(grid: Grid, level: float = 0.0) -> ContourSet:
     return _chain_segments(_segments(grid, level))
 
 
-def _segments(grid: Grid, level: float) -> list:
-    """((x, y), (x, y)) segments in row-major cell order, each cell's in
-    table order."""
+def _segments(grid: Grid, level: float) -> np.ndarray:
+    """(S, 2, 2) segment endpoints ``[segment, end, (x, y)]`` in row-major
+    cell order, each cell's in table order."""
     v = grid.values - level
     xs, ys = grid.xs, grid.ys
     up = (v >= 0.0).view(np.uint8)
@@ -232,17 +232,16 @@ def _segments(grid: Grid, level: float) -> list:
     second = np.zeros(cell.size, dtype=np.int8)
     second[1:] = cell[1:] == cell[:-1]
     edges = _SEGMENT_EDGES[case[cell], second]
-    segments = []
+    ends = np.empty((cell.size, 2, 2))
     for k in range(0, cell.size, _BLOCK_SEGMENTS):
         block = slice(k, k + _BLOCK_SEGMENTS)
-        ends = _crossings(v, xs, ys, cell[block], edges[block])
-        segments += zip(ends, ends)  # consecutive ends pair up
-    return segments
+        ends[block] = _crossings(v, xs, ys, cell[block], edges[block])
+    return ends
 
 
 def _crossings(v, xs, ys, cell, edges):
-    """Iterator over the (x, y) crossings on the edges ``edges[k, 0]`` and
-    ``edges[k, 1]`` of the flat cell index ``cell[k]``, for k in order."""
+    """(k, 2, 2) crossings ``[k, end, (x, y)]`` on the edges ``edges[k, 0]``
+    and ``edges[k, 1]`` of the flat cell index ``cell[k]``."""
     i, j = np.divmod(cell, v.shape[1] - 1)
     # corner offsets per segment end: [segment, end, corner, (di, dj)]
     corners = _EDGE_CORNERS[edges]
@@ -252,54 +251,76 @@ def _crossings(v, xs, ys, cell, edges):
     bj = j[:, None] + corners[:, :, 1, 1]
     va, vb = v[ai, aj], v[bi, bj]
     t = va / (va - vb)
-    return zip((xs[ai] + t * (xs[bi] - xs[ai])).ravel().tolist(),
-               (ys[aj] + t * (ys[bj] - ys[aj])).ravel().tolist())
+    return np.stack([xs[ai] + t * (xs[bi] - xs[ai]),
+                     ys[aj] + t * (ys[bj] - ys[aj])], axis=-1)
 
 
-def _chain_segments(segments) -> ContourSet:
-    """Join shared-endpoint segments into polylines, deterministically."""
-    adjacency = {}
-    for si, (a, b) in enumerate(segments):
-        adjacency.setdefault(a, []).append(si)
-        adjacency.setdefault(b, []).append(si)
-    used = [False] * len(segments)
-    polylines, closed_flags = [], []
+def _chain_segments(ends) -> ContourSet:
+    """Join shared-endpoint segments into polylines, deterministically.
 
-    def walk(start_pt, seg_idx):
-        pts = [start_pt]
-        cur_seg, cur_pt = seg_idx, start_pt
+    Endpoints that are equal as points (-0.0 == 0.0; several meet where a
+    grid value is exactly the level) form one node. Open chains come
+    first, each started from the first unused segment, in segment order,
+    with an end at a node of one unused segment; then the closed loops.
+    A walk leaves each node along its first unused segment.
+    """
+    if not len(ends):
+        return ContourSet([], [])
+    pts = ends.reshape(-1, 2)  # endpoint e is an end of segment e >> 1
+    # a stable sort of the points lists each node's endpoints in order
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    new = np.ones(len(order), bool)
+    new[1:] = np.any(pts[order[1:]] != pts[order[:-1]], axis=1)
+    node_of = np.empty(len(order), np.intp)
+    node_of[order] = np.cumsum(new) - 1
+    first = np.flatnonzero(new)
+    degree = np.diff(first, append=len(order))
+    node = node_of.tolist()
+    seg_at = (order >> 1).tolist()  # the segment of each entry, node by node
+    cursor = first.tolist()  # per node: every entry before it is used
+    stop = cursor[1:] + [len(order)]
+    used = [False] * len(ends)
+
+    def unused(v):
+        return sum(not used[s] for s in seg_at[cursor[v]:stop[v]])
+
+    def walk(e):
+        """Append the chain from endpoint e to ``flat``; mark its segments."""
+        flat.append(e)
+        s, cur = e >> 1, node[e]
         while True:
-            used[cur_seg] = True
-            a, b = segments[cur_seg]
-            nxt = b if cur_pt == a else a
-            pts.append(nxt)
-            candidates = [s for s in adjacency.get(nxt, []) if not used[s]]
-            if not candidates:
-                break
-            cur_seg, cur_pt = candidates[0], nxt
-        return pts
+            used[s] = True
+            e = 2 * s + 1 if node[2 * s] == cur else 2 * s
+            flat.append(e)
+            cur = node[e]
+            c, end = cursor[cur], stop[cur]
+            while c < end and used[seg_at[c]]:
+                c += 1
+            cursor[cur] = c
+            if c == end:
+                starts.append(len(flat))
+                return
+            s = seg_at[c]
 
-    # open chains first: start from endpoints of odd degree
-    for si in range(len(segments)):
-        if used[si]:
+    flat, starts = [], [0]  # the endpoints of all chains; where each starts
+    # open chains first, from a node of one unused segment. A walk uses an
+    # even number of a node's segments unless it starts or ends there, and
+    # then it leaves none, so only nodes of odd degree can start one.
+    odd = (degree % 2 == 1)[node_of].reshape(-1, 2).any(axis=1)
+    for s in np.flatnonzero(odd).tolist():
+        if used[s]:
             continue
-        a, b = segments[si]
-        start = None
-        if len([s for s in adjacency[a] if not used[s]]) == 1:
-            start = a
-        elif len([s for s in adjacency[b] if not used[s]]) == 1:
-            start = b
-        if start is not None:
-            pts = walk(start, si)
-            polylines.append(np.array(pts))
-            closed_flags.append(pts[0] == pts[-1])
-    for si in range(len(segments)):
-        if used[si]:
-            continue
-        pts = walk(segments[si][0], si)
-        polylines.append(np.array(pts))
-        closed_flags.append(pts[0] == pts[-1])
-    return ContourSet(polylines, closed_flags)
+        if unused(node[2 * s]) == 1:
+            walk(2 * s)
+        elif unused(node[2 * s + 1]) == 1:
+            walk(2 * s + 1)
+    for s in range(len(ends)):
+        if not used[s]:
+            walk(2 * s)
+    bounds = np.array(starts)
+    at = node_of[flat]
+    return ContourSet(np.split(pts[flat], bounds[1:-1]),
+                      (at[bounds[:-1]] == at[bounds[1:] - 1]).tolist())
 
 
 def sign_witness(grid: Grid) -> SignWitness | None:
@@ -318,46 +339,88 @@ def sign_witness(grid: Grid) -> SignWitness | None:
 # umbilic search
 # ---------------------------------------------------------------------------
 
-def _normalized_residuals(field: ScalarField, x, y):
-    """(P1n, P2n, Dn): residuals normalized by (1+q)^(3/2) resp. (1+q)^3."""
+def _residuals(field: ScalarField, x, y):
+    """(P1, P2, D, q) of the graph of ``field`` at the points."""
     _, f1, f2, f11, f12, f22 = field.jet_arrays(x, y)
-    P1, P2, D, q = residual_arrays(f1, f2, f11, f12, f22)
+    return residual_arrays(f1, f2, f11, f12, f22)
+
+
+def _normalized_pair(field: ScalarField, x, y):
+    """(P1n, P2n): P1 and P2 normalized by (1+q)^(3/2)."""
+    P1, P2, _, q = _residuals(field, x, y)
     w = (1.0 + q) ** 1.5
-    return P1 / w, P2 / w, D / (1.0 + q) ** 3
+    return P1 / w, P2 / w
 
 
-def _newton_refine(field: ScalarField, x0: float, y0: float,
-                   max_iter: int = 60, target: float = 1e-12):
-    """Damped Newton on the normalized (P1, P2) system with FD Jacobian."""
-    x, y = float(x0), float(y0)
+def _normalized_discriminant(field: ScalarField, x, y):
+    """D normalized by (1+q)^3."""
+    _, _, D, q = _residuals(field, x, y)
+    return D / (1.0 + q) ** 3
 
+
+def _max_abs(r):
+    """max(|r0|, |r1|) per row in Python max's NaN order: r1 only if r1 > r0."""
+    a, b = np.abs(r).T
+    return np.where(b > a, b, a)
+
+
+# line-search step lengths: 1, then 1/2, ..., 2^-19 (halving stops below 1e-6)
+_STEPS = (np.ones(1), 0.5 ** np.arange(1, 20))
+
+
+def _newton_refine(field: ScalarField, x0, y0, max_iter: int = 60,
+                   target: float = 1e-12):
+    """Damped Newton on the normalized (P1, P2) system with an FD Jacobian,
+    from every start (x0[k], y0[k]) at once.
+
+    Each row takes the steps it would take alone. It stops when
+    max(|P1n|, |P2n|) < target, when its Jacobian is singular, or when
+    none of the line-search steps 1, 1/2, ..., 2^-19 lowers |(P1n, P2n)|.
+    Returns the final x, y and whether each row ends below target.
+    """
     def res(px, py):
-        p1, p2, _ = _normalized_residuals(field, px, py)
-        return np.array([float(p1), float(p2)])
+        return np.stack(_normalized_pair(field, px, py), axis=-1)
 
+    x = np.array(x0, dtype=float)
+    y = np.array(y0, dtype=float)
     r = res(x, y)
+    live = np.arange(x.size)  # rows still iterating
     for _ in range(max_iter):
-        if max(abs(r[0]), abs(r[1])) < target:
-            return x, y, True
-        h = 1e-7 * max(1.0, math.hypot(x, y))
-        jac = np.column_stack([(res(x + h, y) - res(x - h, y)) / (2 * h),
-                               (res(x, y + h) - res(x, y - h)) / (2 * h)])
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return x, y, max(abs(r[0]), abs(r[1])) < target
-        lam = 1.0
-        norm0 = np.linalg.norm(r)
-        while lam > 1e-6:
-            xn, yn = x + lam * step[0], y + lam * step[1]
-            rn = res(xn, yn)
-            if np.linalg.norm(rn) < norm0:
-                x, y, r = xn, yn, rn
+        live = live[~(_max_abs(r[live]) < target)]
+        if not live.size:
+            break
+        lx, ly = x[live], y[live]
+        hyp = _libm(math.hypot, lx, ly)
+        h = 1e-7 * np.where(hyp > 1.0, hyp, 1.0)
+        rp = res(np.concatenate([lx + h, lx - h, lx, lx]),
+                 np.concatenate([ly, ly, ly + h, ly - h]))
+        dx_p, dx_m, dy_p, dy_m = rp.reshape(4, -1, 2)
+        h2 = (2 * h)[:, None]
+        J = np.stack([(dx_p - dx_m) / h2, (dy_p - dy_m) / h2], axis=-1)
+        step, solved = _solve2(J, -r[live])
+        # a singular Jacobian stops the row
+        live, lx, ly, step = live[solved], lx[solved], ly[solved], step[solved]
+        norm0 = _row_norms(r[live])
+        # the full step for every row, then all shorter steps at once for the
+        # rows it does not take down: each row takes the first that does. The
+        # shorter steps lie between the point and its full step, so a convex
+        # domain (sphere_cap's disk) holds them when it holds the full step.
+        search = np.arange(live.size)  # positions in live still line-searching
+        for lam in _STEPS:
+            if not search.size:
                 break
-            lam *= 0.5
-        else:
-            break  # stalled
-    return x, y, max(abs(r[0]), abs(r[1])) < target
+            xn = lx[search] + lam[:, None] * step[search, 0]
+            yn = ly[search] + lam[:, None] * step[search, 1]
+            rn = res(xn.ravel(), yn.ravel()).reshape(*xn.shape, 2)
+            down = _row_norms(rn) < norm0[search]
+            k = np.flatnonzero(down.any(axis=0))
+            first = down[:, k].argmax(axis=0)
+            rows = live[search[k]]
+            x[rows], y[rows], r[rows] = xn[first, k], yn[first, k], rn[first, k]
+            search = np.delete(search, k)
+        # a row whose line search ran out of steps has stalled
+        live = np.delete(live, search)
+    return x, y, _max_abs(r) < target
 
 
 def umbilic_search(field: ScalarField, region, n: int,
@@ -368,10 +431,11 @@ def umbilic_search(field: ScalarField, region, n: int,
     When more than half of the grid sits below tolerance the region is
     reported as totally umbilic instead of enumerating points. Candidates
     whose refinement stalls are kept as coarse minima; duplicates within
-    1e-6 are merged.
+    1e-6 are merged. All minima are refined together as arrays, so a
+    refined point's residuals round exactly as a grid sample there would.
     """
     x0, y0, x1, y1 = _check_region(region)
-    xs, ys, Dn = _sample(lambda x, y: _normalized_residuals(field, x, y)[2],
+    xs, ys, Dn = _sample(lambda x, y: _normalized_discriminant(field, x, y),
                          region, n, n)
     below = Dn < tol
     frac = float(np.mean(below))
@@ -381,24 +445,29 @@ def umbilic_search(field: ScalarField, region, n: int,
     # the refined residual, so umbilics between nodes are still found
     margin_x = 0.05 * (x1 - x0)
     margin_y = 0.05 * (y1 - y0)
-    points = []
-    for i, j in local_minima(Dn):
-        cx, cy = float(xs[i]), float(ys[j])
-        rx, ry, ok = _newton_refine(field, cx, cy)
-        _, _, dn = _normalized_residuals(field, rx, ry)
-        dn = float(dn)
-        inside = (x0 - margin_x <= rx <= x1 + margin_x
-                  and y0 - margin_y <= ry <= y1 + margin_y)
-        if ok and dn < tol and inside:
-            points.append(UmbilicPoint(rx, ry, dn, True))
-        elif below[i, j]:
-            # Newton stalled or escaped; keep the coarse grid minimum
-            points.append(UmbilicPoint(cx, cy, float(Dn[i, j]), False))
+    i, j = local_minima(Dn).T
+    cx, cy = xs[i], ys[j]
+    rx, ry, ok = _newton_refine(field, cx, cy)
+    dn = _normalized_discriminant(field, rx, ry)
+    inside = ((x0 - margin_x <= rx) & (rx <= x1 + margin_x)
+              & (y0 - margin_y <= ry) & (ry <= y1 + margin_y))
+    refined = ok & (dn < tol) & inside
+    # Newton stalled or escaped: keep the coarse grid minimum if below tol
+    keep = refined | below[i, j]
+    cols = (np.where(refined, rx, cx), np.where(refined, ry, cy),
+            np.where(refined, dn, Dn[i, j]), refined)
+    points = [UmbilicPoint(*p) for p in zip(*(c[keep].tolist() for c in cols))]
     points.sort(key=lambda p: (p.x, p.y))
+    # greedy merge in sorted order against the points accepted so far; numpy's
+    # hypot only preselects, libm's decides, as scalar math.hypot did
     merged = []
+    ax, ay = np.empty(len(points)), np.empty(len(points))
     for p in points:
-        if any(math.hypot(p.x - q.x, p.y - q.y) < 1e-6 for q in merged):
+        dx, dy = p.x - ax[:len(merged)], p.y - ay[:len(merged)]
+        near = np.hypot(dx, dy) < 2e-6
+        if np.any(_libm(math.hypot, dx[near], dy[near]) < 1e-6):
             continue
+        ax[len(merged)], ay[len(merged)] = p.x, p.y
         merged.append(p)
     return UmbilicScan(merged, False, frac)
 
@@ -407,7 +476,7 @@ def umbilic_free_floor(field: ScalarField, region, n: int) -> FloorReport:
     """min over the grid of max(|P1|, |P2|) / (1+q)^(3/2), with its argmin."""
 
     def ev(x, y):
-        P1n, P2n, _ = _normalized_residuals(field, x, y)
+        P1n, P2n = _normalized_pair(field, x, y)
         return np.maximum(np.abs(P1n), np.abs(P2n))
 
     xs, ys, floor_map = _sample(ev, region, n, n)

@@ -18,19 +18,9 @@ import numpy as np
 from .curvature import _principal_2x2
 from .errors import DomainError, GraphConditionError, NonConvergenceError, RegularityError
 from .field import ScalarField
-from .util import bisect_arrays
+from .util import _libm, bisect_arrays
 
 _EPS = float(np.finfo(float).eps)
-
-
-def _libm(fn, *args):
-    """A math-module function applied elementwise, as a float array.
-
-    numpy's hypot and arctan2 can differ from the math module's in the last
-    bit (0.6% and 7.4% of random inputs with numpy 2.4 on x86-64); the
-    exterior graph gives each point the bits of scalar math-module code.
-    """
-    return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Small numeric helpers: deterministic reductions, thread budget, local minima,
-bracketed bisection."""
+bracketed bisection, and row-wise pieces of the batched Newton solves."""
 
 import os
 
@@ -72,6 +72,43 @@ def bisect_arrays(g, lo, hi):
         if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
             return mid
         lo, hi = lo_next, hi_next
+
+
+def _libm(fn, *args):
+    """A math-module function applied elementwise, as a float array.
+
+    numpy's hypot and arctan2 can differ from the math module's in the last
+    bit (0.6% and 7.4% of random inputs with numpy 2.4 on x86-64); callers
+    that must decide as scalar math-module code does use this instead.
+    """
+    return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
+
+
+def _row_norms(x):
+    """Euclidean norm of each row, rounded as ``np.linalg.norm`` of the row
+    alone rounds it (a dot product of the row with itself), so no Newton
+    decision depends on the batch a row sits in."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _solve2(J, rhs):
+    """Solve every 2x2 system J[k] s = rhs[k]; rows with a singular matrix
+    come back with solved[k] false."""
+    try:
+        return np.linalg.solve(J, rhs[..., None])[..., 0], np.ones(len(J), bool)
+    except np.linalg.LinAlgError:
+        # a stacked solve raises for the whole stack: solve row by row. A
+        # finite matrix with a zero column is singular to LU whatever the
+        # pivoting, so it needs no solve to find out.
+        st = np.zeros_like(rhs)
+        solved = ~(np.all(np.isfinite(J), axis=(1, 2))
+                   & np.any(np.all(J == 0.0, axis=1), axis=1))
+        for k in np.flatnonzero(solved):
+            try:
+                st[k] = np.linalg.solve(J[k], rhs[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        return st, solved
 
 
 def unit3(v):

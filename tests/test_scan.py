@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,9 +10,12 @@ from umbilic import (Direction, Jet2, contours, dk_dtheta, graph_mean_divergence
                      grid_field, make_field, normal_curvature, rotate_frame,
                      sign_witness, umbilic_free_floor, umbilic_residuals,
                      umbilic_search)
+from umbilic.cli import main
 from umbilic.curvature import principal_arrays
 from umbilic.field import rotate_jet_arrays
-from umbilic.scan import CURVATURE_NAMES, RESIDUAL_NAMES, Grid
+from umbilic.scan import (CURVATURE_NAMES, RESIDUAL_NAMES, Grid, _chain_segments,
+                          _max_abs, _newton_refine, _normalized_pair, _segments)
+from umbilic.util import local_minima
 
 EX = Direction(0.0)
 EY = Direction(math.pi / 2)
@@ -115,6 +119,65 @@ def test_contour_circle_hausdorff():
     assert np.max(d) < cell
 
 
+def _chain_reference(segments):
+    """The point-tuple chaining the endpoint-array one replaced."""
+    adjacency = {}
+    for si, (a, b) in enumerate(segments):
+        adjacency.setdefault(a, []).append(si)
+        adjacency.setdefault(b, []).append(si)
+    used = [False] * len(segments)
+    polylines, closed = [], []
+
+    def walk(start_pt, seg_idx):
+        pts = [start_pt]
+        cur_seg, cur_pt = seg_idx, start_pt
+        while True:
+            used[cur_seg] = True
+            a, b = segments[cur_seg]
+            nxt = b if cur_pt == a else a
+            pts.append(nxt)
+            candidates = [s for s in adjacency.get(nxt, []) if not used[s]]
+            if not candidates:
+                break
+            cur_seg, cur_pt = candidates[0], nxt
+        polylines.append(np.array(pts))
+        closed.append(pts[0] == pts[-1])
+
+    for si in range(len(segments)):
+        if used[si]:
+            continue
+        a, b = segments[si]
+        if len([s for s in adjacency[a] if not used[s]]) == 1:
+            walk(a, si)
+        elif len([s for s in adjacency[b] if not used[s]]) == 1:
+            walk(b, si)
+    for si in range(len(segments)):
+        if not used[si]:
+            walk(segments[si][0], si)
+    return polylines, closed
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chain_segments_matches_reference(seed):
+    # small integers put many contour vertices exactly on grid nodes, where
+    # several segments meet; signed zeros join as equal points
+    r = np.random.default_rng(seed)
+    n, m = r.integers(2, 40, 2)
+    values = r.integers(-2, 3, (n, m)).astype(float)
+    values[r.random((n, m)) < 0.2] = -0.0
+    xs = np.linspace(-1.0, 1.0, n)
+    ys = np.concatenate([[-0.0], np.linspace(0.0, 2.0, m)[1:]])
+    grid = Grid(xs, ys, values, "custom", (-1.0, -0.0, 1.0, 2.0))
+    ends = _segments(grid, 0.0)
+    cs = _chain_segments(ends)
+    polylines, closed = cs.polylines, cs.closed
+    ref_polylines, ref_closed = _chain_reference(
+        [tuple(map(tuple, e)) for e in ends.tolist()])
+    assert closed == ref_closed and len(polylines) == len(ref_polylines)
+    for p, q in zip(polylines, ref_polylines):
+        assert p.shape == q.shape and p.tobytes() == q.tobytes()
+
+
 def test_contour_vertices_near_zero_level(rng):
     field = make_field("asym_bump")
     g = grid_field(field, "dk", (-2, -2, 2, 2), 41, 41, X=EX, Y=EY)
@@ -186,9 +249,120 @@ def test_umbilic_search_cap_region_flag():
 def test_refined_points_satisfy_residual_bound():
     res = umbilic_search(make_field("paraboloid"), (-2, -2, 2, 2), 31)
     for p in res.points:
-        from umbilic.scan import _normalized_residuals
-        p1, p2, _ = _normalized_residuals(make_field("paraboloid"), p.x, p.y)
+        p1, p2 = _normalized_pair(make_field("paraboloid"), p.x, p.y)
         assert max(abs(float(p1)), abs(float(p2))) < 1e-8
+
+
+def _newton_reference(field, x0, y0, max_iter=60, target=1e-12):
+    """The one-candidate Newton loop the batched one replaced, evaluated on
+    one-element arrays; returns (x, y, ok, exit)."""
+    x, y = float(x0), float(y0)
+
+    def res(px, py):
+        p1, p2 = _normalized_pair(field, np.array([px]), np.array([py]))
+        return np.array([float(p1[0]), float(p2[0])])
+
+    r = res(x, y)
+    for _ in range(max_iter):
+        if max(abs(r[0]), abs(r[1])) < target:
+            return x, y, True, "converged"
+        h = 1e-7 * max(1.0, math.hypot(x, y))
+        jac = np.column_stack([(res(x + h, y) - res(x - h, y)) / (2 * h),
+                               (res(x, y + h) - res(x, y - h)) / (2 * h)])
+        try:
+            step = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            return x, y, max(abs(r[0]), abs(r[1])) < target, "singular"
+        lam = 1.0
+        norm0 = np.linalg.norm(r)
+        while lam > 1e-6:
+            xn, yn = x + lam * step[0], y + lam * step[1]
+            rn = res(xn, yn)
+            if np.linalg.norm(rn) < norm0:
+                x, y, r = xn, yn, rn
+                break
+            lam *= 0.5
+        else:
+            return x, y, max(abs(r[0]), abs(r[1])) < target, "stalled"
+    return x, y, max(abs(r[0]), abs(r[1])) < target, "max_iter"
+
+
+def _newton_starts(field, rng):
+    """The grid minima of the discriminant D on the field's sample box,
+    then random points in it."""
+    lo, hi = field.sample_box
+    g = grid_field(field, "D", (lo, lo, hi, hi), 15, 15)
+    i, j = local_minima(g.values).T
+    return (np.concatenate([g.xs[i], rng.uniform(lo, hi, 6)]),
+            np.concatenate([g.ys[j], rng.uniform(lo, hi, 6)]))
+
+
+def test_max_abs_keeps_python_max_nan_order():
+    r = np.array([[1e-13, np.nan], [np.nan, 1e-13], [-2.0, 1.0], [1.0, -2.0]])
+    expect = [max(abs(a), abs(b)) for a, b in r.tolist()]
+    assert np.array_equal(_max_abs(r), expect, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batched_newton_matches_reference(rng):
+    # separable at lam 0.5 has a start whose line search stalls, and none
+    # of the default families reach that exit from the starts above
+    cases = [(f, *_newton_starts(f, rng)) for f in all_fields()]
+    cases.append((make_field("separable", lam=0.5),
+                  np.array([22.540401649565922]), np.array([21.95828933794433])))
+    exits = set()
+    for field, xs, ys in cases:
+        for max_iter in (60, 3):  # 3 also reaches the test after the loop
+            bx, by, bok = _newton_refine(field, xs, ys, max_iter=max_iter)
+            for k in range(xs.size):
+                x, y, ok, how = _newton_reference(field, xs[k], ys[k], max_iter)
+                exits.add(how)
+                assert (bx[k], by[k], bok[k]) == (x, y, ok), (field.name, k, how)
+    assert exits == {"converged", "singular", "stalled", "max_iter"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_newton_rows_independent_of_batch(rng):
+    field = make_field("asym_bump")
+    xs, ys = rng.uniform(-3.0, 3.0, (2, 20))
+    xs[5] = ys[5] = np.nan            # stalls, unconverged
+    xs[9], ys[9] = -2.133709716507291, 1.4720952946367494  # an umbilic of the scan
+    bx, by, bok = _newton_refine(field, xs, ys)
+    for k in range(xs.size):
+        x1, y1, ok1 = _newton_refine(field, xs[k:k + 1], ys[k:k + 1])
+        assert np.array_equal([bx[k], by[k]], [x1[0], y1[0]], equal_nan=True)
+        assert bok[k] == ok1[0]
+    assert not bok[5] and bok[9]
+
+
+# sha256 of `umbilic scan --n 101` CSVs, unchanged since the scalar Newton loop
+SCAN_GOLDEN = {
+    "paraboloid": "ce3be6c17e6ae681e3114efa47fef00e23cf14056a0605e185f7d000d6cac4ce",
+    "separable:lam=0.3": "e08d0d1d0e4858723932701ece4a33853d493339a398d058acfedb6d65c025da",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("spec", sorted(SCAN_GOLDEN))
+def test_umbilic_scan_golden_bytes(tmp_path, monkeypatch, spec, threads):
+    monkeypatch.setenv("UMBILIC_THREADS", threads)
+    out = tmp_path / "u.csv"
+    assert main(["umbilic", "scan", "--field", spec, "--n", "101", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_GOLDEN[spec]
+
+
+def test_umbilic_scan_asym_bump_rows(tmp_path):
+    # x, y and refined as the scalar loop wrote them; D_normalized of the
+    # second row moved in its last digit when Dn came to be taken on arrays
+    out = tmp_path / "u.csv"
+    assert main(["umbilic", "scan", "--field", "asym_bump", "--n", "101",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == [
+        "x,y,D_normalized,refined",
+        "-2.133709716507291,1.4720952946367494,0.0,1",
+        "0.009854143508443297,0.11786926820733856,-4.7554109571500604e-15,1",
+        "0.2671849671509101,-0.08734622797991022,-2.511155422508885e-15,1",
+    ]
 
 
 # --- umbilic-free floor -----------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from umbilic.util import bisect_arrays, local_minima
+from umbilic.util import _solve2, bisect_arrays, local_minima
 
 
 def brute_minima(values, wrap_cols=False):
@@ -144,3 +144,29 @@ def test_bisect_arrays_rejects_non_finite_brackets(bad):
     with pytest.raises(ValueError):
         bisect_arrays(g, 0.0, bad)
     assert not calls
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve2_matches_per_row_solves(rng):
+    # zero columns are flagged singular without a solve; every other row,
+    # singular, NaN or not, must come out as its own solve leaves it
+    J = rng.normal(size=(40, 2, 2))
+    J[1:7, :, 0] = 0.0
+    J[7:13, :, 1] = 0.0
+    J[13, 0] = J[14, 1] = 0.0                 # zero rows
+    J[15, 1] = 3.0 * J[15, 0]                 # dependent rows
+    J[16:19, 0, 0] = np.nan                   # NaN with and without a zero column
+    J[17:19, :, 1] = 0.0
+    J[19, 1, 0] = np.inf
+    J[20] = 0.0
+    J[21, 0, 1] = 0.0                         # one zero entry: not singular
+    rhs = rng.normal(size=(40, 2))
+    st, solved = _solve2(J, rhs)
+    for k in range(len(J)):
+        try:
+            ref, ok = np.linalg.solve(J[k], rhs[k]), True
+        except np.linalg.LinAlgError:
+            ref, ok = np.zeros(2), False
+        assert solved[k] == ok, k
+        assert np.array_equal(st[k], ref, equal_nan=True), k
+    assert not solved[1:15].any() and solved[21:].all()
