@@ -9,6 +9,7 @@ optionally SVG) with deterministic formatting. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -123,7 +124,9 @@ def _flux_command(sub, name, summary, radii, *options):
     p.add_argument("--out", required=True)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     p = _Parser(prog="umbilic", description=__doc__)
     p.add_argument("--config", help="key=value defaults file; flags override")
     sub = p.add_subparsers(dest="command", required=True)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConvexityError, DomainError
-from .transform import Patch3
 from .util import _row_norms, _solve2, bisect_arrays, local_minima, unit3
 
 
@@ -231,9 +230,9 @@ def find_umbilic(body: SupportBody, grid_n: int = 48,
     return UmbilicSite(u1, best, best < refine_tol)
 
 
-def umbilic_sites(body: SupportBody, grid_n: int = 48,
-                  refine_tol: float = 1e-8, merge_angle: float = 1e-3):
-    """All distinct umbilic directions found from grid local minima."""
+def umbilic_sites(body: SupportBody, grid_n: int = 48, refine_tol: float = 1e-8):
+    """All distinct umbilic directions found from grid local minima; sites
+    closer than 1e-3 rad merge into the first."""
     n_phi = max(grid_n, 16)
     phis = (np.arange(n_phi) + 0.5) * (math.pi / n_phi)
     thetas = np.arange(2 * n_phi) * (math.tau / (2 * n_phi))
@@ -254,7 +253,7 @@ def umbilic_sites(body: SupportBody, grid_n: int = 48,
     good = resid < refine_tol
     for u, r in zip(us[good], resid[good]):
         d = accepted[:len(sites)] @ u
-        if np.any((np.arccos(np.minimum(1.0, np.abs(d))) < merge_angle) & (d > 0.0)):
+        if np.any((np.arccos(np.minimum(1.0, np.abs(d))) < 1e-3) & (d > 0.0)):
             continue
         accepted[len(sites)] = u
         sites.append(UmbilicSite(u, float(r), True))
@@ -362,19 +361,6 @@ class PosedBody:
         R = self.pose.rotation
         return delta @ R.T, u @ R.T
 
-    def patch(self) -> Patch3:
-        def point(phi, theta):
-            q, _ = self.cap_points(np.array(phi), np.array(theta))
-            return q
-
-        def normal_fn(phi, theta):
-            _, n = self.cap_points(np.array(phi), np.array(theta))
-            return n
-
-        return Patch3(point, normal_fn=normal_fn,
-                      u_range=(0.0, math.pi), v_range=(0.0, math.tau),
-                      label=f"posed({self.body.name})")
-
 
 def pose_at_umbilic(body: SupportBody, ustar) -> PosedBody:
     """Rigid motion placing the boundary point with normal ustar at the
@@ -407,8 +393,7 @@ class PipelineReport:
 
 
 def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
-                      radii=(10.0, 100.0, 1000.0), n_theta: int = 512,
-                      grid_n: int = 48) -> PipelineReport:
+                      radii=(10.0, 100.0, 1000.0), n_theta: int = 512) -> PipelineReport:
     """Flatten a convex body minus its umbilic into a graph and profile it.
 
     Stages: locate the most umbilic normal; take the rescaled outer offset
@@ -424,7 +409,7 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
     metric rows left empty.
     """
     check_convexity(body)
-    site = find_umbilic(body, grid_n=grid_n)
+    site = find_umbilic(body)
     if offset_r is None:
         hmax = float(np.max(body.h(fibonacci_sphere(512))))
         offset_r = 10.0 * hmax

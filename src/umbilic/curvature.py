@@ -200,13 +200,13 @@ def _principal_2x2(S: np.ndarray) -> tuple:
     return H, K, gap2, k1, k2, e1, e2
 
 
-def shape_operator(field: ScalarField, p, umbilic_tol: float = UMBILIC_TOL) -> PrincipalData:
+def shape_operator(field: ScalarField, p) -> PrincipalData:
     """Principal curvatures and directions of graph(f) above p.
 
     Eigen-decomposes S = g^{-1} h with g = I + grad f grad f^T and
     h = Hess f / sqrt(1 + q). A point is classified umbilic when the
     normalized discriminant D / (1 + q)^3 = 4 (H^2 - K) falls below
-    ``umbilic_tol``; the returned directions are then arbitrary axes.
+    ``UMBILIC_TOL``; the returned directions are then arbitrary axes.
     """
     j = field.jet(p)
     q = j.q
@@ -221,7 +221,7 @@ def shape_operator(field: ScalarField, p, umbilic_tol: float = UMBILIC_TOL) -> P
          (1.0 + j.f1 ** 2) * h22 - j.f1 * j.f2 * h12],
     ]) / w
     H, K, gap2, k1, k2, e1, e2 = _principal_2x2(S)
-    umbilic = bool(4.0 * gap2 < umbilic_tol)
+    umbilic = bool(4.0 * gap2 < UMBILIC_TOL)
     if umbilic:
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])

@@ -132,7 +132,6 @@ class ScalarField:
     domain: Callable | None = None
     sample_box: tuple = (-3.0, 3.0)
     meta: dict = dc_field(default_factory=dict)
-    jet_kind: str = "analytic"
     grads: Callable | None = None
 
     def _check_domain(self, x, y):
@@ -333,5 +332,4 @@ def tabulated_field(xs, ys, values, name: str = "tabulated") -> ScalarField:
         return tuple(out)
 
     return ScalarField(name, jets, domain=domain,
-                       sample_box=(max(x0, y0), min(x1, y1)),
-                       jet_kind="spline")
+                       sample_box=(max(x0, y0), min(x1, y1)))

@@ -65,6 +65,9 @@ def write_polyline_csv(path, polylines, description: str = "") -> None:
 _NEG = np.array([33.0, 102.0, 172.0])
 _MID = np.array([247.0, 247.0, 247.0])
 _POS = np.array([178.0, 24.0, 43.0])
+_SVG_SIZE = 640  # pixels per side of every SVG
+_SVG_OPEN = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_SVG_SIZE}" '
+             f'height="{_SVG_SIZE}" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">')
 
 
 def _colors(values):
@@ -79,21 +82,19 @@ def _colors(values):
     return np.rint(rgb).astype(np.int64)
 
 
-def svg_heatmap(grid, path, size: int = 640) -> None:
+def svg_heatmap(grid, path) -> None:
     """Diverging heatmap of a sampled grid (finite values), scaled by
     max |value|."""
     values = grid.values
     n, m = values.shape
-    cw = size / n
-    ch = size / m
+    cw = _SVG_SIZE / n
+    ch = _SVG_SIZE / m
     colors = _colors(values)
     extent = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
     # svg y axis points down; flip j so larger y draws higher
     ys = [f"{(m - 1 - j) * ch:.2f}" for j in range(m)]
     with open(path, "w", newline="\n") as fh:
-        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-                 f'width="{size}" height="{size}" '
-                 f'viewBox="0 0 {size} {size}">\n')
+        fh.write(_SVG_OPEN + "\n")
         for i in range(n):
             prefix = f'<rect x="{i * cw:.2f}" y="'
             fh.write("".join([f'{prefix}{y}" {extent} fill="rgb({r},{g},{b})"/>\n'
@@ -101,25 +102,22 @@ def svg_heatmap(grid, path, size: int = 640) -> None:
         fh.write("</svg>\n")
 
 
-def svg_contours(contour_set, region, path, size: int = 640,
-                 stroke: str = "#1a1a1a") -> None:
+def svg_contours(contour_set, region, path) -> None:
     """Zero-level polylines as SVG paths over the sampling region."""
     x0, y0, x1, y1 = region
-    sx = size / (x1 - x0)
-    sy = size / (y1 - y0)
+    sx = _SVG_SIZE / (x1 - x0)
+    sy = _SVG_SIZE / (y1 - y0)
 
     def to_px(p):
         return (p[0] - x0) * sx, (y1 - p[1]) * sy
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-             f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-             f'<rect width="{size}" height="{size}" fill="white"/>']
+    parts = [_SVG_OPEN, f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>']
     for poly in contour_set.polylines:
         if len(poly) < 2:
             continue
         coords = [to_px(p) for p in poly]
         d = "M " + " L ".join(f"{x:.3f} {y:.3f}" for x, y in coords)
-        parts.append(f'<path d="{d}" fill="none" stroke="{stroke}" '
+        parts.append(f'<path d="{d}" fill="none" stroke="#1a1a1a" '
                      f'stroke-width="1.2"/>')
     parts.append("</svg>")
     with open(path, "w", newline="\n") as fh:

@@ -102,15 +102,13 @@ def boundary_majorant(V: PlaneField, r: float, n_theta: int = 256) -> float:
 
 
 def divergence_consistency(V: PlaneField, r: float,
-                           scheme: QuadScheme = QuadScheme(),
-                           n_theta: int | None = None) -> float:
+                           scheme: QuadScheme = QuadScheme()) -> float:
     """|disk integral of div V - boundary flux of V|.
 
     By the divergence theorem this residual is pure quadrature error and
     validates the scheme on the given field.
     """
-    nt = scheme.n_theta if n_theta is None else n_theta
-    return abs(disk_integral(V.div, r, scheme) - boundary_flux(V, r, nt))
+    return abs(disk_integral(V.div, r, scheme) - boundary_flux(V, r, scheme.n_theta))
 
 
 DEFAULT_RADII = (2.0, 4.0, 8.0, 16.0)

@@ -195,21 +195,21 @@ _EDGE_CORNERS = np.array([((0, 0), (1, 0)), ((1, 0), (1, 1)),
                           ((0, 1), (1, 1)), ((0, 0), (0, 1))], dtype=np.int8)
 
 
-def contours(grid: Grid, level: float = 0.0) -> ContourSet:
-    """Marching-squares polylines of the level set ``values == level``.
+def contours(grid: Grid) -> ContourSet:
+    """Marching-squares polylines of the zero set ``values == 0``.
 
     Saddle cells are disambiguated by the residual at the cell center when
     the grid carries an evaluator, else by the corner average. Vertices lie
     on cell edges where the sampled residual changes sign.
     """
     # the cell arrays are freed before the segments are chained
-    return _chain_segments(_segments(grid, level))
+    return _chain_segments(_segments(grid))
 
 
-def _segments(grid: Grid, level: float) -> np.ndarray:
+def _segments(grid: Grid) -> np.ndarray:
     """(S, 2, 2) segment endpoints ``[segment, end, (x, y)]`` in row-major
     cell order, each cell's in table order."""
-    v = grid.values - level
+    v = grid.values
     xs, ys = grid.xs, grid.ys
     up = (v >= 0.0).view(np.uint8)
     case = (up[:-1, :-1] | up[1:, :-1] << 1 | up[1:, 1:] << 2
@@ -220,7 +220,7 @@ def _segments(grid: Grid, level: float) -> np.ndarray:
         if grid.evaluator is not None:
             center = np.asarray(grid.evaluator(0.5 * (xs[i] + xs[i + 1]),
                                                0.5 * (ys[j] + ys[j + 1])),
-                                dtype=float) - level
+                                dtype=float)
         else:
             center = 0.25 * (v[i, j] + v[i + 1, j] + v[i + 1, j + 1]
                              + v[i, j + 1])

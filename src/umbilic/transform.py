@@ -60,9 +60,9 @@ class GraphConditionReport:
     grad_origin: float
 
 
-def graph_condition(field: ScalarField, r0: float, n_samples: int = 4096,
-                    strict_origin: bool = True) -> GraphConditionReport:
-    """Check the radial slope bound sup |df/dr| < 1 on the disk of radius r0.
+def graph_condition(field: ScalarField, r0: float) -> GraphConditionReport:
+    """Check the radial slope bound sup |df/dr| < 1 on the disk of radius r0,
+    sampled on a 64 x 64 polar grid.
 
     The bound is sufficient for the inverted graph to meet every vertical
     line at most once. Requires f and grad f to vanish at the origin
@@ -72,11 +72,11 @@ def graph_condition(field: ScalarField, r0: float, n_samples: int = 4096,
         raise ValueError("r0 must be positive")
     j0 = field.jet((0.0, 0.0))
     f0, g0 = abs(j0.f), math.hypot(j0.f1, j0.f2)
-    if strict_origin and (f0 > 1e-10 or g0 > 1e-10):
+    if f0 > 1e-10 or g0 > 1e-10:
         raise GraphConditionError(
             f"field must vanish to first order at the origin: "
             f"|f(o)| = {f0:.3e}, |grad f(o)| = {g0:.3e}")
-    n_side = max(8, int(math.sqrt(max(n_samples, 64))))
+    n_side = 64
     rs = np.linspace(r0 / n_side, r0, n_side)
     thetas = np.arange(n_side) * (math.tau / n_side)
     R, T = np.meshgrid(rs, thetas, indexing="ij")
@@ -113,16 +113,15 @@ class ExteriorGraph:
     and each evaluation recovers r from (rbar, theta) inside
     (1/(2 rbar), 1/rbar], which the slope bound guarantees to contain
     exactly one solution. Solves are array bisections of all query points
-    at once, run to the float fixed point. First derivatives follow the
-    chain rule; second derivatives (when requested through as_field) use
-    central finite differences, as its "chain-rule+fd" jet kind says.
+    at once, run to the float fixed point. Gradients and Hessians carry the
+    source jet at the solved points through (x, y, f) -> (x, y, f) / w by
+    the chain rule (``_graph_jet``); every public surface derives from it.
     """
 
     source: ScalarField
     r0: float
     rbar_min: float
     scale: float = 1.0
-    normalized: bool = False
 
     def solve_r(self, rbar, theta):
         """Source radius mapping to rbar along the ray theta, elementwise.
@@ -153,55 +152,63 @@ class ExteriorGraph:
                 "bisection bracket violated; the slope bound does not hold")
         return bisect_arrays(g, np.where(at_hi, hi, lo), np.where(at_lo, lo, hi))
 
-    def evaluate(self, rbar, theta) -> tuple:
-        """(fbar, d fbar / d rbar, d fbar / d theta) at the query points.
+    def _graph_jet(self, rbar, theta):
+        """(fbar, fbar_x, fbar_y, fbar_xx, fbar_xy, fbar_yy) over the
+        (xbar, ybar) plane at the query points, from one solve.
 
-        The radial derivative is (d fbar / dr) / (d rbar / dr); the angular
-        one is (r^2 - f^2) f_theta / (r^2 + f^2)^2.
+        With p = (x, y), w = r^2 + f^2 and grad w = 2 (p + f grad f), the map
+        p -> p / w has Jacobian (I - p grad w^T / w) / w, whose inverse is
+        w B with B = I + p grad w^T / d and d = w - p . grad w
+        (Sherman-Morrison). Hence grad fbar = B^T a for a = w grad_p(f / w),
+        and Hess fbar = w B^T M B, where M = w Hess_p(u / w) for
+        u = f - grad fbar . p with grad fbar held fixed.
         """
         r = self.solve_r(rbar, theta)
         x, y = r * _libm(math.cos, theta), r * _libm(math.sin, theta)
-        f, f1, f2 = self.source.values_and_grads(x, y)
-        fr = (x * f1 + y * f2) / r
-        ftheta = -y * f1 + x * f2
+        f, f1, f2, f11, f12, f22 = self.source.jet_arrays(x, y)
         w = r * r + f * f
-        fbar = f / w
-        num = r * r * fr - 2.0 * r * f - f * f * fr
-        den = f * f - r * r - 2.0 * r * f * fr
-        fbar_rbar = num / den
-        fbar_theta = (r * r - f * f) * ftheta / (w * w)
-        return fbar, fbar_rbar, fbar_theta
+        # column vectors (..., 2, 1), matrices (..., 2, 2), scalars (..., 1, 1)
+        p, gf = np.stack([x, y], axis=-1)[..., None], np.stack([f1, f2], axis=-1)[..., None]
+        hf = np.stack([f11, f12, f12, f22], axis=-1).reshape(f.shape + (2, 2))
+        fs, ws = f[..., None, None], w[..., None, None]
+        gw = 2.0 * (p + fs * gf)
+        d = ws - _mT(p) @ gw
+        a = gf - fs * gw / ws
+        g = a + gw * (_mT(p) @ a) / d
+        u, gu = fs - _mT(g) @ p, gf - g
+        hw = 2.0 * (np.eye(2) + gf @ _mT(gf) + fs * hf)
+        m = (hf - (gu @ _mT(gw) + gw @ _mT(gu) + u * hw) / ws
+             + 2.0 * u * (gw @ _mT(gw)) / (ws * ws))
+        b = np.eye(2) + p @ _mT(gw) / d
+        h = ws * (_mT(b) @ m @ b)
+        return f / w, g[..., 0, 0], g[..., 1, 0], h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]
+
+    def evaluate(self, rbar, theta) -> tuple:
+        """(fbar, d fbar / d rbar, d fbar / d theta) at the query points."""
+        fbar, gx, gy = self._graph_jet(rbar, theta)[:3]
+        c, s = _libm(math.cos, theta), _libm(math.sin, theta)
+        return fbar, c * gx + s * gy, np.asarray(rbar, dtype=float) * (c * gy - s * gx)
 
     def as_field(self) -> ScalarField:
-        """Adapter exposing the exterior graph as a ScalarField.
-
-        Values and gradients are chain-rule exact; Hessians are central
-        differences of the gradient, whose four shifted copies of the query
-        points are solved in the same array as the points themselves.
-        """
-
-        def grads(xa, ya):
-            rbar = _libm(math.hypot, xa, ya)
-            fbar, fr_, ft_ = self.evaluate(rbar, _libm(math.atan2, ya, xa))
-            c, s = xa / rbar, ya / rbar
-            return fbar, c * fr_ - s * ft_ / rbar, s * fr_ + c * ft_ / rbar
+        """Adapter exposing the exterior graph as a ScalarField."""
 
         def jets(xa, ya):
-            h = 1e-7 * np.maximum(1.0, _libm(math.hypot, xa, ya))
-            f, gx, gy = grads(np.stack([xa, xa + h, xa - h, xa, xa]),
-                              np.stack([ya, ya, ya, ya + h, ya - h]))
-            f11 = (gx[1] - gx[2]) / (2 * h)
-            f22 = (gy[3] - gy[4]) / (2 * h)
-            f12 = 0.5 * ((gy[1] - gy[2]) / (2 * h) + (gx[3] - gx[4]) / (2 * h))
-            return f[0], gx[0], gy[0], f11, f12, f22
+            return self._graph_jet(_libm(math.hypot, xa, ya), _libm(math.atan2, ya, xa))
+
+        def grads(xa, ya):
+            return jets(xa, ya)[:3]
 
         def domain(x, y):
             return np.hypot(x, y) >= self.rbar_min
 
         return ScalarField(f"inverted({self.source.name})", jets,
-                           domain=domain, jet_kind="chain-rule+fd",
-                           grads=grads,
+                           domain=domain, grads=grads,
                            meta={"rbar_min": self.rbar_min, "scale": self.scale})
+
+
+def _mT(v):
+    """Transpose of each matrix in a stack."""
+    return np.swapaxes(v, -1, -2)
 
 
 def invert_local_graph(field: ScalarField, r0: float,
@@ -235,7 +242,7 @@ def invert_local_graph(field: ScalarField, r0: float,
     fring = src.values_and_grads(r0 * np.cos(thetas), r0 * np.sin(thetas))[0]
     fmax = float(np.max(np.abs(fring)))
     rbar_min = r0 / (r0 * r0 + fmax * fmax)
-    return ExteriorGraph(src, float(r0), rbar_min, scale, normalize)
+    return ExteriorGraph(src, float(r0), rbar_min, scale)
 
 
 def exterior_eval(graph: ExteriorGraph, rbar: float, theta: float) -> tuple:
@@ -253,8 +260,8 @@ class Patch3:
 
     ``point`` is required; derivative callables fall back to central
     differences (of the point map for first derivatives, of the first
-    derivatives for second ones). ``normal_sign`` orients the unit normal
-    relative to point_u x point_v; ``normal_fn`` overrides it entirely.
+    derivatives for second ones). The unit normal is along
+    point_u x point_v unless ``normal_fn`` gives it.
     """
 
     point: Callable
@@ -264,7 +271,6 @@ class Patch3:
     duv: Callable | None = None
     dvv: Callable | None = None
     normal_fn: Callable | None = None
-    normal_sign: float = 1.0
     u_range: tuple = (0.0, math.pi)
     v_range: tuple = (0.0, math.tau)
     label: str = "patch"
@@ -316,7 +322,7 @@ class Patch3:
         if n <= 1e-12:
             raise RegularityError(f"patch '{self.label}' degenerates at "
                                   f"(u, v) = ({u}, {v})")
-        return self.normal_sign * w / n
+        return w / n
 
 
 @dataclass(frozen=True)
@@ -328,12 +334,12 @@ class PatchPrincipal:
     umbilic: bool
 
 
-def patch_principal(P: Patch3, u: float, v: float,
-                    gap_tol: float = 1e-10) -> PatchPrincipal:
+def patch_principal(P: Patch3, u: float, v: float) -> PatchPrincipal:
     """Principal curvatures/directions of a patch at (u, v).
 
     Sign convention: a sphere with outward normal has positive curvature
-    (matching the graph convention where convex bowls are positive).
+    (matching the graph convention where convex bowls are positive). The
+    point is umbilic when k2 - k1 < 1e-10 max(1, |k1|, |k2|).
     """
     Pu, Pv = P.d_u(u, v), P.d_v(u, v)
     n = P.normal(u, v)
@@ -346,7 +352,7 @@ def patch_principal(P: Patch3, u: float, v: float,
     Iinv = np.array([[G, -F], [-F, E]]) / det_I
     W = -Iinv @ np.array([[L, M], [M, N]])
     _, _, gap2, k1, k2, a1, a2 = _principal_2x2(W)
-    umbilic = 2.0 * math.sqrt(gap2) < gap_tol * max(1.0, abs(k1), abs(k2))
+    umbilic = 2.0 * math.sqrt(gap2) < 1e-10 * max(1.0, abs(k1), abs(k2))
     if umbilic:
         d1 = Pu / np.linalg.norm(Pu)
         d2v = Pv - (Pv @ d1) * d1
@@ -499,13 +505,13 @@ def plane_patch(origin=(0.0, 0.0, 0.0), e1=(1.0, 0.0, 0.0),
                   u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), label="plane")
 
 
-def parallel_patch(P: Patch3, r: float, check: bool = True) -> Patch3:
+def parallel_patch(P: Patch3, r: float) -> Patch3:
     """Offset patch (u, v) -> P(u, v) + r n(u, v).
 
     First derivatives differentiate the normal analytically from P's
     second derivatives; second derivatives fall back to finite differences.
-    With ``check`` a coarse sample verifies 1 + r k stays away from zero
-    (offsetting by a focal distance folds the patch).
+    A coarse sample verifies 1 + r k stays away from zero (offsetting by a
+    focal distance folds the patch).
     """
     if r < 0.0:
         raise ValueError("offset distance must be nonnegative")
@@ -519,12 +525,11 @@ def parallel_patch(P: Patch3, r: float, check: bool = True) -> Patch3:
         Pu, Pv = P.d_u(u, v), P.d_v(u, v)
         w = np.cross(Pu, Pv)
         nw = np.linalg.norm(w)
-        n = P.normal_sign * w / nw
+        n = w / nw
         if which == "u":
             wd = np.cross(P.d_uu(u, v), Pv) + np.cross(Pu, P.d_uv(u, v))
         else:
             wd = np.cross(P.d_uv(u, v), Pv) + np.cross(Pu, P.d_vv(u, v))
-        wd = P.normal_sign * wd
         return (wd - n * (n @ wd)) / nw
 
     def du(u, v):
@@ -533,20 +538,17 @@ def parallel_patch(P: Patch3, r: float, check: bool = True) -> Patch3:
     def dv(u, v):
         return P.d_v(u, v) + r * _normal_deriv(u, v, "v")
 
-    out = Patch3(point, du, dv, normal_fn=P.normal if P.normal_fn is not None else None,
-                 normal_sign=P.normal_sign, u_range=P.u_range, v_range=P.v_range,
-                 label=f"{P.label}+parallel({r})")
-    if check:
-        us = np.linspace(P.u_range[0], P.u_range[1], 7)[1:-1]
-        vs = np.linspace(P.v_range[0], P.v_range[1], 7)[1:-1]
-        for u in us:
-            for v in vs:
-                pp = patch_principal(P, float(u), float(v))
-                for k in (pp.k1, pp.k2):
-                    if abs(1.0 + r * k) < 1e-8:
-                        raise RegularityError(
-                            f"offset {r} hits a focal distance (k = {k:.6g})")
-    return out
+    us = np.linspace(P.u_range[0], P.u_range[1], 7)[1:-1]
+    vs = np.linspace(P.v_range[0], P.v_range[1], 7)[1:-1]
+    for u in us:
+        for v in vs:
+            pp = patch_principal(P, float(u), float(v))
+            for k in (pp.k1, pp.k2):
+                if abs(1.0 + r * k) < 1e-8:
+                    raise RegularityError(
+                        f"offset {r} hits a focal distance (k = {k:.6g})")
+    return Patch3(point, du, dv, normal_fn=P.normal if P.normal_fn is not None else None,
+                  u_range=P.u_range, v_range=P.v_range, label=f"{P.label}+parallel({r})")
 
 
 def invert_patch(P: Patch3) -> Patch3:
@@ -584,7 +586,7 @@ def _line_angle(a, b) -> float:
 
 
 def principal_preservation_check(P: Patch3, transform, samples: int = 200,
-                                 seed: int = 0, gap_tol: float = 1e-6) -> PreservationReport:
+                                 seed: int = 0) -> PreservationReport:
     """Measure how well a transform maps principal directions to principal
     directions.
 
@@ -592,8 +594,8 @@ def principal_preservation_check(P: Patch3, transform, samples: int = 200,
     sample the principal directions are pushed through the transform
     differential (via the transformed patch's tangent basis) and compared,
     as lines, against the directions recomputed on the transformed patch.
-    Umbilic samples (relative curvature gap below ``gap_tol``) are skipped
-    and counted.
+    Umbilic samples (relative curvature gap below 1e-6) are skipped and
+    counted.
     """
     if transform == "inversion":
         Q = invert_patch(P)
@@ -614,7 +616,7 @@ def principal_preservation_check(P: Patch3, transform, samples: int = 200,
         v = rng.uniform(v0 + mv, v1 - mv)
         pp = patch_principal(P, u, v)
         gap = pp.k2 - pp.k1
-        if pp.umbilic or gap < gap_tol * max(1.0, abs(pp.k1), abs(pp.k2)):
+        if pp.umbilic or gap < 1e-6 * max(1.0, abs(pp.k1), abs(pp.k2)):
             skipped += 1
             continue
         qq = patch_principal(Q, u, v)

@@ -143,7 +143,6 @@ def test_tabulated_field_matches_source_and_guards_domain():
     xs = np.linspace(-2.0, 2.0, 61)
     vals = src.value(*np.meshgrid(xs, xs, indexing="ij"))
     tab = tabulated_field(xs, xs, vals, "tab-gaussian")
-    assert tab.jet_kind == "spline"
     rng = np.random.default_rng(7)
     for x, y in rng.uniform(-1.5, 1.5, size=(25, 2)):
         a = src.jet((x, y))

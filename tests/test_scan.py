@@ -168,7 +168,7 @@ def test_chain_segments_matches_reference(seed):
     xs = np.linspace(-1.0, 1.0, n)
     ys = np.concatenate([[-0.0], np.linspace(0.0, 2.0, m)[1:]])
     grid = Grid(xs, ys, values, "custom", (-1.0, -0.0, 1.0, 2.0))
-    ends = _segments(grid, 0.0)
+    ends = _segments(grid)
     cs = _chain_segments(ends)
     polylines, closed = cs.polylines, cs.closed
     ref_polylines, ref_closed = _chain_reference(

@@ -11,6 +11,8 @@ from umbilic import (DomainError, GraphConditionError, decay_profile,
                      perturbed_sphere_patch, plane_patch,
                      principal_preservation_check, pushforward_inversion,
                      sphere_patch, uniform_field)
+from umbilic.curvature import principal_arrays
+from umbilic.field import fd_jet
 
 unit_vecs = st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2)).filter(
     lambda v: 0.1 < math.hypot(*v) < 3.0)
@@ -165,16 +167,44 @@ def test_exterior_gradient_decay_profile():
 
 
 def test_exterior_field_jets_consistent():
-    # chain-rule gradient against finite differences of the value
-    g = invert_local_graph(make_field("paraboloid"), 0.45)
-    f = g.as_field()
-    from umbilic import fd_jet
-    for p in ((3.0, 0.5), (-2.0, 4.0)):
-        j = f.jet(p)
-        fd = fd_jet(lambda x, y: float(f.value(x, y)), p)
-        assert abs(j.f1 - fd.f1) < 1e-6
-        assert abs(j.f2 - fd.f2) < 1e-6
-        assert abs(j.f11 - fd.f11) < 1e-3
+    # chain-rule gradient against central differences of the value, and the
+    # chain-rule Hessian against central differences of that gradient; the
+    # saddle and the cylinder have f_theta != 0 away from their axes
+    for family, r0 in (("paraboloid", 0.45), ("saddle", 0.7), ("cylinder", 0.35)):
+        f = invert_local_graph(make_field(family), r0).as_field()
+        for p in ((3.0, 0.5), (-2.0, 4.0)):
+            j = f.jet(p)
+            h = 1e-4 * math.hypot(*p)
+            fd = fd_jet(lambda x, y: float(f.value(x, y)), p, grad_step=h)
+            grad = math.hypot(j.f1, j.f2)
+            assert max(abs(j.f1 - fd.f1), abs(j.f2 - fd.f2)) <= 1e-7 * grad
+            jx = [f.jet((p[0] + e, p[1])) for e in (h, -h)]
+            jy = [f.jet((p[0], p[1] + e)) for e in (h, -h)]
+            hess = ((jx[0].f1 - jx[1].f1) / (2 * h), (jy[0].f1 - jy[1].f1) / (2 * h),
+                    (jy[0].f2 - jy[1].f2) / (2 * h))
+            scale = max(abs(j.f11), abs(j.f12), abs(j.f22))
+            for a, b in zip((j.f11, j.f12, j.f22), hess):
+                assert abs(a - b) <= 1e-6 * scale
+
+
+def test_exterior_hessian_matches_paraboloid_closed_form(rng):
+    # f = r^2 inverts to the radial fbar = F(rbar) with, along the source
+    # radius r, F' = 2 r^3 / (1 + 3 r^2) and F'' = -6 r^4 (1 + r^2)^3 / (1 + 3 r^2)^3;
+    # a radial Hessian is F'' along the ray and F' / rbar across it
+    graph = invert_local_graph(make_field("paraboloid"), 0.4)
+    x, y = _exterior_points(graph, rng, 40)
+    rbar, theta = np.hypot(x, y), np.arctan2(y, x)
+    r = graph.solve_r(rbar, theta)
+    d1 = 2.0 * r ** 3 / (1.0 + 3.0 * r * r)
+    d2 = -6.0 * r ** 4 * (1.0 + r * r) ** 3 / (1.0 + 3.0 * r * r) ** 3
+    c, s = x / rbar, y / rbar
+    t = d1 / rbar
+    want = (d1 * c, d1 * s, d2 * c * c + t * s * s, (d2 - t) * c * s, d2 * s * s + t * c * c)
+    got = graph.as_field().jet_arrays(x, y)[1:]
+    for a, b in zip(got[:2], want[:2]):
+        assert np.all(np.abs(a - b) <= 1e-12 * d1)
+    for a, b in zip(got[2:], want[2:]):
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(d2), t))
 
 
 # --- the array exterior graph against per-point reference code --------------
@@ -210,38 +240,16 @@ def _reference_solve_r(graph, rbar, theta):
     raise AssertionError("reference bisection did not converge")
 
 
-def _reference_grad(graph, x, y):
-    """(fbar, gx, gy) at one point, by the chain rule on the reference solve."""
+def _reference_value(graph, x, y):
+    """fbar at one point, on the reference solve."""
     # per point through the math module: numpy's hypot and arctan2 differ
     # from math.hypot and math.atan2 in the last bit on some inputs (0.6% and
     # 7.4% of random inputs with numpy 2.4 on x86-64)
     rbar = math.hypot(x, y)
     theta = math.atan2(y, x)
     r = _reference_solve_r(graph, rbar, theta)
-    c, s = math.cos(theta), math.sin(theta)
-    px, py = r * c, r * s
-    f, f1, f2 = (float(v) for v in graph.source.values_and_grads(px, py))
-    fr = (px * f1 + py * f2) / r
-    ftheta = -py * f1 + px * f2
-    w = r * r + f * f
-    fr_ = (r * r * fr - 2.0 * r * f - f * f * fr) / (f * f - r * r - 2.0 * r * f * fr)
-    ft_ = (r * r - f * f) * ftheta / (w * w)
-    c, s = x / rbar, y / rbar
-    return f / w, c * fr_ - s * ft_ / rbar, s * fr_ + c * ft_ / rbar
-
-
-def _reference_jet(graph, x, y):
-    """Chain-rule gradient and central-difference Hessian at one point."""
-    f, gx, gy = _reference_grad(graph, x, y)
-    h = 1e-7 * max(1.0, math.hypot(x, y))
-    _, gxp, gyp = _reference_grad(graph, x + h, y)
-    _, gxm, gym = _reference_grad(graph, x - h, y)
-    _, gxq, gyq = _reference_grad(graph, x, y + h)
-    _, gxr, gyr = _reference_grad(graph, x, y - h)
-    f11 = (gxp - gxm) / (2 * h)
-    f22 = (gyq - gyr) / (2 * h)
-    f12 = 0.5 * ((gyp - gym) / (2 * h) + (gxq - gxr) / (2 * h))
-    return f, gx, gy, f11, f12, f22
+    f = float(graph.source.value(r * math.cos(theta), r * math.sin(theta)))
+    return f / (r * r + f * f)
 
 
 # (family, r0 inside its slope bound, normalize); normalization needs an
@@ -267,10 +275,9 @@ def test_exterior_graph_matches_per_point_reference(rng, family, r0, normalize):
     assert r.shape == rbar.shape
     for k in range(rbar.size):
         assert r[k] == _reference_solve_r(graph, rbar[k], theta[k])
-    jets = graph.as_field().jet_arrays(x.reshape(4, 6), y.reshape(4, 6))
+    fbar = graph.as_field().value(x.reshape(4, 6), y.reshape(4, 6))
     for k, idx in enumerate(np.ndindex(4, 6)):
-        ref = _reference_jet(graph, float(x[k]), float(y[k]))
-        assert tuple(float(a[idx]) for a in jets) == ref
+        assert fbar[idx] == _reference_value(graph, float(x[k]), float(y[k]))
 
 
 def test_exterior_solve_closes_on_a_root_at_the_bracket_end():
@@ -296,6 +303,28 @@ def test_exterior_points_invert_onto_the_source_graph(case, factor, theta):
     f = float(graph.source.value(p[0], p[1]))
     # the bound of the benchmark's exterior check: relative to the point's size
     assert abs(p[2] - f) <= 1e-10 * (abs(p[2]) + math.hypot(p[0], p[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(EXTERIOR_CASES), factor=st.floats(1.5, 20.0),
+       theta=st.floats(0.0, math.tau))
+def test_exterior_umbilic_discriminant_is_conformal(case, factor, theta):
+    # inversion is a Moebius map: principal curvatures go to -w k - 2 <P, N>
+    # with w = |P|^2, so 4 (H^2 - K) = (k2 - k1)^2 scales by w^2 between
+    # corresponding points; the tolerance scales with the source curvature,
+    # since the cap's exterior is a plane
+    family, r0, normalize = case
+    graph = invert_local_graph(make_field(family), r0, normalize=normalize)
+    rbar = factor / graph.r0
+    x, y = rbar * math.cos(theta), rbar * math.sin(theta)
+    jb = graph.as_field().jet((x, y))
+    p = invert_point((x, y, jb.f))
+    j = graph.source.jet((p[0], p[1]))
+    w = float(p @ p)
+    H, K = principal_arrays(j.f1, j.f2, j.f11, j.f12, j.f22)[:2]
+    Hb, Kb = principal_arrays(jb.f1, jb.f2, jb.f11, jb.f12, jb.f22)[:2]
+    scaled = w * w * 4.0 * (H * H - K)
+    assert abs(4.0 * (Hb * Hb - Kb) - scaled) <= 1e-12 * w * w * (H * H + abs(K))
 
 
 # --- parallel patches -------------------------------------------------------
