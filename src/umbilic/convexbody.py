@@ -19,6 +19,9 @@ import numpy as np
 from .errors import ConvexityError, DomainError
 from .util import _row_norms, _solve2, bisect_arrays, local_minima, unit3
 
+FIND_TOL = 1e-9    # rho2 - rho1 at which find_umbilic's search has converged
+SITES_TOL = 1e-8   # rho2 - rho1 below which umbilic_sites keeps a polished site
+
 
 @dataclass(frozen=True)
 class SupportBody:
@@ -186,14 +189,14 @@ def _polish_umbilics(body: SupportBody, u0, max_iter: int = 30):
     return u, ok
 
 
-def _pattern_refine(body: SupportBody, u0, delta0: float, refine_tol: float):
+def _pattern_refine(body: SupportBody, u0, delta0: float):
     """Derivative-free shrink search on rho2 - rho1 (robust near kinks)."""
     u = unit3(np.asarray(u0, float))
     r1, r2 = radii_of_curvature(body, u, check=False)
     best = float(r2 - r1)
     delta = delta0
     alphas = np.arange(8) * (math.tau / 8)
-    while delta > 1e-10 and best > refine_tol:
+    while delta > 1e-10 and best > FIND_TOL:
         t1, t2 = _tangent_basis(u)
         cand = unit3(math.cos(delta) * u[None, :]
                      + math.sin(delta) * (np.cos(alphas)[:, None] * t1
@@ -208,12 +211,11 @@ def _pattern_refine(body: SupportBody, u0, delta0: float, refine_tol: float):
     return u, best
 
 
-def find_umbilic(body: SupportBody, grid_n: int = 48,
-                 refine_tol: float = 1e-9) -> UmbilicSite:
+def find_umbilic(body: SupportBody, grid_n: int = 48) -> UmbilicSite:
     """Most umbilic normal direction: coarse scan, pattern refinement,
     then a Newton polish on the curvature anisotropy.
 
-    If no direction reaches ``refine_tol`` the best candidate is returned
+    If no direction reaches ``FIND_TOL`` the best candidate is returned
     with ``converged`` false and its residual for inspection.
     """
     grid = fibonacci_sphere(max(grid_n * grid_n, 64))
@@ -221,16 +223,16 @@ def find_umbilic(body: SupportBody, grid_n: int = 48,
     res = r2 - r1
     u0 = grid[int(np.argmin(res))]
     spacing = 2.0 / math.sqrt(grid.shape[0])
-    u1, best = _pattern_refine(body, u0, 4.0 * spacing, refine_tol)
+    u1, best = _pattern_refine(body, u0, 4.0 * spacing)
     u2 = _polish_umbilics(body, u1)[0][0]
     rr1, rr2 = radii_of_curvature(body, u2, check=False)
     final = float(rr2 - rr1)
     if final <= best:
-        return UmbilicSite(u2, final, final < refine_tol)
-    return UmbilicSite(u1, best, best < refine_tol)
+        return UmbilicSite(u2, final, final < FIND_TOL)
+    return UmbilicSite(u1, best, best < FIND_TOL)
 
 
-def umbilic_sites(body: SupportBody, grid_n: int = 48, refine_tol: float = 1e-8):
+def umbilic_sites(body: SupportBody, grid_n: int = 48):
     """All distinct umbilic directions found from grid local minima; sites
     closer than 1e-3 rad merge into the first."""
     n_phi = max(grid_n, 16)
@@ -250,7 +252,7 @@ def umbilic_sites(body: SupportBody, grid_n: int = 48, refine_tol: float = 1e-8)
     # greedy merge in candidate order against the sites accepted so far
     sites = []
     accepted = np.empty_like(us)
-    good = resid < refine_tol
+    good = resid < SITES_TOL
     for u, r in zip(us[good], resid[good]):
         d = accepted[:len(sites)] @ u
         if np.any((np.arccos(np.minimum(1.0, np.abs(d))) < 1e-3) & (d > 0.0)):
@@ -369,10 +371,7 @@ def pose_at_umbilic(body: SupportBody, ustar) -> PosedBody:
     ustar = unit3(np.asarray(ustar, float))
     R = _rotation_taking(ustar, np.array([0.0, 0.0, -1.0]))
     t = -R @ body_point(body, ustar)
-    seed = (np.array([1.0, 0.0, 0.0]) if abs(ustar[0]) < 0.9
-            else np.array([0.0, 1.0, 0.0]))
-    t1 = unit3(seed - (seed @ ustar) * ustar)
-    t2 = np.cross(ustar, t1)
+    t1, t2 = _tangent_basis(ustar)
     return PosedBody(body, ustar, Pose(R, t), t1, t2)
 
 

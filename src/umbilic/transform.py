@@ -256,73 +256,32 @@ def exterior_eval(graph: ExteriorGraph, rbar: float, theta: float) -> tuple:
 
 @dataclass(frozen=True)
 class Patch3:
-    """A parametric surface patch (u, v) -> R^3.
-
-    ``point`` is required; derivative callables fall back to central
-    differences (of the point map for first derivatives, of the first
-    derivatives for second ones). The unit normal is along
-    point_u x point_v unless ``normal_fn`` gives it.
+    """A parametric surface patch (u, v) -> R^3, given by its second-order
+    jet: ``jet(u, v)`` returns the six 3-vectors (X, X_u, X_v, X_uu, X_uv,
+    X_vv). The unit normal is along X_u x X_v.
     """
 
-    point: Callable
-    du: Callable | None = None
-    dv: Callable | None = None
-    duu: Callable | None = None
-    duv: Callable | None = None
-    dvv: Callable | None = None
-    normal_fn: Callable | None = None
+    jet: Callable
     u_range: tuple = (0.0, math.pi)
     v_range: tuple = (0.0, math.tau)
     label: str = "patch"
 
-    def _h1(self, u, v):
-        return math.sqrt(_EPS) * max(1.0, abs(u), abs(v))
-
-    def d_u(self, u, v):
-        if self.du is not None:
-            return np.asarray(self.du(u, v), dtype=float)
-        h = self._h1(u, v)
-        return (np.asarray(self.point(u + h, v), float)
-                - np.asarray(self.point(u - h, v), float)) / (2 * h)
-
-    def d_v(self, u, v):
-        if self.dv is not None:
-            return np.asarray(self.dv(u, v), dtype=float)
-        h = self._h1(u, v)
-        return (np.asarray(self.point(u, v + h), float)
-                - np.asarray(self.point(u, v - h), float)) / (2 * h)
-
-    def _h2(self, u, v):
-        return _EPS ** (1.0 / 3.0) * max(1.0, abs(u), abs(v))
-
-    def d_uu(self, u, v):
-        if self.duu is not None:
-            return np.asarray(self.duu(u, v), dtype=float)
-        h = self._h2(u, v)
-        return (self.d_u(u + h, v) - self.d_u(u - h, v)) / (2 * h)
-
-    def d_vv(self, u, v):
-        if self.dvv is not None:
-            return np.asarray(self.dvv(u, v), dtype=float)
-        h = self._h2(u, v)
-        return (self.d_v(u, v + h) - self.d_v(u, v - h)) / (2 * h)
-
-    def d_uv(self, u, v):
-        if self.duv is not None:
-            return np.asarray(self.duv(u, v), dtype=float)
-        h = self._h2(u, v)
-        return 0.5 * ((self.d_u(u, v + h) - self.d_u(u, v - h)) / (2 * h)
-                      + (self.d_v(u + h, v) - self.d_v(u - h, v)) / (2 * h))
+    def point(self, u, v):
+        return self.jet(u, v)[0]
 
     def normal(self, u, v):
-        if self.normal_fn is not None:
-            return np.asarray(self.normal_fn(u, v), dtype=float)
-        w = np.cross(self.d_u(u, v), self.d_v(u, v))
-        n = np.linalg.norm(w)
-        if n <= 1e-12:
-            raise RegularityError(f"patch '{self.label}' degenerates at "
-                                  f"(u, v) = ({u}, {v})")
-        return w / n
+        _, Xu, Xv = self.jet(u, v)[:3]
+        return _unit_normal(self, Xu, Xv, u, v)[0]
+
+
+def _unit_normal(P: Patch3, Xu, Xv, u, v):
+    """(unit normal, |X_u x X_v|); a vanishing cross product is irregular."""
+    w = np.cross(Xu, Xv)
+    nw = np.linalg.norm(w)
+    if nw <= 1e-12:
+        raise RegularityError(f"patch '{P.label}' degenerates at "
+                              f"(u, v) = ({u}, {v})")
+    return w / nw, nw
 
 
 @dataclass(frozen=True)
@@ -339,12 +298,14 @@ def patch_principal(P: Patch3, u: float, v: float) -> PatchPrincipal:
 
     Sign convention: a sphere with outward normal has positive curvature
     (matching the graph convention where convex bowls are positive). The
-    point is umbilic when k2 - k1 < 1e-10 max(1, |k1|, |k2|).
+    point is umbilic when (k2 - k1)^2 = 4 gap2 is below 64 eps max(1, k^2),
+    the rounding level of gap2 = H^2 - K, so no square root of rounding
+    noise is compared.
     """
-    Pu, Pv = P.d_u(u, v), P.d_v(u, v)
-    n = P.normal(u, v)
+    _, Pu, Pv, Puu, Puv, Pvv = P.jet(u, v)
+    n = _unit_normal(P, Pu, Pv, u, v)[0]
     E, F, G = Pu @ Pu, Pu @ Pv, Pv @ Pv
-    L, M, N = P.d_uu(u, v) @ n, P.d_uv(u, v) @ n, P.d_vv(u, v) @ n
+    L, M, N = Puu @ n, Puv @ n, Pvv @ n
     det_I = E * G - F * F
     if det_I <= 1e-18:
         raise RegularityError(f"patch '{P.label}' first fundamental form "
@@ -352,7 +313,7 @@ def patch_principal(P: Patch3, u: float, v: float) -> PatchPrincipal:
     Iinv = np.array([[G, -F], [-F, E]]) / det_I
     W = -Iinv @ np.array([[L, M], [M, N]])
     _, _, gap2, k1, k2, a1, a2 = _principal_2x2(W)
-    umbilic = 2.0 * math.sqrt(gap2) < 1e-10 * max(1.0, abs(k1), abs(k2))
+    umbilic = 4.0 * gap2 <= 64.0 * _EPS * max(1.0, k1 * k1, k2 * k2)
     if umbilic:
         d1 = Pu / np.linalg.norm(Pu)
         d2v = Pv - (Pv @ d1) * d1
@@ -367,149 +328,71 @@ def patch_principal(P: Patch3, u: float, v: float) -> PatchPrincipal:
 
 # --- patch families --------------------------------------------------------
 
-def sphere_patch(center=(0.0, 0.0, 0.0), radius: float = 1.0) -> Patch3:
+def _sphere_jet(u, v):
+    """Jet of the unit sphere at polar angle u and azimuth v."""
+    su, cu, sv, cv = math.sin(u), math.cos(u), math.sin(v), math.cos(v)
+    S = np.array([su * cv, su * sv, cu])
+    return (S, np.array([cu * cv, cu * sv, -su]), np.array([-su * sv, su * cv, 0.0]),
+            -S, np.array([-cu * sv, cu * cv, 0.0]), np.array([-su * cv, -su * sv, 0.0]))
+
+
+def ellipsoid_patch(a: float, b: float, cc: float, center=(0.0, 0.0, 0.0)) -> Patch3:
+    """Axis-aligned ellipsoid with semi-axes a, b, cc about ``center``."""
     c = np.asarray(center, dtype=float)
+    axes = np.array([a, b, cc], dtype=float)
+
+    def jet(u, v):
+        S = _sphere_jet(u, v)
+        return (c + axes * S[0],) + tuple(axes * d for d in S[1:])
+
+    return Patch3(jet, label=f"ellipsoid({a},{b},{cc})")
+
+
+def sphere_patch(center=(0.0, 0.0, 0.0), radius: float = 1.0) -> Patch3:
     R = float(radius)
-
-    def S(u, v):
-        return np.array([math.sin(u) * math.cos(v),
-                         math.sin(u) * math.sin(v),
-                         math.cos(u)])
-
-    def point(u, v):
-        return c + R * S(u, v)
-
-    def du(u, v):
-        return R * np.array([math.cos(u) * math.cos(v),
-                             math.cos(u) * math.sin(v), -math.sin(u)])
-
-    def dv(u, v):
-        return R * np.array([-math.sin(u) * math.sin(v),
-                             math.sin(u) * math.cos(v), 0.0])
-
-    def duu(u, v):
-        return -R * S(u, v)
-
-    def duv(u, v):
-        return R * np.array([-math.cos(u) * math.sin(v),
-                             math.cos(u) * math.cos(v), 0.0])
-
-    def dvv(u, v):
-        return R * np.array([-math.sin(u) * math.cos(v),
-                             -math.sin(u) * math.sin(v), 0.0])
-
-    def normal_fn(u, v):
-        return S(u, v)
-
-    return Patch3(point, du, dv, duu, duv, dvv, normal_fn=normal_fn,
-                  label=f"sphere(R={R})")
+    return replace(ellipsoid_patch(R, R, R, center), label=f"sphere(R={R})")
 
 
 def perturbed_sphere_patch(eps: float = 0.1, center=(0.0, 0.0, 0.0)) -> Patch3:
     """Radial graph over the unit sphere: rho = 1 + eps sin^2(u) sin(v) cos(v).
 
-    All derivatives are hand-written, so second-order quantities carry no
-    finite-difference noise.
+    The jet is exact (product rule on rho S), so second-order quantities
+    carry no finite-difference noise.
     """
     c = np.asarray(center, dtype=float)
     e = float(eps)
 
-    def parts(u, v):
-        su, cu = math.sin(u), math.cos(u)
-        s2u, c2u = math.sin(2 * u), math.cos(2 * u)
+    def jet(u, v):
+        S, Su, Sv, Suu, Suv, Svv = _sphere_jet(u, v)
+        su, s2u, c2u = math.sin(u), math.sin(2 * u), math.cos(2 * u)
         s2v, c2v = math.sin(2 * v), math.cos(2 * v)
         rho = 1.0 + 0.5 * e * su * su * s2v
-        rho_u = 0.5 * e * s2u * s2v
-        rho_v = e * su * su * c2v
-        rho_uu = e * c2u * s2v
-        rho_uv = e * s2u * c2v
-        rho_vv = -2.0 * e * su * su * s2v
-        S = np.array([su * math.cos(v), su * math.sin(v), cu])
-        Su = np.array([cu * math.cos(v), cu * math.sin(v), -su])
-        Sv = np.array([-su * math.sin(v), su * math.cos(v), 0.0])
-        Suu = -S
-        Suv = np.array([-cu * math.sin(v), cu * math.cos(v), 0.0])
-        Svv = np.array([-su * math.cos(v), -su * math.sin(v), 0.0])
-        return rho, rho_u, rho_v, rho_uu, rho_uv, rho_vv, S, Su, Sv, Suu, Suv, Svv
+        ru, rv = 0.5 * e * s2u * s2v, e * su * su * c2v
+        ruu, ruv, rvv = e * c2u * s2v, e * s2u * c2v, -2.0 * e * su * su * s2v
+        return (c + rho * S, ru * S + rho * Su, rv * S + rho * Sv,
+                ruu * S + 2.0 * ru * Su + rho * Suu,
+                ruv * S + ru * Sv + rv * Su + rho * Suv,
+                rvv * S + 2.0 * rv * Sv + rho * Svv)
 
-    def point(u, v):
-        p = parts(u, v)
-        return c + p[0] * p[6]
-
-    def du(u, v):
-        rho, ru, rv, ruu, ruv, rvv, S, Su, Sv, Suu, Suv, Svv = parts(u, v)
-        return ru * S + rho * Su
-
-    def dv(u, v):
-        rho, ru, rv, ruu, ruv, rvv, S, Su, Sv, Suu, Suv, Svv = parts(u, v)
-        return rv * S + rho * Sv
-
-    def duu(u, v):
-        rho, ru, rv, ruu, ruv, rvv, S, Su, Sv, Suu, Suv, Svv = parts(u, v)
-        return ruu * S + 2.0 * ru * Su + rho * Suu
-
-    def duv(u, v):
-        rho, ru, rv, ruu, ruv, rvv, S, Su, Sv, Suu, Suv, Svv = parts(u, v)
-        return ruv * S + ru * Sv + rv * Su + rho * Suv
-
-    def dvv(u, v):
-        rho, ru, rv, ruu, ruv, rvv, S, Su, Sv, Suu, Suv, Svv = parts(u, v)
-        return rvv * S + 2.0 * rv * Sv + rho * Svv
-
-    return Patch3(point, du, dv, duu, duv, dvv,
-                  label=f"perturbed-sphere(eps={e})")
+    return Patch3(jet, label=f"perturbed-sphere(eps={e})")
 
 
-def ellipsoid_patch(a: float, b: float, cc: float) -> Patch3:
-    def point(u, v):
-        return np.array([a * math.sin(u) * math.cos(v),
-                         b * math.sin(u) * math.sin(v),
-                         cc * math.cos(u)])
+def plane_patch() -> Patch3:
+    """The xy-plane, (u, v) -> (u, v, 0), over [-1, 1]^2."""
 
-    def du(u, v):
-        return np.array([a * math.cos(u) * math.cos(v),
-                         b * math.cos(u) * math.sin(v),
-                         -cc * math.sin(u)])
+    def jet(u, v):
+        return (np.array([u, v, 0.0], dtype=float), np.array([1.0, 0.0, 0.0]),
+                np.array([0.0, 1.0, 0.0]), np.zeros(3), np.zeros(3), np.zeros(3))
 
-    def dv(u, v):
-        return np.array([-a * math.sin(u) * math.sin(v),
-                         b * math.sin(u) * math.cos(v), 0.0])
-
-    def duu(u, v):
-        return np.array([-a * math.sin(u) * math.cos(v),
-                         -b * math.sin(u) * math.sin(v),
-                         -cc * math.cos(u)])
-
-    def duv(u, v):
-        return np.array([-a * math.cos(u) * math.sin(v),
-                         b * math.cos(u) * math.cos(v), 0.0])
-
-    def dvv(u, v):
-        return np.array([-a * math.sin(u) * math.cos(v),
-                         -b * math.sin(u) * math.sin(v), 0.0])
-
-    return Patch3(point, du, dv, duu, duv, dvv,
-                  label=f"ellipsoid({a},{b},{cc})")
-
-
-def plane_patch(origin=(0.0, 0.0, 0.0), e1=(1.0, 0.0, 0.0),
-                e2=(0.0, 1.0, 0.0)) -> Patch3:
-    o = np.asarray(origin, dtype=float)
-    a = np.asarray(e1, dtype=float)
-    b = np.asarray(e2, dtype=float)
-    zero = np.zeros(3)
-    return Patch3(lambda u, v: o + u * a + v * b,
-                  lambda u, v: a.copy(), lambda u, v: b.copy(),
-                  lambda u, v: zero.copy(), lambda u, v: zero.copy(),
-                  lambda u, v: zero.copy(),
-                  u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), label="plane")
+    return Patch3(jet, u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), label="plane")
 
 
 def parallel_patch(P: Patch3, r: float) -> Patch3:
     """Offset patch (u, v) -> P(u, v) + r n(u, v).
 
-    First derivatives differentiate the normal analytically from P's
-    second derivatives; second derivatives fall back to finite differences.
+    First derivatives differentiate the normal analytically from P's jet.
+    Second derivatives would need P's third derivatives, so they are
+    central differences of those first derivatives at 4 shifted points.
     A coarse sample verifies 1 + r k stays away from zero (offsetting by a
     focal distance folds the patch).
     """
@@ -518,25 +401,23 @@ def parallel_patch(P: Patch3, r: float) -> Patch3:
     if r == 0.0:
         return replace(P, label=f"{P.label}+parallel(0)")
 
-    def point(u, v):
-        return np.asarray(P.point(u, v), float) + r * P.normal(u, v)
+    def first(u, v):
+        X, Xu, Xv, Xuu, Xuv, Xvv = P.jet(u, v)
+        n, nw = _unit_normal(P, Xu, Xv, u, v)
+        wu = np.cross(Xuu, Xv) + np.cross(Xu, Xuv)
+        wv = np.cross(Xuv, Xv) + np.cross(Xu, Xvv)
+        return (X + r * n, Xu + r * (wu - n * (n @ wu)) / nw,
+                Xv + r * (wv - n * (n @ wv)) / nw)
 
-    def _normal_deriv(u, v, which):
-        Pu, Pv = P.d_u(u, v), P.d_v(u, v)
-        w = np.cross(Pu, Pv)
-        nw = np.linalg.norm(w)
-        n = w / nw
-        if which == "u":
-            wd = np.cross(P.d_uu(u, v), Pv) + np.cross(Pu, P.d_uv(u, v))
-        else:
-            wd = np.cross(P.d_uv(u, v), Pv) + np.cross(Pu, P.d_vv(u, v))
-        return (wd - n * (n @ wd)) / nw
-
-    def du(u, v):
-        return P.d_u(u, v) + r * _normal_deriv(u, v, "u")
-
-    def dv(u, v):
-        return P.d_v(u, v) + r * _normal_deriv(u, v, "v")
+    def jet(u, v):
+        h = _EPS ** (1.0 / 3.0) * max(1.0, abs(u), abs(v))
+        _, uu_p, vu_p = first(u + h, v)
+        _, uu_m, vu_m = first(u - h, v)
+        _, uv_p, vv_p = first(u, v + h)
+        _, uv_m, vv_m = first(u, v - h)
+        return first(u, v) + ((uu_p - uu_m) / (2 * h),
+                              0.5 * ((uv_p - uv_m) + (vu_p - vu_m)) / (2 * h),
+                              (vv_p - vv_m) / (2 * h))
 
     us = np.linspace(P.u_range[0], P.u_range[1], 7)[1:-1]
     vs = np.linspace(P.v_range[0], P.v_range[1], 7)[1:-1]
@@ -547,24 +428,32 @@ def parallel_patch(P: Patch3, r: float) -> Patch3:
                 if abs(1.0 + r * k) < 1e-8:
                     raise RegularityError(
                         f"offset {r} hits a focal distance (k = {k:.6g})")
-    return Patch3(point, du, dv, normal_fn=P.normal if P.normal_fn is not None else None,
-                  u_range=P.u_range, v_range=P.v_range, label=f"{P.label}+parallel({r})")
+    return Patch3(jet, P.u_range, P.v_range, f"{P.label}+parallel({r})")
+
+
+def _inversion_hessian(p, a, b):
+    """Second differential of the inversion at p on the tangent pairs a, b:
+    (8 (p.a)(p.b) p / |p|^2 - 2 ((p.a) b + (p.b) a + (a.b) p)) / |p|^4."""
+    n2 = p @ p
+    pa, pb = (a @ p)[..., None], (b @ p)[..., None]
+    ab = np.sum(a * b, axis=-1, keepdims=True)
+    return (8.0 * pa * pb * p / n2 - 2.0 * (pa * b + pb * a + ab * p)) / (n2 * n2)
 
 
 def invert_patch(P: Patch3) -> Patch3:
-    """Image of a patch under the inversion, in the same parameters."""
+    """Image of a patch under the inversion, in the same parameters. Its jet
+    is P's carried through m by the chain rule: first derivatives by the
+    differential (``pushforward_inversion``), second ones add the second
+    differential on the pairs (X_u, X_u), (X_u, X_v), (X_v, X_v)."""
 
-    def point(u, v):
-        return invert_point(np.asarray(P.point(u, v), float))
+    def jet(u, v):
+        X, Xu, Xv, Xuu, Xuv, Xvv = P.jet(u, v)
+        d1 = pushforward_inversion(X, np.stack([Xu, Xv, Xuu, Xuv, Xvv]))
+        d2 = _inversion_hessian(X, np.stack([Xu, Xu, Xv]), np.stack([Xu, Xv, Xv]))
+        return (invert_point(X), d1[0], d1[1], d1[2] + d2[0], d1[3] + d2[1],
+                d1[4] + d2[2])
 
-    def du(u, v):
-        return pushforward_inversion(np.asarray(P.point(u, v), float), P.d_u(u, v))
-
-    def dv(u, v):
-        return pushforward_inversion(np.asarray(P.point(u, v), float), P.d_v(u, v))
-
-    return Patch3(point, du, dv, u_range=P.u_range, v_range=P.v_range,
-                  label=f"inverted({P.label})")
+    return Patch3(jet, P.u_range, P.v_range, f"inverted({P.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +512,10 @@ def principal_preservation_check(P: Patch3, transform, samples: int = 200,
         if qq.umbilic:
             skipped += 1
             continue
-        Pu, Pv = P.d_u(u, v), P.d_v(u, v)
+        _, Pu, Pv = P.jet(u, v)[:3]
         E, F, G = Pu @ Pu, Pu @ Pv, Pv @ Pv
         Iinv = np.array([[G, -F], [-F, E]]) / (E * G - F * F)
-        Qu, Qv = Q.d_u(u, v), Q.d_v(u, v)
+        _, Qu, Qv = Q.jet(u, v)[:3]
         err = 0.0
         for d in (pp.d1, pp.d2):
             a, b = Iinv @ np.array([d @ Pu, d @ Pv])

@@ -11,8 +11,10 @@ from umbilic import (DomainError, GraphConditionError, decay_profile,
                      perturbed_sphere_patch, plane_patch,
                      principal_preservation_check, pushforward_inversion,
                      sphere_patch, uniform_field)
+from umbilic import RegularityError, invert_patch, list_families
 from umbilic.curvature import principal_arrays
 from umbilic.field import fd_jet
+from umbilic.transform import _rescaled_field
 
 unit_vecs = st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2)).filter(
     lambda v: 0.1 < math.hypot(*v) < 3.0)
@@ -382,3 +384,89 @@ def test_preservation_under_parallel():
     rep = principal_preservation_check(patch, ("parallel", 1.0), samples=200, seed=11)
     assert rep.usable == 200
     assert rep.max_angle_error < 1e-6
+
+
+# --- patch jets -------------------------------------------------------------
+
+PATCHES = {
+    "sphere": lambda: sphere_patch(center=(0.5, -0.2, 1.0), radius=1.7),
+    "ellipsoid": lambda: ellipsoid_patch(1.0, 1.3, 1.6),
+    "perturbed-sphere": lambda: perturbed_sphere_patch(0.1),
+    "plane": plane_patch,
+    "inverted": lambda: invert_patch(perturbed_sphere_patch(0.1, center=(0.0, 0.0, 2.0))),
+    "parallel": lambda: parallel_patch(ellipsoid_patch(1.0, 1.3, 1.6), 0.5),
+}
+
+
+def _interior_uv(P, rng):
+    (u0, u1), (v0, v1) = P.u_range, P.v_range
+    return (rng.uniform(u0 + 0.05 * (u1 - u0), u1 - 0.05 * (u1 - u0)),
+            rng.uniform(v0 + 0.05 * (v1 - v0), v1 - 0.05 * (v1 - v0)))
+
+
+@pytest.mark.parametrize("name", sorted(PATCHES))
+def test_patch_jet_matches_central_differences(name):
+    # X_u, X_v against differences of the point, second derivatives against
+    # differences of the first (X_uv both ways)
+    P = PATCHES[name]()
+    rng = np.random.default_rng(7)
+    h = 1e-5
+    for _ in range(20):
+        u, v = _interior_uv(P, rng)
+        jet = P.jet(u, v)
+        assert np.array_equal(jet[0], P.point(u, v))
+
+        def diff(k, du, dv):
+            return (P.jet(u + du, v + dv)[k] - P.jet(u - du, v - dv)[k]) / (2.0 * h)
+
+        tol = 1e-7 * max(1.0, max(np.linalg.norm(d) for d in jet))
+        pairs = [(jet[1], diff(0, h, 0)), (jet[2], diff(0, 0, h)),
+                 (jet[3], diff(1, h, 0)), (jet[4], diff(1, 0, h)),
+                 (jet[4], diff(2, h, 0)), (jet[5], diff(2, 0, h))]
+        for exact, fd in pairs:
+            assert np.max(np.abs(exact - fd)) <= tol
+
+
+def test_inversion_preserves_principal_directions_to_rounding():
+    patch = perturbed_sphere_patch(0.1, center=(0.0, 0.0, 2.0))
+    rep = principal_preservation_check(patch, "inversion", samples=200, seed=5)
+    assert rep.usable == 200
+    assert rep.max_angle_error < 1e-11
+
+
+@pytest.mark.parametrize("P", [sphere_patch(), sphere_patch(radius=3.0),
+                               invert_patch(sphere_patch(center=(0.0, 0.0, 2.0)))],
+                         ids=["unit-sphere", "sphere-R3", "inverted-sphere"])
+def test_every_sphere_point_is_umbilic(P):
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        assert patch_principal(P, *_interior_uv(P, rng)).umbilic
+
+
+def test_sphere_normal_at_pole_is_irregular():
+    with pytest.raises(RegularityError):
+        sphere_patch().normal(0.0, 1.0)
+
+
+# --- dilation of a field ----------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([spec.name for spec in list_families()]),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.1, 10.0))
+def test_rescaled_field_scales_curvature(name, a, b, s):
+    # graph(f_s) is graph(f) dilated by s: k1, k2, H scale by 1/s, K by 1/s^2
+    field = make_field(name)
+    lo, hi = field.sample_box
+    x, y = lo + a * (hi - lo), lo + b * (hi - lo)
+    H, K, k1, k2 = principal_arrays(*field.jet((x, y))[1:])
+    Hs, Ks, k1s, k2s = principal_arrays(*_rescaled_field(field, s).jet((s * x, s * y))[1:])
+    kappa = max(1.0, abs(k1), abs(k2))
+    tol_h, tol_k = 1e-12 * kappa, 1e-12 * kappa * kappa
+    # k = H -/+ sqrt(H^2 - K): an error e in H^2 - K moves the root by at
+    # most min(sqrt(e), e / sqrt(H^2 - K))
+    e = 2.0 * abs(H) * tol_h + tol_k
+    gap = 0.5 * (k2 - k1)
+    tol_ki = tol_h + (min(math.sqrt(e), e / gap) if gap > 0.0 else math.sqrt(e))
+    assert abs(s * Hs - H) <= tol_h
+    assert abs(s * s * Ks - K) <= tol_k
+    assert abs(s * k1s - k1) <= tol_ki and abs(s * k2s - k2) <= tol_ki
