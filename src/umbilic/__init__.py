@@ -10,9 +10,9 @@ from .curvature import (PlaneField, PrincipalData, UmbilicResiduals,
 from .errors import (ConvexityError, DomainError, GraphConditionError,
                      NonConvergenceError, RegularityError)
 from .families import FamilySpec, list_families, make_field, parse_field_spec
-from .field import (DecayProfile, Direction, Jet2, Point2, PolarPoint,
-                    ScalarField, decay_profile, directional, eval_jet, fd_jet,
-                    rotate_frame, tabulated_field, uniform_field)
+from .field import (DecayProfile, Direction, Jet2, Point2, ScalarField,
+                    decay_profile, directional, eval_jet, fd_jet, rotate_frame,
+                    uniform_field)
 from .quad import (DecayTable, QuadScheme, boundary_flux, boundary_majorant,
                    curvature_difference_decay, disk_integral,
                    divergence_consistency, principal_deviation_decay)

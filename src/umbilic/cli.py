@@ -215,7 +215,8 @@ def _apply_config(argv):
                 key, _, val = line.partition("=")
                 if not _:
                     raise UsageError(f"malformed config line '{line}'")
-                injected += [f"--{key.strip()}", val.strip()]
+                # a multi-valued option (region = -1 -1 1 1) takes one token per value
+                injected += [f"--{key.strip()}", *val.split()]
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
     # keep subcommand words in front, then config defaults, then user flags

@@ -6,7 +6,8 @@ A support function h on S^2 determines the boundary point with outward
 normal u as X(u) = h(u) u + grad_S h(u); the principal radii of curvature
 are the tangent-plane eigenvalues of Hess_S h + h I. The families here are
 closed forms (constant + linear + quadratic + even diagonal quartic in u),
-so all spherical jets are analytic and vectorize over arrays of normals.
+so all spherical jets are analytic, vectorize over arrays of normals, and
+carry a complex step.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConvexityError, DomainError
-from .util import _row_norms, _solve2, bisect_arrays, local_minima, unit3
+from .util import (_floating, _row_norms, _solve2, bisect_arrays, complex_step,
+                   local_minima, unit3)
 
 FIND_TOL = 1e-9    # rho2 - rho1 at which find_umbilic's search has converged
 SITES_TOL = 1e-8   # rho2 - rho1 below which umbilic_sites keeps a polished site
@@ -39,28 +41,28 @@ class SupportBody:
                 np.asarray(self.quartic, float))
 
     def h(self, u):
-        u = np.asarray(u, float)
+        u = _floating(u)
         l, Q, a = self._arrays()
         return (self.c0 + u @ l + np.einsum("...i,ij,...j->...", u, Q, u)
                 + (u ** 4) @ a)
 
     def grad_ambient(self, u):
         """Euclidean gradient of the polynomial extension of h."""
-        u = np.asarray(u, float)
+        u = _floating(u)
         l, Q, a = self._arrays()
         return l + 2.0 * u @ Q + 4.0 * a * u ** 3
 
     def hess_ambient(self, u):
-        u = np.asarray(u, float)
+        u = _floating(u)
         l, Q, a = self._arrays()
-        out = np.broadcast_to(2.0 * Q, u.shape[:-1] + (3, 3)).copy()
+        out = np.broadcast_to(2.0 * Q, u.shape[:-1] + (3, 3)).astype(u.dtype)
         idx = np.arange(3)
         out[..., idx, idx] += 12.0 * a * u ** 2
         return out
 
     def sphere_grad(self, u):
         """Tangential gradient of h on the sphere at the unit normal u."""
-        u = np.asarray(u, float)
+        u = _floating(u)
         g = self.grad_ambient(u)
         return g - np.sum(g * u, axis=-1, keepdims=True) * u
 
@@ -72,10 +74,11 @@ def body_point(body: SupportBody, u) -> np.ndarray:
 
 
 def _tangent_basis(u):
-    """Deterministic orthonormal tangent basis at each unit normal."""
-    u = np.asarray(u, float)
+    """Deterministic orthonormal tangent basis at each unit normal (the seed
+    axis is picked on the real part, so a complex step cannot switch it)."""
+    u = _floating(u)
     seed = np.zeros_like(u)
-    use_x = np.abs(u[..., 0]) < 0.9
+    use_x = np.abs(u[..., 0].real) < 0.9
     seed[..., 0] = np.where(use_x, 1.0, 0.0)
     seed[..., 1] = np.where(use_x, 0.0, 1.0)
     t1 = seed - np.sum(seed * u, axis=-1, keepdims=True) * u
@@ -84,27 +87,22 @@ def _tangent_basis(u):
     return t1, t2
 
 
-def _curvature_matrix(body: SupportBody, u):
-    """2x2 matrix of Hess_S h + h I in the tangent basis; eigenvalues are
-    the principal radii of curvature."""
-    u = np.asarray(u, float)
+def _tangent_hessian(body: SupportBody, u):
+    """The ambient Hessian of h on the tangent basis: (a11, a12, a22)."""
     t1, t2 = _tangent_basis(u)
     Hm = body.hess_ambient(u)
-    gdot = np.sum(body.grad_ambient(u) * u, axis=-1)
-    h = body.h(u)
-
-    def hess_s(a, b):
-        return np.einsum("...i,...ij,...j->...", a, Hm, b)
-
-    m11 = hess_s(t1, t1) - gdot + h
-    m22 = hess_s(t2, t2) - gdot + h
-    m12 = hess_s(t1, t2)
-    return m11, m12, m22, t1, t2
+    return tuple(np.einsum("...i,...ij,...j->...", a, Hm, b)
+                 for a, b in ((t1, t1), (t1, t2), (t2, t2)))
 
 
 def radii_of_curvature(body: SupportBody, u, check: bool = True):
-    """Principal radii of curvature (rho1 <= rho2) at the normal u."""
-    m11, m12, m22, _, _ = _curvature_matrix(body, u)
+    """Principal radii of curvature (rho1 <= rho2) at the normal u: the
+    eigenvalues of m = a + (h - <grad h, u>) I, a the tangent Hessian."""
+    u = _floating(u)
+    a11, m12, a22 = _tangent_hessian(body, u)
+    gdot = np.sum(body.grad_ambient(u) * u, axis=-1)
+    h = body.h(u)
+    m11, m22 = a11 - gdot + h, a22 - gdot + h
     mean = 0.5 * (m11 + m22)
     s = np.sqrt(np.maximum(0.25 * (m11 - m22) ** 2 + m12 ** 2, 0.0))
     rho1, rho2 = mean - s, mean + s
@@ -143,19 +141,20 @@ class UmbilicSite:
 
 
 def _anisotropy(body: SupportBody, u):
-    """(m11 - m22, 2 m12) in the transported tangent frame; zero at umbilics."""
-    m11, m12, m22, _, _ = _curvature_matrix(body, u)
-    return np.stack([m11 - m22, 2.0 * m12], axis=-1)
+    """(m11 - m22, 2 m12) in the transported tangent frame; zero at umbilics.
+    The shift h - <grad h, u> of m11 and m22 cancels, so h never enters."""
+    a11, a12, a22 = _tangent_hessian(body, u)
+    return np.stack([a11 - a22, 2.0 * a12], axis=-1)
 
 
 def _polish_umbilics(body: SupportBody, u0, max_iter: int = 30):
     """Newton iteration on the tangent anisotropy, quadratically convergent,
-    on every row of u0 (N, 3) at once. Each row takes the steps it would
-    take alone; returns the polished unit rows and their converged flags."""
+    on every row of u0 (N, 3) at once; the Jacobian is a complex step along
+    each tangent axis. Each row takes the steps it would take alone; returns
+    the polished unit rows and their converged flags."""
     u = unit3(np.asarray(u0, float).reshape(-1, 3))
     ok = np.zeros(len(u), bool)
     live = np.arange(len(u))  # rows still iterating
-    h = 1e-6
     for _ in range(max_iter):
         F = _anisotropy(body, u[live])
         nF = _row_norms(F)
@@ -166,9 +165,8 @@ def _polish_umbilics(body: SupportBody, u0, max_iter: int = 30):
             break
         v = u[live]
         t1, t2 = _tangent_basis(v)
-        probes = unit3(np.concatenate([v + h * t1, v - h * t1, v + h * t2, v - h * t2]))
-        Fp1, Fm1, Fp2, Fm2 = np.split(_anisotropy(body, probes), 4)
-        J = np.stack([(Fp1 - Fm1) / (2 * h), (Fp2 - Fm2) / (2 * h)], axis=-1)
+        J = np.moveaxis(complex_step(lambda w: _anisotropy(body, unit3(w)), v,
+                                     np.stack([t1, t2])), 0, -1)
         st, solved = _solve2(J, -F)
         # a singular Jacobian or a non-finite step stops the row unconverged
         # (its |F| is not below 1e-13 here)
@@ -189,47 +187,21 @@ def _polish_umbilics(body: SupportBody, u0, max_iter: int = 30):
     return u, ok
 
 
-def _pattern_refine(body: SupportBody, u0, delta0: float):
-    """Derivative-free shrink search on rho2 - rho1 (robust near kinks)."""
-    u = unit3(np.asarray(u0, float))
-    r1, r2 = radii_of_curvature(body, u, check=False)
-    best = float(r2 - r1)
-    delta = delta0
-    alphas = np.arange(8) * (math.tau / 8)
-    while delta > 1e-10 and best > FIND_TOL:
-        t1, t2 = _tangent_basis(u)
-        cand = unit3(math.cos(delta) * u[None, :]
-                     + math.sin(delta) * (np.cos(alphas)[:, None] * t1
-                                          + np.sin(alphas)[:, None] * t2))
-        r1, r2 = radii_of_curvature(body, cand, check=False)
-        vals = r2 - r1
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            u, best = cand[i], float(vals[i])
-        else:
-            delta *= 0.5
-    return u, best
-
-
 def find_umbilic(body: SupportBody, grid_n: int = 48) -> UmbilicSite:
-    """Most umbilic normal direction: coarse scan, pattern refinement,
-    then a Newton polish on the curvature anisotropy.
+    """Most umbilic normal direction: the argmin of rho2 - rho1 over a
+    Fibonacci grid of max(grid_n^2, 64) normals, Newton-polished on the
+    curvature anisotropy (``_polish_umbilics``). The polish takes only steps
+    that lower the anisotropy, whose norm is rho2 - rho1.
 
-    If no direction reaches ``FIND_TOL`` the best candidate is returned
-    with ``converged`` false and its residual for inspection.
+    If the polished direction misses ``FIND_TOL`` it is returned with
+    ``converged`` false and its residual for inspection.
     """
     grid = fibonacci_sphere(max(grid_n * grid_n, 64))
     r1, r2 = radii_of_curvature(body, grid, check=False)
-    res = r2 - r1
-    u0 = grid[int(np.argmin(res))]
-    spacing = 2.0 / math.sqrt(grid.shape[0])
-    u1, best = _pattern_refine(body, u0, 4.0 * spacing)
-    u2 = _polish_umbilics(body, u1)[0][0]
-    rr1, rr2 = radii_of_curvature(body, u2, check=False)
+    u = _polish_umbilics(body, grid[int(np.argmin(r2 - r1))])[0][0]
+    rr1, rr2 = radii_of_curvature(body, u, check=False)
     final = float(rr2 - rr1)
-    if final <= best:
-        return UmbilicSite(u2, final, final < FIND_TOL)
-    return UmbilicSite(u1, best, best < FIND_TOL)
+    return UmbilicSite(u, final, final < FIND_TOL)
 
 
 def umbilic_sites(body: SupportBody, grid_n: int = 48):

@@ -2,8 +2,7 @@
 
 The jet of a field at a point bundles the value, gradient, and Hessian;
 every curvature formula downstream consumes jets rather than raw callables.
-Closed-form fields carry analytic jets vectorized over numpy arrays;
-tabulated fields interpolate with a bicubic spline.
+Closed-form fields carry analytic jets vectorized over numpy arrays.
 """
 
 from __future__ import annotations
@@ -38,27 +37,6 @@ class Point2:
     @property
     def r(self) -> float:
         return math.hypot(self.x, self.y)
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """Polar coordinates with r >= 0 and theta reduced to [0, 2*pi)."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and math.isfinite(self.theta)):
-            raise ValueError("non-finite polar point")
-        if self.r < 0.0:
-            raise ValueError(f"negative radius {self.r}")
-        t = math.fmod(self.theta, math.tau)
-        if t < 0.0:
-            t += math.tau
-        object.__setattr__(self, "theta", t)
-
-    def to_point(self) -> Point2:
-        return Point2(self.r * math.cos(self.theta), self.r * math.sin(self.theta))
 
 
 @dataclass(frozen=True)
@@ -301,35 +279,3 @@ def decay_profile(field: ScalarField, radii, n_theta: int = 256) -> DecayProfile
     return DecayProfile(tuple(radii), tuple(sup_dev), tuple(sup_rgrad),
                         c, c_source, c_var)
 
-
-def tabulated_field(xs, ys, values, name: str = "tabulated") -> ScalarField:
-    """Field backed by grid samples; jets come from a bicubic spline.
-
-    Evaluation outside the grid hull raises DomainError.
-    """
-    from scipy.interpolate import RectBivariateSpline
-
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if xs.size < 4 or ys.size < 4:
-        raise ValueError("tabulated fields need at least 4 nodes per axis")
-    if values.shape != (xs.size, ys.size):
-        raise ValueError("values must have shape (len(xs), len(ys))")
-    spl = RectBivariateSpline(xs, ys, values, kx=3, ky=3)
-    x0, x1 = float(xs[0]), float(xs[-1])
-    y0, y1 = float(ys[0]), float(ys[-1])
-
-    def domain(x, y):
-        return (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
-
-    def jets(x, y):
-        shape = x.shape
-        xf, yf = x.ravel(), y.ravel()
-        out = []
-        for dx, dy in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
-            out.append(spl(xf, yf, dx=dx, dy=dy, grid=False).reshape(shape))
-        return tuple(out)
-
-    return ScalarField(name, jets, domain=domain,
-                       sample_box=(max(x0, y0), min(x1, y1)))

@@ -18,7 +18,7 @@ import numpy as np
 from .curvature import _principal_2x2
 from .errors import DomainError, GraphConditionError, NonConvergenceError, RegularityError
 from .field import ScalarField
-from .util import _libm, bisect_arrays
+from .util import _floating, _libm, bisect_arrays, complex_step
 
 _EPS = float(np.finfo(float).eps)
 
@@ -29,7 +29,7 @@ _EPS = float(np.finfo(float).eps)
 
 def invert_point(q) -> np.ndarray:
     """m(q) = q / |q|^2; an involution fixing the unit sphere."""
-    q = np.asarray(q, dtype=float)
+    q = _floating(q)
     n2 = np.sum(q * q, axis=-1, keepdims=True)
     if np.any(n2 == 0.0):
         raise DomainError("inversion is undefined at the origin")
@@ -38,8 +38,8 @@ def invert_point(q) -> np.ndarray:
 
 def pushforward_inversion(q, w) -> np.ndarray:
     """Differential of the inversion at q applied to w."""
-    q = np.asarray(q, dtype=float)
-    w = np.asarray(w, dtype=float)
+    q = _floating(q)
+    w = _floating(w)
     n2 = np.sum(q * q, axis=-1, keepdims=True)
     if np.any(n2 == 0.0):
         raise DomainError("inversion is undefined at the origin")
@@ -258,7 +258,8 @@ def exterior_eval(graph: ExteriorGraph, rbar: float, theta: float) -> tuple:
 class Patch3:
     """A parametric surface patch (u, v) -> R^3, given by its second-order
     jet: ``jet(u, v)`` returns the six 3-vectors (X, X_u, X_v, X_uu, X_uv,
-    X_vv). The unit normal is along X_u x X_v.
+    X_vv). The unit normal is along X_u x X_v. Jets accept complex (u, v),
+    for the complex steps of ``parallel_patch``.
     """
 
     jet: Callable
@@ -275,10 +276,11 @@ class Patch3:
 
 
 def _unit_normal(P: Patch3, Xu, Xv, u, v):
-    """(unit normal, |X_u x X_v|); a vanishing cross product is irregular."""
+    """(unit normal, |X_u x X_v|); a vanishing cross product is irregular.
+    The norm sqrt(w . w) is analytic, so it carries a complex step."""
     w = np.cross(Xu, Xv)
-    nw = np.linalg.norm(w)
-    if nw <= 1e-12:
+    nw = np.sqrt(w @ w)
+    if nw.real <= 1e-12:
         raise RegularityError(f"patch '{P.label}' degenerates at "
                               f"(u, v) = ({u}, {v})")
     return w / nw, nw
@@ -330,7 +332,7 @@ def patch_principal(P: Patch3, u: float, v: float) -> PatchPrincipal:
 
 def _sphere_jet(u, v):
     """Jet of the unit sphere at polar angle u and azimuth v."""
-    su, cu, sv, cv = math.sin(u), math.cos(u), math.sin(v), math.cos(v)
+    su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
     S = np.array([su * cv, su * sv, cu])
     return (S, np.array([cu * cv, cu * sv, -su]), np.array([-su * sv, su * cv, 0.0]),
             -S, np.array([-cu * sv, cu * cv, 0.0]), np.array([-su * cv, -su * sv, 0.0]))
@@ -364,8 +366,8 @@ def perturbed_sphere_patch(eps: float = 0.1, center=(0.0, 0.0, 0.0)) -> Patch3:
 
     def jet(u, v):
         S, Su, Sv, Suu, Suv, Svv = _sphere_jet(u, v)
-        su, s2u, c2u = math.sin(u), math.sin(2 * u), math.cos(2 * u)
-        s2v, c2v = math.sin(2 * v), math.cos(2 * v)
+        su, s2u, c2u = np.sin(u), np.sin(2 * u), np.cos(2 * u)
+        s2v, c2v = np.sin(2 * v), np.cos(2 * v)
         rho = 1.0 + 0.5 * e * su * su * s2v
         ru, rv = 0.5 * e * s2u * s2v, e * su * su * c2v
         ruu, ruv, rvv = e * c2u * s2v, e * s2u * c2v, -2.0 * e * su * su * s2v
@@ -381,7 +383,7 @@ def plane_patch() -> Patch3:
     """The xy-plane, (u, v) -> (u, v, 0), over [-1, 1]^2."""
 
     def jet(u, v):
-        return (np.array([u, v, 0.0], dtype=float), np.array([1.0, 0.0, 0.0]),
+        return (np.array([u, v, 0.0]), np.array([1.0, 0.0, 0.0]),
                 np.array([0.0, 1.0, 0.0]), np.zeros(3), np.zeros(3), np.zeros(3))
 
     return Patch3(jet, u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), label="plane")
@@ -391,15 +393,13 @@ def parallel_patch(P: Patch3, r: float) -> Patch3:
     """Offset patch (u, v) -> P(u, v) + r n(u, v).
 
     First derivatives differentiate the normal analytically from P's jet.
-    Second derivatives would need P's third derivatives, so they are
-    central differences of those first derivatives at 4 shifted points.
+    Second derivatives would need P's third derivatives; they are complex
+    steps of those first derivatives in u and in v, exact to rounding.
     A coarse sample verifies 1 + r k stays away from zero (offsetting by a
     focal distance folds the patch).
     """
     if r < 0.0:
         raise ValueError("offset distance must be nonnegative")
-    if r == 0.0:
-        return replace(P, label=f"{P.label}+parallel(0)")
 
     def first(u, v):
         X, Xu, Xv, Xuu, Xuv, Xvv = P.jet(u, v)
@@ -410,14 +410,9 @@ def parallel_patch(P: Patch3, r: float) -> Patch3:
                 Xv + r * (wv - n * (n @ wv)) / nw)
 
     def jet(u, v):
-        h = _EPS ** (1.0 / 3.0) * max(1.0, abs(u), abs(v))
-        _, uu_p, vu_p = first(u + h, v)
-        _, uu_m, vu_m = first(u - h, v)
-        _, uv_p, vv_p = first(u, v + h)
-        _, uv_m, vv_m = first(u, v - h)
-        return first(u, v) + ((uu_p - uu_m) / (2 * h),
-                              0.5 * ((uv_p - uv_m) + (vu_p - vu_m)) / (2 * h),
-                              (vv_p - vv_m) / (2 * h))
+        _, Xuu, Xuv = complex_step(lambda t: first(t, v), u, 1.0)
+        Xvv = complex_step(lambda t: first(u, t), v, 1.0)[2]
+        return first(u, v) + (Xuu, Xuv, Xvv)
 
     us = np.linspace(P.u_range[0], P.u_range[1], 7)[1:-1]
     vs = np.linspace(P.v_range[0], P.v_range[1], 7)[1:-1]

@@ -1,5 +1,6 @@
 """Small numeric helpers: deterministic reductions, thread budget, local minima,
-bracketed bisection, and row-wise pieces of the batched Newton solves."""
+bracketed bisection, complex-step derivatives, and row-wise pieces of the
+batched Newton solves."""
 
 import os
 
@@ -111,8 +112,23 @@ def _solve2(J, rhs):
         return st, solved
 
 
+def _floating(x):
+    """x as a float64 array, or complex128 if x is complex."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x.dtype, np.float64), copy=False)
+
+
+def complex_step(fn, x, dx):
+    """Derivative of fn at x along dx, Im fn(x + i h dx) / h: exact to
+    rounding for fn analytic in x, as nothing cancels (Squire & Trapp, SIAM
+    Rev. 1998). dx may stack several directions on leading axes."""
+    h = 1e-30
+    return np.imag(fn(x + 1j * h * dx)) / h
+
+
 def unit3(v):
-    """Normalize a 3-vector (or an array of them along the last axis)."""
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / n
+    """Normalize a 3-vector (or an array of them along the last axis). The
+    norm sqrt(sum(v * v)) rounds as ``np.linalg.norm`` does on real input and
+    is analytic on complex input."""
+    v = _floating(v)
+    return v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))

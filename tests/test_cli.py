@@ -113,6 +113,24 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(out2.read_text().splitlines()) == 5  # flag overrides config
 
 
+def test_config_multi_valued_option_matches_flags(tmp_path):
+    cfg = tmp_path / "map.cfg"
+    cfg.write_text("field = paraboloid\nregion = -1 -0.5 1 1.5\nn = 17\n")
+
+    def csv(name, *argv):
+        out = tmp_path / f"{name}.csv"
+        assert main(["curvature", "map", "--quantity", "K", "--m", "13", *argv,
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    wide = ("--region", "-2", "-2", "2", "2")
+    flags = csv("flags", "--field", "paraboloid", "--region", "-1", "-0.5", "1", "1.5",
+                "--n", "17")
+    assert csv("config", "--config", str(cfg)) == flags
+    assert csv("override", "--config", str(cfg), *wide) == csv(
+        "wide", "--field", "paraboloid", *wide, "--n", "17") != flags
+
+
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_csv_determinism_across_threads(tmp_path, monkeypatch, threads):
     monkeypatch.setenv("UMBILIC_THREADS", threads)

@@ -10,7 +10,7 @@ from umbilic import (ConvexityError, SupportBody, body_point, check_convexity,
 from umbilic.cli import _parse_body
 from umbilic.convexbody import (_anisotropy, _polish_umbilics, _solve2,
                                 _tangent_basis, fibonacci_sphere)
-from umbilic.util import unit3
+from umbilic.util import complex_step, unit3
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -162,12 +162,9 @@ def _polish_reference(body, u0, max_iter=30):
         if np.linalg.norm(F) < 1e-13:
             return u, True
         t1, t2 = _tangent_basis(u)
-        h = 1e-6
-        Fp1 = _anisotropy(body, unit3(u + h * t1))
-        Fm1 = _anisotropy(body, unit3(u - h * t1))
-        Fp2 = _anisotropy(body, unit3(u + h * t2))
-        Fm2 = _anisotropy(body, unit3(u - h * t2))
-        J = np.column_stack([(Fp1 - Fm1) / (2 * h), (Fp2 - Fm2) / (2 * h)])
+        h = 1e-30
+        J = np.column_stack([np.imag(_anisotropy(body, unit3(u + 1j * h * t))) / h
+                             for t in (t1, t2)])
         try:
             st = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
@@ -195,6 +192,42 @@ def test_batched_polish_matches_reference(spec):
             ref_u, ref_ok = _polish_reference(body, u0, max_iter=max_iter)
             assert ok == ref_ok
             assert np.max(np.abs(u - ref_u)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", CLI_BODIES)
+def test_anisotropy_jacobian_matches_central_differences(spec):
+    # the polish's complex-step Jacobian against a central-difference oracle
+    body = _parse_body(spec)
+    u = unit3(np.random.default_rng(11).standard_normal((50, 3)))
+    t1, t2 = _tangent_basis(u)
+    J = complex_step(lambda w: _anisotropy(body, unit3(w)), u, np.stack([t1, t2]))
+    h = 1e-6
+    fd = np.stack([(_anisotropy(body, unit3(u + h * t)) - _anisotropy(body, unit3(u - h * t)))
+                   / (2.0 * h) for t in (t1, t2)])
+    scale = np.max(np.abs(fd), axis=(0, 2))
+    assert np.all(np.max(np.abs(J - fd), axis=(0, 2)) <= 1e-6 * scale)
+
+
+def test_polish_converges_quadratically():
+    # Newton from 3e-3 rad off each triaxial site: |F_{k+1}| <= 100 |F_k|^2
+    body = _parse_body(CLI_BODIES[2])
+    sites = np.array([s.u for s in umbilic_sites(body, grid_n=24)])
+    assert len(sites) == 4
+    t1, _ = _tangent_basis(sites)
+    u0 = unit3(sites + 3e-3 * t1)
+    norms = [np.linalg.norm(_anisotropy(body, _polish_umbilics(body, u0, max_iter=k)[0]),
+                            axis=-1) for k in range(6)]
+    for fk, fk1 in zip(norms, norms[1:]):
+        live = fk1 > 1e-13
+        assert np.all(fk1[live] <= 100.0 * fk[live] ** 2)
+    assert np.all(norms[-1] < 1e-13)
+
+
+def test_find_umbilic_is_an_umbilic_site():
+    body = _parse_body(CLI_BODIES[2])
+    site = find_umbilic(body)
+    gaps = [np.max(np.abs(site.u - s.u)) for s in umbilic_sites(body)]
+    assert site.converged and min(gaps) <= 1e-12
 
 
 def test_polish_rows_independent_of_batch():

@@ -5,20 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_fields, sample_points
-from umbilic import (Direction, DomainError, Jet2, Point2, PolarPoint,
-                     decay_profile, directional, eval_jet, fd_jet,
-                     make_field, rotate_frame, tabulated_field,
+from umbilic import (Direction, DomainError, Jet2, Point2, decay_profile,
+                     directional, eval_jet, fd_jet, make_field, rotate_frame,
                      uniform_field)
 
 
 def test_point_types_validate():
     with pytest.raises(ValueError):
         Point2(float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        PolarPoint(-1.0, 0.0)
-    p = PolarPoint(2.0, -math.pi / 2)
-    assert 0.0 <= p.theta < 2 * math.pi
-    assert abs(p.to_point().y + 2.0) < 1e-12
 
 
 def test_direction_unit_norm():
@@ -136,22 +130,6 @@ def test_decay_profile_nonnegative_and_validates():
         decay_profile(make_field("gaussian_bump"), [2.0, 1.0])
     with pytest.raises(ValueError):
         decay_profile(make_field("gaussian_bump"), [1.0], n_theta=4)
-
-
-def test_tabulated_field_matches_source_and_guards_domain():
-    src = make_field("gaussian_bump")
-    xs = np.linspace(-2.0, 2.0, 61)
-    vals = src.value(*np.meshgrid(xs, xs, indexing="ij"))
-    tab = tabulated_field(xs, xs, vals, "tab-gaussian")
-    rng = np.random.default_rng(7)
-    for x, y in rng.uniform(-1.5, 1.5, size=(25, 2)):
-        a = src.jet((x, y))
-        b = tab.jet((x, y))
-        assert abs(a.f - b.f) < 1e-6
-        assert abs(a.f1 - b.f1) < 1e-4
-        assert abs(a.f11 - b.f11) < 1e-2
-    with pytest.raises(DomainError):
-        tab.jet((3.0, 0.0))
 
 
 def test_sphere_cap_domain_error():

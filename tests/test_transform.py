@@ -434,6 +434,14 @@ def test_inversion_preserves_principal_directions_to_rounding():
     assert rep.max_angle_error < 1e-11
 
 
+@pytest.mark.parametrize("P", [perturbed_sphere_patch(0.1), ellipsoid_patch(1.0, 2.0, 3.0)],
+                         ids=["perturbed-sphere", "ellipsoid"])
+def test_parallel_offset_preserves_principal_directions_to_rounding(P):
+    rep = principal_preservation_check(P, ("parallel", 1.0), seed=5)
+    assert rep.usable == 200
+    assert rep.max_angle_error < 1e-11
+
+
 @pytest.mark.parametrize("P", [sphere_patch(), sphere_patch(radius=3.0),
                                invert_patch(sphere_patch(center=(0.0, 0.0, 2.0)))],
                          ids=["unit-sphere", "sphere-R3", "inverted-sphere"])
