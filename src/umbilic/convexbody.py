@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConvexityError, DomainError
-from .util import (_floating, _row_norms, _solve2, bisect_arrays, complex_step,
+from .util import (_floating, _row_norms, _solve2, bracket_root, complex_step,
                    local_minima, unit3)
 
 FIND_TOL = 1e-9    # rho2 - rho1 at which find_umbilic's search has converged
@@ -43,14 +43,15 @@ class SupportBody:
     def h(self, u):
         u = _floating(u)
         l, Q, a = self._arrays()
-        return (self.c0 + u @ l + np.einsum("...i,ij,...j->...", u, Q, u)
-                + (u ** 4) @ a)
+        u2 = u * u
+        return (self.c0 + np.sum(u * l, axis=-1) + np.einsum("...i,ij,...j->...", u, Q, u)
+                + np.sum(u2 * u2 * a, axis=-1))
 
     def grad_ambient(self, u):
         """Euclidean gradient of the polynomial extension of h."""
         u = _floating(u)
         l, Q, a = self._arrays()
-        return l + 2.0 * u @ Q + 4.0 * a * u ** 3
+        return l + 2.0 * u @ Q + 4.0 * a * (u * u * u)
 
     def hess_ambient(self, u):
         u = _floating(u)
@@ -417,11 +418,9 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
 
         def above(phi):
             qm, _ = posed.cap_points(phi, thetas)
-            rb = np.hypot(qm[..., 0], qm[..., 1]) / np.sum(qm * qm, axis=-1)
-            # a sign, not rb - target: a tie moves hi rather than closing the bracket
-            return np.where(rb > target, 1.0, -1.0)
+            return np.hypot(qm[..., 0], qm[..., 1]) / np.sum(qm * qm, axis=-1) - target
 
-        phi_sol = bisect_arrays(above, phis[lo_idx - 1], phis[lo_idx])
+        phi_sol = bracket_root(above, phis[lo_idx - 1], phis[lo_idx])
         qs, ns = posed.cap_points(phi_sol, thetas)
         n2s = np.sum(qs * qs, axis=-1)
         rb = np.hypot(qs[..., 0], qs[..., 1]) / n2s

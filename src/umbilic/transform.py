@@ -18,9 +18,7 @@ import numpy as np
 from .curvature import _principal_2x2
 from .errors import DomainError, GraphConditionError, NonConvergenceError, RegularityError
 from .field import ScalarField
-from .util import _floating, _libm, bisect_arrays, complex_step
-
-_EPS = float(np.finfo(float).eps)
+from .util import _EPS, _floating, _libm, bracket_root, complex_step
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +110,11 @@ class ExteriorGraph:
 
     and each evaluation recovers r from (rbar, theta) inside
     (1/(2 rbar), 1/rbar], which the slope bound guarantees to contain
-    exactly one solution. Solves are array bisections of all query points
-    at once, run to the float fixed point. Gradients and Hessians carry the
-    source jet at the solved points through (x, y, f) -> (x, y, f) / w by
-    the chain rule (``_graph_jet``); every public surface derives from it.
+    exactly one solution. One superlinear bracketed solve
+    (``util.bracket_root``) serves all query points at once, each to within
+    4 eps r of its root. Gradients and Hessians carry the source jet at the
+    solved points through (x, y, f) -> (x, y, f) / w by the chain rule
+    (``_graph_jet``); every public surface derives from it.
     """
 
     source: ScalarField
@@ -150,7 +149,7 @@ class ExteriorGraph:
         if np.any(~at_lo & ~at_hi & ((glo < 0.0) | (ghi > 0.0))):
             raise NonConvergenceError(
                 "bisection bracket violated; the slope bound does not hold")
-        return bisect_arrays(g, np.where(at_hi, hi, lo), np.where(at_lo, lo, hi))
+        return bracket_root(g, np.where(at_hi, hi, lo), np.where(at_lo, lo, hi))
 
     def _graph_jet(self, rbar, theta):
         """(fbar, fbar_x, fbar_y, fbar_xx, fbar_xy, fbar_yy) over the

@@ -1,10 +1,13 @@
 """Small numeric helpers: deterministic reductions, thread budget, local minima,
-bracketed bisection, complex-step derivatives, and row-wise pieces of the
-batched Newton solves."""
+the one bracketed root solver (Chandrupatla's method on arrays),
+complex-step derivatives, and row-wise pieces of the batched Newton solves."""
 
 import os
 
 import numpy as np
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def pairwise_sum(values):
@@ -53,26 +56,49 @@ def local_minima(values, wrap_cols=False):
     return np.argwhere(v <= low)
 
 
-def bisect_arrays(g, lo, hi):
-    """Bisect every bracket [lo, hi] at once; the midpoints at the fixed point.
+def bracket_root(g, lo, hi):
+    """Root of g in every bracket [lo, hi] at once, by Chandrupatla's method
+    (Adv. Eng. Softw. 28, 1997): inverse quadratic interpolation through the
+    last three points where it is monotone there, bisection otherwise.
 
-    Each step evaluates g on all midpoints: g > 0 moves lo up to the
-    midpoint, g < 0 or NaN moves hi down to it, and g == 0 closes the
-    bracket on it. A step is a fixed map of (lo, hi), so the loop stops at
-    the first step that changes neither bracket; every later step would
-    leave them unchanged too. Brackets must be finite.
+    g > 0 marks the lo side of the root, g < 0 or NaN the hi side; a NaN
+    among the three points forces a bisection step. An exact zero, at a
+    bracket end or met on the way, is the root. Each step evaluates g on the
+    whole batch, and a row freezes once its bracket is within 4 eps |x|
+    (at least 4 tiny) or it meets a zero, so every row comes out as it would
+    alone. Returns the bracket end with the smaller |g|. Brackets must be
+    finite.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("bisection brackets must be finite")
-    while True:
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        lo_next = np.where(gm >= 0.0, mid, lo)
-        hi_next = np.where(gm > 0.0, hi, mid)
-        if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
-            return mid
-        lo, hi = lo_next, hi_next
+        raise ValueError("root brackets must be finite")
+    # a: the newest point; b: the bracket end across the root from a;
+    # c: the point dropped last (read only once t comes from interpolation)
+    a, fa, b, fb = lo, g(lo), hi, g(hi)
+    c, fc, t = b, fb, np.full(a.shape, 0.5)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            at_b = (np.abs(fb) < np.abs(fa)) | np.isnan(fa)
+            xm, fm = np.where(at_b, b, a), np.where(at_b, fb, fa)
+            # half the width at which a row freezes; the floor lets a root at 0 freeze
+            tol = 2.0 * (_EPS * np.abs(xm) + _TINY)
+            width = np.abs(b - a)
+            live = (fm != 0.0) & (width > 2.0 * tol)
+            if not live.any():
+                return xm
+            tl = tol / width
+            xt = np.where(live, a + np.clip(t, tl, 1.0 - tl) * (b - a), xm)
+            ft = g(xt)
+            # on a's side of the root xt drops a; across, a becomes b and b drops
+            same = (ft > 0.0) == (fa > 0.0)
+            c = np.where(live, np.where(same, a, b), c)
+            fc = np.where(live, np.where(same, fa, fb), fc)
+            b, fb = np.where(live & ~same, a, b), np.where(live & ~same, fa, fb)
+            a, fa = np.where(live, xt, a), np.where(live, ft, fa)
+            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            iqi = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+            t = np.where(iqi, fa / (fa - fb) * fc / (fc - fb)
+                         - (c - a) / (b - a) * fa / (fc - fa) * fb / (fb - fc), 0.5)
 
 
 def _libm(fn, *args):

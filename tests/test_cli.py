@@ -1,8 +1,13 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import umbilic
 from umbilic.cli import main
 
 
@@ -229,3 +234,15 @@ def test_invert_graph_saddle_rays_where_f_vanishes(tmp_path):
     rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
     assert [row[0] for row in rows] == [2.88464, 22.8315, 180.708]
     assert all(math.isfinite(v) and v >= 0.0 for row in rows for v in row)
+
+
+def test_cli_import_leaves_scipy_out():
+    # importing scipy.optimize alone takes longer than the whole CLI start-up
+    src = str(Path(umbilic.__file__).resolve().parent.parent)
+    code = ("import sys, umbilic.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

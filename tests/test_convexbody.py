@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from umbilic import convexbody
 from umbilic import (ConvexityError, SupportBody, body_point, check_convexity,
                      find_umbilic, parallel_body, pose_at_umbilic,
                      radii_of_curvature, rotate_body, theorem1_pipeline,
                      umbilic_sites)
 from umbilic.cli import _parse_body
-from umbilic.convexbody import (_anisotropy, _polish_umbilics, _solve2,
+from umbilic.convexbody import (PosedBody, _anisotropy, _polish_umbilics, _solve2,
                                 _tangent_basis, fibonacci_sphere)
-from umbilic.util import complex_step, unit3
+from umbilic.util import bracket_root, complex_step, unit3
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -254,6 +255,16 @@ def test_solve2_singular_rows_do_not_spoil_the_stack():
         assert np.array_equal(st[k], np.linalg.solve(J[k], rhs[k]))
 
 
+@pytest.mark.parametrize("spec", CLI_BODIES[2:])
+def test_support_polynomials_rows_independent_of_batch(spec):
+    body = _parse_body(spec)
+    u = unit3(np.random.default_rng(9).standard_normal((400, 3)))
+    h, g = body.h(u), body.grad_ambient(u)
+    for k in range(len(u)):
+        assert body.h(u[k]) == h[k]
+        assert np.array_equal(body.grad_ambient(u[k]), g[k])
+
+
 @pytest.mark.parametrize("spec, count", [("zonal:eps=0.05", 2),
                                          ("quartic:qx=0.03,qy=0.05,qz=0.07", 14)])
 def test_umbilic_sites_counts(spec, count):
@@ -333,3 +344,47 @@ def test_pipeline_graph_check_failure_path():
     # the default (large) offset rounds the body enough to pass
     rep_ok = theorem1_pipeline(body)
     assert rep_ok.graph_check_passed
+
+
+def _phi_bisection(posed, theta, target, lo, hi):
+    """Bisection of rbar(phi) = target along one azimuth to float resolution,
+    a tie moving hi: the oracle of the pipeline's phi-solve."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        q = PosedBody.cap_points(posed, mid, theta)[0]
+        if math.hypot(q[0], q[1]) / float(q @ q) > target:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("body", [zonal(0.05), _parse_body(CLI_BODIES[2])])
+def test_pipeline_phi_solve(monkeypatch, body):
+    cap_points, posed, calls, solves = PosedBody.cap_points, [], [0], []
+
+    def counted(self, phis, thetas):
+        posed[:] = [self]
+        calls[0] += 1
+        return cap_points(self, phis, thetas)
+
+    def solve(g, lo, hi):
+        before = calls[0]
+        phi = bracket_root(g, lo, hi)
+        solves.append((lo, hi, phi, calls[0] - before))
+        return phi
+
+    monkeypatch.setattr(PosedBody, "cap_points", counted)
+    monkeypatch.setattr(convexbody, "bracket_root", solve)
+    n_theta, radii = 24, (10.0, 100.0, 1000.0)
+    rep = theorem1_pipeline(body, offset_r=10.0, radii=radii, n_theta=n_theta)
+    assert rep.graph_check_passed and len(solves) == len(radii)
+    # the ladder, then per radius the solve and one evaluation at its roots
+    assert calls[0] == 1 + sum(s[3] for s in solves) + len(radii)
+    thetas = np.arange(n_theta) * (math.tau / n_theta)
+    for target, (lo, hi, phi, n) in zip(radii, solves):
+        assert n <= 12
+        for k, theta in enumerate(thetas):
+            ref = _phi_bisection(posed[0], theta, target, lo[k], hi[k])
+            assert abs(phi[k] - ref) <= 16.0 * np.spacing(ref)

@@ -212,7 +212,7 @@ def test_exterior_hessian_matches_paraboloid_closed_form(rng):
 # --- the array exterior graph against per-point reference code --------------
 
 def _reference_solve_r(graph, rbar, theta):
-    """The per-point bracketed bisection the array solve replaced."""
+    """A per-point bisection to float resolution, the oracle of the array solve."""
     assert rbar >= graph.rbar_min
     lo = 0.5 / rbar
     hi = min(1.0 / rbar, graph.r0)
@@ -275,11 +275,15 @@ def test_exterior_graph_matches_per_point_reference(rng, family, r0, normalize):
     theta = np.array([math.atan2(b, a) for a, b in zip(x, y)])
     r = graph.solve_r(rbar, theta)
     assert r.shape == rbar.shape
-    for k in range(rbar.size):
-        assert r[k] == _reference_solve_r(graph, rbar[k], theta[k])
     fbar = graph.as_field().value(x.reshape(4, 6), y.reshape(4, 6))
     for k, idx in enumerate(np.ndindex(4, 6)):
-        assert fbar[idx] == _reference_value(graph, float(x[k]), float(y[k]))
+        # each row solves as it would alone, and within 4 ulp of the
+        # reference bisection to float resolution
+        assert r[k] == graph.solve_r(rbar[k], theta[k])
+        ref = _reference_solve_r(graph, rbar[k], theta[k])
+        assert abs(r[k] - ref) <= 4.0 * np.spacing(ref)
+        ref = _reference_value(graph, float(x[k]), float(y[k]))
+        assert abs(fbar[idx] - ref) <= 4.0 * np.spacing(abs(ref))
 
 
 def test_exterior_solve_closes_on_a_root_at_the_bracket_end():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from umbilic.util import _solve2, bisect_arrays, local_minima
+from umbilic.util import _solve2, bracket_root, local_minima
 
 
 def brute_minima(values, wrap_cols=False):
@@ -64,36 +64,23 @@ def test_local_minima_nan_node_and_neighbour(rng, wrap_cols):
     assert (0, 7) in got
 
 
-# --- bracketed bisection ----------------------------------------------------
+# --- bracketed root solver -------------------------------------------------
 
-def scalar_bisect(g, lo, hi):
-    """Reference: the per-point bisection loop the exterior graph used to run."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return mid  # interval at float resolution
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if gm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise AssertionError("reference bisection did not converge")
+_EPS = float(np.finfo(float).eps)
 
 
 def brackets(rng, n):
     lo = rng.uniform(0.5, 4.0, n)
     hi = lo + rng.uniform(0.0, 3.0, n)
     hi[:5] = lo[:5]  # zero-width brackets
-    # roots inside, outside on both sides, and on dyadic points that some
-    # midpoint hits exactly
-    t = rng.uniform(-0.2, 1.2, n)
+    # roots inside, at both ends, and on dyadic points that a bisection step
+    # can hit exactly
+    t = rng.uniform(0.0, 1.0, n)
     t[5:40] = rng.integers(0, 17, 35) / 16.0
     return lo, hi, lo + t * (hi - lo)
 
 
-SIGN_FUNCTIONS = {
+ROOT_FUNCTIONS = {
     # monotone decreasing: positive left of the root
     "linear": lambda x, root: root - x,
     "cubic-ish": lambda x, root: (root - x) * (1.0 + x * x),
@@ -103,9 +90,9 @@ SIGN_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(SIGN_FUNCTIONS))
-def test_bisect_arrays_matches_scalar_reference(rng, kind):
-    fn = SIGN_FUNCTIONS[kind]
+@pytest.mark.parametrize("kind", sorted(ROOT_FUNCTIONS))
+def test_bracket_root_matches_per_row_solves(rng, kind):
+    fn = ROOT_FUNCTIONS[kind]
     lo, hi, root = brackets(rng, 300)
     calls = []
 
@@ -113,26 +100,85 @@ def test_bisect_arrays_matches_scalar_reference(rng, kind):
         calls.append(x.shape)
         return fn(x, root)
 
-    got = bisect_arrays(g, lo, hi)
+    got = bracket_root(g, lo, hi)
     assert got.shape == lo.shape and all(c == lo.shape for c in calls)
     for k in range(lo.size):
-        ref = scalar_bisect(lambda x: float(fn(np.float64(x), root[k])), lo[k], hi[k])
-        assert got[k] == ref, (k, lo[k], hi[k], root[k])
-    # exact-zero midpoints close their bracket on the midpoint
+        alone = bracket_root(lambda x: fn(x, root[k]), lo[k], hi[k])
+        assert got[k] == alone, (k, lo[k], hi[k], root[k])
+    assert np.all((lo <= got) & (got <= hi))
+    # a root at an end need not bracket as a sign change (and lo + t (hi - lo)
+    # can round past an end for t = 0 or 1)
+    ok = (lo < root) & (root < hi)
+    got, root = got[ok], root[ok]
+    if kind in ("linear", "cubic-ish"):
+        # a sign change exactly at the root: the nearer bracket end is kept
+        assert np.all(np.abs(got - root) <= 4.0 * np.spacing(root))
+    elif kind == "nan-right":
+        # NaN is the hi side: the answer is the last point left of the NaNs
+        assert np.all(got < root)
+        assert np.all(root - got <= 4.0 * _EPS * got)
+    else:
+        assert np.all(np.abs(got - root) <= 4.0 * _EPS * got)
     if kind in ("linear", "sign-with-ties"):
         assert np.any(got == root)
 
 
-def test_bisect_arrays_scalars_and_broadcasting():
-    r = bisect_arrays(lambda x: 2.0 - x * x, 1.0, 2.0)
-    assert np.ndim(r) == 0 and abs(r - np.sqrt(2.0)) <= 4e-16
-    out = bisect_arrays(lambda x: np.array([0.25, 0.5, 0.75]) - x, 0.0, np.ones(3))
+def test_bracket_root_exact_zero_closes_the_row():
+    calls = []
+
+    def g(x):
+        calls.append(x.copy())
+        return np.array([1.0, 0.3]) - x
+
+    # row 0 meets its root at the first midpoint; row 1 keeps iterating
+    # while row 0 stays put
+    got = bracket_root(g, 0.0, 2.0)
+    assert got[0] == 1.0 and abs(got[1] - 0.3) <= 4.0 * _EPS * 0.3
+    assert len(calls) > 3 and all(c[0] == 1.0 for c in calls[3:])
+    # a zero at either bracket end is the root
+    assert bracket_root(lambda x: 1.0 - x, 1.0, 3.0) == 1.0
+    assert bracket_root(lambda x: 3.0 - x, 1.0, 3.0) == 3.0
+    assert bracket_root(lambda x: np.where(x < 3.0, 1.0, 0.0), 1.0, 3.0) == 3.0
+
+
+def test_bracket_root_scalars_and_broadcasting():
+    r = bracket_root(lambda x: 2.0 - x * x, 1.0, 2.0)
+    assert np.ndim(r) == 0 and abs(r - np.sqrt(2.0)) <= 4.0 * np.spacing(np.sqrt(2.0))
+    out = bracket_root(lambda x: np.array([0.25, 0.5, 0.75]) - x, 0.0, np.ones(3))
     assert out.tolist() == [0.25, 0.5, 0.75]
-    assert bisect_arrays(lambda x: x, 3.0, 3.0) == 3.0
+    assert bracket_root(lambda x: x, 3.0, 3.0) == 3.0
+
+
+SMOOTH_FUNCTIONS = {
+    "linear": lambda x, r: r - x,
+    "cubic-ish": lambda x, r: (r - x) * (1.0 + x * x),
+    "exp": lambda x, r: np.expm1(r - x),
+    "log": lambda x, r: np.log(r / x),
+    "arctan": lambda x, r: np.arctan(r - x),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMOOTH_FUNCTIONS))
+def test_bracket_root_is_superlinear_on_smooth_functions(rng, kind):
+    fn = SMOOTH_FUNCTIONS[kind]
+    lo = rng.uniform(0.5, 4.0, 500)
+    hi = lo + rng.uniform(0.1, 3.0, 500)
+    root = lo + rng.uniform(0.0, 1.0, 500) * (hi - lo)
+    calls = []
+
+    def g(x):
+        calls.append(1)
+        return fn(x, root)
+
+    got = bracket_root(g, lo, hi)
+    # the two bracket ends and at most 10 steps, against about 55 for a
+    # bisection to float resolution
+    assert len(calls) <= 12
+    assert np.all(np.abs(got - root) <= 8.0 * _EPS * root)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_bisect_arrays_rejects_non_finite_brackets(bad):
+def test_bracket_root_rejects_non_finite_brackets(bad):
     calls = []
 
     def g(x):
@@ -140,9 +186,9 @@ def test_bisect_arrays_rejects_non_finite_brackets(bad):
         return -x
 
     with pytest.raises(ValueError):
-        bisect_arrays(g, np.array([0.0, bad]), np.array([1.0, 2.0]))
+        bracket_root(g, np.array([0.0, bad]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        bisect_arrays(g, 0.0, bad)
+        bracket_root(g, 0.0, bad)
     assert not calls
 
 
