@@ -43,13 +43,6 @@ def _parse_floats(text):
     return vals
 
 
-def _parse_region(vals):
-    x0, y0, x1, y1 = (float(v) for v in vals)
-    if x1 <= x0 or y1 <= y0:
-        raise UsageError(f"degenerate region {vals}")
-    return x0, y0, x1, y1
-
-
 def _positive(name, value):
     if value <= 0:
         raise UsageError(f"{name} must be positive, got {value}")
@@ -250,10 +243,9 @@ def run(argv) -> int:
 
     if args.command == "curvature":
         field = parse_field_spec(args.field)
-        region = _parse_region(args.region)
         _positive("n", args.n), _positive("m", args.m)
         X, Y = _grid_directions(args)
-        g = scan.grid_field(field, args.quantity, region, args.n, args.m,
+        g = scan.grid_field(field, args.quantity, args.region, args.n, args.m,
                             X=X, Y=Y, theta0=args.theta0)
         write_grid_csv(args.out, args.quantity, g,
                        f"{args.quantity} of graph({field.name}); lengths in plane units")
@@ -263,8 +255,7 @@ def run(argv) -> int:
 
     if args.command == "umbilic":
         field = parse_field_spec(args.field)
-        region = _parse_region(args.region)
-        result = scan.umbilic_search(field, region, _positive("n", args.n),
+        result = scan.umbilic_search(field, args.region, _positive("n", args.n),
                                      tol=args.tol)
         rows = [(p.x, p.y, p.residual, int(p.refined)) for p in result.points]
         write_csv(args.out, ("x", "y", "D_normalized", "refined"), rows,
@@ -276,8 +267,7 @@ def run(argv) -> int:
 
     if args.command == "floor":
         field = parse_field_spec(args.field)
-        region = _parse_region(args.region)
-        rep = scan.umbilic_free_floor(field, region, _positive("n", args.n))
+        rep = scan.umbilic_free_floor(field, args.region, _positive("n", args.n))
         write_csv(args.out, ("floor", "argmin_x", "argmin_y"),
                   [(rep.floor, rep.argmin[0], rep.argmin[1])],
                   f"min over grid of max(|P1|,|P2|)/(1+q)^(3/2) for {field.name}")
@@ -341,9 +331,8 @@ def run(argv) -> int:
 
     if args.command == "contour":
         field = parse_field_spec(args.field)
-        region = _parse_region(args.region)
         X, Y = _grid_directions(args)
-        g = scan.grid_field(field, args.residual, region,
+        g = scan.grid_field(field, args.residual, args.region,
                             _positive("n", args.n), _positive("m", args.m),
                             X=X, Y=Y, theta0=args.theta0)
         cs = scan.contours(g)

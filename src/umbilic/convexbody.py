@@ -420,7 +420,8 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
             qm, _ = posed.cap_points(phi, thetas)
             return np.hypot(qm[..., 0], qm[..., 1]) / np.sum(qm * qm, axis=-1) - target
 
-        phi_sol = bracket_root(above, phis[lo_idx - 1], phis[lo_idx])
+        a, b = phis[lo_idx - 1], phis[lo_idx]
+        phi_sol = bracket_root(above, a, b, above(a), above(b))
         qs, ns = posed.cap_points(phi_sol, thetas)
         n2s = np.sum(qs * qs, axis=-1)
         rb = np.hypot(qs[..., 0], qs[..., 1]) / n2s

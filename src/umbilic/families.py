@@ -1,14 +1,16 @@
 """Registry of named test fields with hand-written analytic jets.
 
-Each family records what is expected of it (asymptotically constant,
-umbilic free, positively curved) so scans and profiles can report
-measured behaviour against the expectation.
+Each family is one ``FamilySpec``: its jets, parameters and defaults,
+and what is expected of it (asymptotically constant, umbilic free,
+positively curved). ``umbilic fields list`` prints these flags, and the
+benchmark checks read ``umbilic_free``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,13 +21,21 @@ E = math.e
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A family: ``jets(**params)`` returns its jet function, and
+    ``make_field`` gives the field the spec's ``asymptotic_c``, ``domain``
+    and ``sample_box``."""
+
     name: str
+    jets: Callable
     params: tuple
     defaults: dict
     asymptotically_constant: bool
     umbilic_free: bool | None
     positively_curved: bool | None
     notes: str
+    asymptotic_c: float | None = None
+    domain: Callable | None = None
+    sample_box: tuple = (-3.0, 3.0)
 
 
 def _zeros_like(x):
@@ -162,9 +172,9 @@ _PROFILES = {
 }
 
 
-def _separable_jets(lam, gname, hname):
-    g, g1, g2 = _PROFILES[gname]
-    h, h1, h2 = _PROFILES[hname]
+def _separable_jets(lam, g, h):
+    g, g1, g2 = _PROFILES[g]
+    h, h1, h2 = _PROFILES[h]
 
     def jets(x, y):
         z = _zeros_like(x)
@@ -193,148 +203,69 @@ def _asym_bump_jets(x, y):
 # registry
 # ---------------------------------------------------------------------------
 
-def _require_positive_lam(params):
-    lam = float(params.get("lam", 0.1))
-    if lam <= 0.0:
-        raise ValueError(f"parameter lam must be positive, got {lam}")
-    return lam
+def _unit_disk(x, y):
+    return x * x + y * y < 1.0
 
 
-def _build_saddle(**params):
-    return ScalarField("saddle", _saddle_jets, meta={"umbilic_free": True})
-
-
-def _build_cylinder(**params):
-    return ScalarField("cylinder", _cylinder_jets,
-                       meta={"umbilic_free": True, "ruled_direction": (0.0, 1.0)})
-
-
-def _build_paraboloid(**params):
-    return ScalarField("paraboloid", _paraboloid_jets,
-                       meta={"umbilic_free": False, "umbilics": ((0.0, 0.0),)})
-
-
-def _build_sphere_cap(**params):
-    def domain(x, y):
-        return x * x + y * y < 1.0
-
-    return ScalarField("sphere_cap", _sphere_cap_jets, domain=domain,
-                       sample_box=(-0.6, 0.6),
-                       meta={"totally_umbilic": True, "positively_curved": True})
-
-
-def _build_gaussian_bump(**params):
-    return ScalarField("gaussian_bump", _gaussian_jets, asymptotic_c=0.0,
-                       meta={"grad_decay_fast": True})
-
-
-def _build_inverse_quadratic(**params):
-    return ScalarField("inverse_quadratic", _inverse_quadratic_jets,
-                       asymptotic_c=0.0, meta={"grad_decay_fast": True})
-
-
-def _build_loglog_tail(**params):
-    return ScalarField("loglog_tail", _loglog_jets, sample_box=(-6.0, 6.0),
-                       meta={"grad_decay_fast": True, "bounded": False,
-                             "cutoff_interval": (E, E + 1.0)})
-
-
-def _build_bates_like(**params):
-    lam = _require_positive_lam(params)
-    return ScalarField("bates_like", _bates_like_jets(lam), params={"lam": lam},
-                       meta={"umbilic_free": True, "bounded": True,
-                             "bounds": (1.0 - lam, 1.0 + lam),
-                             "directional_limits": {0.0: 1.0 + lam, math.pi: 1.0 - lam},
-                             "asymptotically_constant": False})
-
-
-def _build_ridge(**params):
-    lam = _require_positive_lam(params)
-    return ScalarField("ridge", _ridge_jets(lam), params={"lam": lam},
-                       meta={"umbilic_free": True, "singularity": "ridge"})
-
-
-def _build_cone_type(**params):
-    lam = _require_positive_lam(params)
-    return ScalarField("cone_type", _separable_jets(lam, "sqrtlin", "sqrtlin"),
-                       params={"lam": lam},
-                       meta={"umbilic_free": True, "positively_curved": True,
-                             "singularity": "cone"})
-
-
-def _build_separable(**params):
-    lam = _require_positive_lam(params)
-    g = params.get("g", "exp")
-    h = params.get("h", "exp")
-    for prof in (g, h):
-        if prof not in _PROFILES:
-            raise ValueError(f"unknown profile '{prof}'; options: {sorted(_PROFILES)}")
-    return ScalarField("separable", _separable_jets(lam, g, h),
-                       params={"lam": lam, "g": g, "h": h},
-                       meta={"umbilic_free": True, "positively_curved": True})
-
-
-def _build_asym_bump(**params):
-    return ScalarField("asym_bump", _asym_bump_jets, asymptotic_c=0.0,
-                       meta={"grad_decay_fast": True, "synthetic": True,
-                             "notes": "asymmetric decaying test field"})
-
-
-_REGISTRY = {
-    "saddle": (_build_saddle, FamilySpec(
-        "saddle", (), {}, False, True, False, "f = x*y, negatively curved")),
-    "cylinder": (_build_cylinder, FamilySpec(
-        "cylinder", (), {}, False, True, False,
-        "f = x^2, parabolic cylinder ruled along y")),
-    "paraboloid": (_build_paraboloid, FamilySpec(
-        "paraboloid", (), {}, False, False, True,
-        "f = x^2 + y^2, single umbilic at the origin")),
-    "sphere_cap": (_build_sphere_cap, FamilySpec(
-        "sphere_cap", (), {}, False, False, True,
-        "f = 1 - sqrt(1 - r^2) on r < 1, totally umbilic")),
-    "gaussian_bump": (_build_gaussian_bump, FamilySpec(
-        "gaussian_bump", (), {}, True, None, None, "f = exp(-r^2), c = 0")),
-    "inverse_quadratic": (_build_inverse_quadratic, FamilySpec(
-        "inverse_quadratic", (), {}, True, None, None, "f = 1/(1 + r^2), c = 0")),
-    "loglog_tail": (_build_loglog_tail, FamilySpec(
-        "loglog_tail", (), {}, False, None, None,
-        "log(log r) outside a compact set, unbounded but with fast gradient decay")),
-    "bates_like": (_build_bates_like, FamilySpec(
-        "bates_like", ("lam",), {"lam": 0.1}, False, True, False,
-        "bounded umbilic-free graph 1 + lam*(x+y^2)/sqrt(1+(x+y^2)^2)")),
-    "ridge": (_build_ridge, FamilySpec(
-        "ridge", ("lam",), {"lam": 0.1}, False, True, False,
-        "1 + lam*sqrt(1+x^2); inversion has a ridge-type singular point")),
-    "cone_type": (_build_cone_type, FamilySpec(
-        "cone_type", ("lam",), {"lam": 0.1}, False, True, True,
-        "1 + lam*(sqrt(1+x^2)+x+sqrt(1+y^2)+y), positively curved")),
-    "separable": (_build_separable, FamilySpec(
-        "separable", ("lam", "g", "h"), {"lam": 0.1, "g": "exp", "h": "exp"},
-        False, True, True,
-        "1 + lam*(g(x)+h(y)) with monotone convex profiles")),
-    "asym_bump": (_build_asym_bump, FamilySpec(
-        "asym_bump", (), {}, True, None, None,
-        "synthetic asymmetric decaying field for flux decay runs")),
-}
+_REGISTRY = {s.name: s for s in (
+    FamilySpec("saddle", lambda: _saddle_jets, (), {}, False, True, False,
+               "f = x*y, negatively curved"),
+    FamilySpec("cylinder", lambda: _cylinder_jets, (), {}, False, True, False,
+               "f = x^2, parabolic cylinder ruled along y"),
+    FamilySpec("paraboloid", lambda: _paraboloid_jets, (), {}, False, False, True,
+               "f = x^2 + y^2, single umbilic at the origin"),
+    FamilySpec("sphere_cap", lambda: _sphere_cap_jets, (), {}, False, False, True,
+               "f = 1 - sqrt(1 - r^2) on r < 1, totally umbilic",
+               domain=_unit_disk, sample_box=(-0.6, 0.6)),
+    FamilySpec("gaussian_bump", lambda: _gaussian_jets, (), {}, True, None, None,
+               "f = exp(-r^2), c = 0", asymptotic_c=0.0),
+    FamilySpec("inverse_quadratic", lambda: _inverse_quadratic_jets, (), {},
+               True, None, None, "f = 1/(1 + r^2), c = 0", asymptotic_c=0.0),
+    FamilySpec("loglog_tail", lambda: _loglog_jets, (), {}, False, None, None,
+               "log(log r) outside a compact set, unbounded but with fast gradient decay",
+               sample_box=(-6.0, 6.0)),
+    FamilySpec("bates_like", _bates_like_jets, ("lam",), {"lam": 0.1}, False, True, False,
+               "bounded umbilic-free graph 1 + lam*(x+y^2)/sqrt(1+(x+y^2)^2)"),
+    FamilySpec("ridge", _ridge_jets, ("lam",), {"lam": 0.1}, False, True, False,
+               "1 + lam*sqrt(1+x^2); inversion has a ridge-type singular point"),
+    FamilySpec("cone_type", lambda lam: _separable_jets(lam, "sqrtlin", "sqrtlin"),
+               ("lam",), {"lam": 0.1}, False, True, True,
+               "1 + lam*(sqrt(1+x^2)+x+sqrt(1+y^2)+y), positively curved"),
+    FamilySpec("separable", _separable_jets, ("lam", "g", "h"),
+               {"lam": 0.1, "g": "exp", "h": "exp"}, False, True, True,
+               "1 + lam*(g(x)+h(y)) with monotone convex profiles"),
+    FamilySpec("asym_bump", lambda: _asym_bump_jets, (), {}, True, None, None,
+               "synthetic asymmetric decaying field for flux decay runs",
+               asymptotic_c=0.0),
+)}
 
 
 def make_field(name: str, **params) -> ScalarField:
     """Instantiate a registered family by name, e.g. make_field('ridge', lam=0.1)."""
     if name not in _REGISTRY:
         raise ValueError(f"unknown field '{name}'; known: {', '.join(sorted(_REGISTRY))}")
-    builder, spec = _REGISTRY[name]
+    spec = _REGISTRY[name]
     unknown = set(params) - set(spec.params)
     if unknown:
         raise ValueError(f"field '{name}' takes parameters {spec.params}, "
                          f"got unknown {sorted(unknown)}")
     merged = dict(spec.defaults)
     merged.update(params)
-    return builder(**merged)
+    if "lam" in merged:
+        merged["lam"] = float(merged["lam"])
+        if merged["lam"] <= 0.0:
+            raise ValueError(f"parameter lam must be positive, got {merged['lam']}")
+    for key in ("g", "h"):
+        if key in merged and merged[key] not in _PROFILES:
+            raise ValueError(f"unknown profile '{merged[key]}'; options: {sorted(_PROFILES)}")
+    return ScalarField(name, spec.jets(**merged), params=merged,
+                       asymptotic_c=spec.asymptotic_c, domain=spec.domain,
+                       sample_box=spec.sample_box)
 
 
 def list_families():
     """All registered family specs, sorted by name."""
-    return [spec for _, spec in (_REGISTRY[k] for k in sorted(_REGISTRY))]
+    return [_REGISTRY[k] for k in sorted(_REGISTRY)]
 
 
 def parse_field_spec(text: str) -> ScalarField:

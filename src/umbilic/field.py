@@ -109,7 +109,6 @@ class ScalarField:
     asymptotic_c: float | None = None
     domain: Callable | None = None
     sample_box: tuple = (-3.0, 3.0)
-    meta: dict = dc_field(default_factory=dict)
     grads: Callable | None = None
 
     def _check_domain(self, x, y):

@@ -96,7 +96,7 @@ def _rescaled_field(field: ScalarField, s: float) -> ScalarField:
     if field.domain is not None:
         domain = lambda x, y: field.domain(x / s, y / s)
     return ScalarField(f"{field.name}*scaled", jets, params=dict(field.params),
-                       domain=domain, meta=dict(field.meta))
+                       domain=domain)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,8 @@ class ExteriorGraph:
         if np.any(~at_lo & ~at_hi & ((glo < 0.0) | (ghi > 0.0))):
             raise NonConvergenceError(
                 "bisection bracket violated; the slope bound does not hold")
-        return bracket_root(g, np.where(at_hi, hi, lo), np.where(at_lo, lo, hi))
+        # a row with glo == 0 closes on lo, and one at_hi on the empty [hi, hi]
+        return bracket_root(g, np.where(at_hi, hi, lo), hi, np.where(at_hi, ghi, glo), ghi)
 
     def _graph_jet(self, rbar, theta):
         """(fbar, fbar_x, fbar_y, fbar_xx, fbar_xy, fbar_yy) over the
@@ -201,8 +202,7 @@ class ExteriorGraph:
             return np.hypot(x, y) >= self.rbar_min
 
         return ScalarField(f"inverted({self.source.name})", jets,
-                           domain=domain, grads=grads,
-                           meta={"rbar_min": self.rbar_min, "scale": self.scale})
+                           domain=domain, grads=grads)
 
 
 def _mT(v):

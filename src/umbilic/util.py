@@ -56,8 +56,9 @@ def local_minima(values, wrap_cols=False):
     return np.argwhere(v <= low)
 
 
-def bracket_root(g, lo, hi):
-    """Root of g in every bracket [lo, hi] at once, by Chandrupatla's method
+def bracket_root(g, lo, hi, glo, ghi):
+    """Root of g in every bracket [lo, hi] at once, given the end values
+    glo = g(lo) and ghi = g(hi) that the caller holds, by Chandrupatla's method
     (Adv. Eng. Softw. 28, 1997): inverse quadratic interpolation through the
     last three points where it is monotone there, bisection otherwise.
 
@@ -74,7 +75,7 @@ def bracket_root(g, lo, hi):
         raise ValueError("root brackets must be finite")
     # a: the newest point; b: the bracket end across the root from a;
     # c: the point dropped last (read only once t comes from interpolation)
-    a, fa, b, fb = lo, g(lo), hi, g(hi)
+    a, fa, b, fb = lo, glo, hi, ghi
     c, fc, t = b, fb, np.full(a.shape, 0.5)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:

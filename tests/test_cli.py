@@ -65,6 +65,11 @@ def test_usage_errors():
                  "--out", "/tmp/n.csv"]) == 1
     assert main(["floor", "--field", "ridge:lam=0.1", "--n", "1",
                  "--out", "/tmp/n.csv"]) == 1
+    # a region whose corners are out of order is degenerate
+    assert main(["umbilic", "scan", "--field", "saddle", "--region", "1", "0", "0", "1",
+                 "--out", "/tmp/n.csv"]) == 1
+    assert main(["contour", "--field", "saddle", "--region", "0", "1", "1", "0",
+                 "--out", "/tmp/n.csv"]) == 1
 
 
 def test_floor_and_scan_outputs(tmp_path):

@@ -369,9 +369,9 @@ def test_pipeline_phi_solve(monkeypatch, body):
         calls[0] += 1
         return cap_points(self, phis, thetas)
 
-    def solve(g, lo, hi):
+    def solve(g, lo, hi, glo, ghi):
         before = calls[0]
-        phi = bracket_root(g, lo, hi)
+        phi = bracket_root(g, lo, hi, glo, ghi)
         solves.append((lo, hi, phi, calls[0] - before))
         return phi
 
@@ -380,11 +380,12 @@ def test_pipeline_phi_solve(monkeypatch, body):
     n_theta, radii = 24, (10.0, 100.0, 1000.0)
     rep = theorem1_pipeline(body, offset_r=10.0, radii=radii, n_theta=n_theta)
     assert rep.graph_check_passed and len(solves) == len(radii)
-    # the ladder, then per radius the solve and one evaluation at its roots
-    assert calls[0] == 1 + sum(s[3] for s in solves) + len(radii)
+    # the ladder, then per radius the two bracket ends, the solve's steps and
+    # one evaluation at its roots
+    assert calls[0] == 1 + sum(s[3] for s in solves) + 3 * len(radii)
     thetas = np.arange(n_theta) * (math.tau / n_theta)
     for target, (lo, hi, phi, n) in zip(radii, solves):
-        assert n <= 12
+        assert n + 2 <= 12
         for k, theta in enumerate(thetas):
             ref = _phi_bisection(posed[0], theta, target, lo[k], hi[k])
             assert abs(phi[k] - ref) <= 16.0 * np.spacing(ref)

@@ -27,6 +27,32 @@ def test_registry_defaults_and_errors():
         make_field("separable", g="sin")
 
 
+# (asymptotic_c, has a domain, sample_box) of each family at its defaults
+_FIELD_ATTRS = {
+    "asym_bump": (0.0, False, (-3.0, 3.0)),
+    "bates_like": (None, False, (-3.0, 3.0)),
+    "cone_type": (None, False, (-3.0, 3.0)),
+    "cylinder": (None, False, (-3.0, 3.0)),
+    "gaussian_bump": (0.0, False, (-3.0, 3.0)),
+    "inverse_quadratic": (0.0, False, (-3.0, 3.0)),
+    "loglog_tail": (None, False, (-6.0, 6.0)),
+    "paraboloid": (None, False, (-3.0, 3.0)),
+    "ridge": (None, False, (-3.0, 3.0)),
+    "saddle": (None, False, (-3.0, 3.0)),
+    "separable": (None, False, (-3.0, 3.0)),
+    "sphere_cap": (None, True, (-0.6, 0.6)),
+}
+
+
+@pytest.mark.parametrize("spec", list_families(), ids=lambda s: s.name)
+def test_registry_builds_each_spec(spec):
+    f = make_field(spec.name)
+    assert f.name == spec.name
+    assert f.params == spec.defaults
+    assert (f.asymptotic_c, f.domain is not None, f.sample_box) == _FIELD_ATTRS[spec.name]
+    assert f.grads is None
+
+
 def test_parse_field_spec():
     f = parse_field_spec("bates_like:lam=0.25")
     assert f.params["lam"] == 0.25
@@ -53,7 +79,8 @@ def test_bates_directional_limits_differ():
     left = float(f.value_polar(1e6, math.pi))
     assert abs(right - 1.1) < 1e-5
     assert abs(left - 0.9) < 1e-5
-    assert f.meta["asymptotically_constant"] is False
+    spec, = (s for s in list_families() if s.name == "bates_like")
+    assert spec.asymptotically_constant is False
 
 
 def test_cone_type_positive_curvature(rng):

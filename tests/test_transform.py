@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -293,6 +294,28 @@ def test_exterior_solve_closes_on_a_root_at_the_bracket_end():
     rbar = np.geomspace(2.0, 200.0, 300)
     for theta in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
         assert np.array_equal(graph.solve_r(rbar, theta), 1.0 / rbar)
+
+
+@pytest.mark.parametrize("family, r0, normalize", EXTERIOR_CASES)
+def test_exterior_solve_evaluates_no_input_twice(rng, family, r0, normalize):
+    # the bracket ends' residuals go to the root solver with the brackets,
+    # so no field call inside one solve repeats an earlier call's input
+    graph = invert_local_graph(make_field(family), r0, normalize=normalize)
+    calls = []
+
+    def grads(x, y):
+        calls.append((x.copy(), y.copy()))
+        return graph.source.jets(x, y)[:3]
+
+    source = dataclasses.replace(graph.source, grads=grads)
+    x, y = _exterior_points(graph, rng, 24)
+    rbar, theta = np.hypot(x, y), np.arctan2(y, x)
+    r = dataclasses.replace(graph, source=source).solve_r(rbar, theta)
+    assert np.array_equal(r, graph.solve_r(rbar, theta))
+    assert len(calls) >= 3
+    for k, (xk, yk) in enumerate(calls):
+        for xj, yj in calls[:k]:
+            assert not (np.array_equal(xk, xj) and np.array_equal(yk, yj)), k
 
 
 @settings(max_examples=200, deadline=None)

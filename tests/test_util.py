@@ -90,6 +90,13 @@ ROOT_FUNCTIONS = {
 }
 
 
+def _root(g, lo, hi):
+    """bracket_root with the bracket end values evaluated here, on the
+    broadcast brackets."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    return bracket_root(g, lo, hi, g(lo), g(hi))
+
+
 @pytest.mark.parametrize("kind", sorted(ROOT_FUNCTIONS))
 def test_bracket_root_matches_per_row_solves(rng, kind):
     fn = ROOT_FUNCTIONS[kind]
@@ -100,10 +107,10 @@ def test_bracket_root_matches_per_row_solves(rng, kind):
         calls.append(x.shape)
         return fn(x, root)
 
-    got = bracket_root(g, lo, hi)
+    got = _root(g, lo, hi)
     assert got.shape == lo.shape and all(c == lo.shape for c in calls)
     for k in range(lo.size):
-        alone = bracket_root(lambda x: fn(x, root[k]), lo[k], hi[k])
+        alone = _root(lambda x: fn(x, root[k]), lo[k], hi[k])
         assert got[k] == alone, (k, lo[k], hi[k], root[k])
     assert np.all((lo <= got) & (got <= hi))
     # a root at an end need not bracket as a sign change (and lo + t (hi - lo)
@@ -132,21 +139,21 @@ def test_bracket_root_exact_zero_closes_the_row():
 
     # row 0 meets its root at the first midpoint; row 1 keeps iterating
     # while row 0 stays put
-    got = bracket_root(g, 0.0, 2.0)
+    got = _root(g, 0.0, 2.0)
     assert got[0] == 1.0 and abs(got[1] - 0.3) <= 4.0 * _EPS * 0.3
     assert len(calls) > 3 and all(c[0] == 1.0 for c in calls[3:])
     # a zero at either bracket end is the root
-    assert bracket_root(lambda x: 1.0 - x, 1.0, 3.0) == 1.0
-    assert bracket_root(lambda x: 3.0 - x, 1.0, 3.0) == 3.0
-    assert bracket_root(lambda x: np.where(x < 3.0, 1.0, 0.0), 1.0, 3.0) == 3.0
+    assert _root(lambda x: 1.0 - x, 1.0, 3.0) == 1.0
+    assert _root(lambda x: 3.0 - x, 1.0, 3.0) == 3.0
+    assert _root(lambda x: np.where(x < 3.0, 1.0, 0.0), 1.0, 3.0) == 3.0
 
 
 def test_bracket_root_scalars_and_broadcasting():
-    r = bracket_root(lambda x: 2.0 - x * x, 1.0, 2.0)
+    r = _root(lambda x: 2.0 - x * x, 1.0, 2.0)
     assert np.ndim(r) == 0 and abs(r - np.sqrt(2.0)) <= 4.0 * np.spacing(np.sqrt(2.0))
-    out = bracket_root(lambda x: np.array([0.25, 0.5, 0.75]) - x, 0.0, np.ones(3))
+    out = _root(lambda x: np.array([0.25, 0.5, 0.75]) - x, 0.0, np.ones(3))
     assert out.tolist() == [0.25, 0.5, 0.75]
-    assert bracket_root(lambda x: x, 3.0, 3.0) == 3.0
+    assert _root(lambda x: x, 3.0, 3.0) == 3.0
 
 
 SMOOTH_FUNCTIONS = {
@@ -170,7 +177,7 @@ def test_bracket_root_is_superlinear_on_smooth_functions(rng, kind):
         calls.append(1)
         return fn(x, root)
 
-    got = bracket_root(g, lo, hi)
+    got = _root(g, lo, hi)
     # the two bracket ends and at most 10 steps, against about 55 for a
     # bisection to float resolution
     assert len(calls) <= 12
@@ -186,9 +193,10 @@ def test_bracket_root_rejects_non_finite_brackets(bad):
         return -x
 
     with pytest.raises(ValueError):
-        bracket_root(g, np.array([0.0, bad]), np.array([1.0, 2.0]))
+        bracket_root(g, np.array([0.0, bad]), np.array([1.0, 2.0]),
+                     np.array([0.0, -bad]), np.array([-1.0, -2.0]))
     with pytest.raises(ValueError):
-        bracket_root(g, 0.0, bad)
+        bracket_root(g, 0.0, bad, 0.0, -bad)
     assert not calls
 
 
