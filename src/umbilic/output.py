@@ -107,16 +107,13 @@ def svg_contours(contour_set, region, path) -> None:
     x0, y0, x1, y1 = region
     sx = _SVG_SIZE / (x1 - x0)
     sy = _SVG_SIZE / (y1 - y0)
-
-    def to_px(p):
-        return (p[0] - x0) * sx, (y1 - p[1]) * sy
-
     parts = [_SVG_OPEN, f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>']
     for poly in contour_set.polylines:
         if len(poly) < 2:
             continue
-        coords = [to_px(p) for p in poly]
-        d = "M " + " L ".join(f"{x:.3f} {y:.3f}" for x, y in coords)
+        px = ((poly[:, 0] - x0) * sx).tolist()
+        py = ((y1 - poly[:, 1]) * sy).tolist()
+        d = "M " + " L ".join([f"{x:.3f} {y:.3f}" for x, y in zip(px, py)])
         parts.append(f'<path d="{d}" fill="none" stroke="#1a1a1a" '
                      f'stroke-width="1.2"/>')
     parts.append("</svg>")

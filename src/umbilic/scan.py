@@ -368,15 +368,17 @@ def _max_abs(r):
 _STEPS = (np.ones(1), 0.5 ** np.arange(1, 20))
 
 
-def _newton_refine(field: ScalarField, x0, y0, max_iter: int = 60,
+def _newton_refine(field: ScalarField, x0, y0, box, max_iter: int = 60,
                    target: float = 1e-12):
     """Damped Newton on the normalized (P1, P2) system with an FD Jacobian,
     from every start (x0[k], y0[k]) at once.
 
     Each row takes the steps it would take alone. It stops when
-    max(|P1n|, |P2n|) < target, when its Jacobian is singular, or when
-    none of the line-search steps 1, 1/2, ..., 2^-19 lowers |(P1n, P2n)|.
-    Returns the final x, y and whether each row ends below target.
+    max(|P1n|, |P2n|) < target, when its Jacobian is singular, when none
+    of the line-search steps 1, 1/2, ..., 2^-19 lowers |(P1n, P2n)|, or
+    when a step escapes ``box`` = (x0, y0, x1, y1), bounds inclusive and
+    NaN outside. Returns the final x, y and whether each row ends below
+    target without escaping.
     """
     def res(px, py):
         return np.stack(_normalized_pair(field, px, py), axis=-1)
@@ -385,6 +387,8 @@ def _newton_refine(field: ScalarField, x0, y0, max_iter: int = 60,
     y = np.array(y0, dtype=float)
     r = res(x, y)
     live = np.arange(x.size)  # rows still iterating
+    bx0, by0, bx1, by1 = box
+    escaped = np.zeros(x.size, dtype=bool)
     for _ in range(max_iter):
         live = live[~(_max_abs(r[live]) < target)]
         if not live.size:
@@ -420,7 +424,11 @@ def _newton_refine(field: ScalarField, x0, y0, max_iter: int = 60,
             search = np.delete(search, k)
         # a row whose line search ran out of steps has stalled
         live = np.delete(live, search)
-    return x, y, _max_abs(r) < target
+        lx, ly = x[live], y[live]
+        inside = (bx0 <= lx) & (lx <= bx1) & (by0 <= ly) & (ly <= by1)
+        escaped[live[~inside]] = True
+        live = live[inside]
+    return x, y, (_max_abs(r) < target) & ~escaped
 
 
 def umbilic_search(field: ScalarField, region, n: int,
@@ -430,8 +438,8 @@ def umbilic_search(field: ScalarField, region, n: int,
 
     When more than half of the grid sits below tolerance the region is
     reported as totally umbilic instead of enumerating points. Candidates
-    whose refinement stalls are kept as coarse minima; duplicates within
-    1e-6 are merged. All minima are refined together as arrays, so a
+    whose refinement stalls or leaves the region grown by 5% per side are
+    kept as coarse minima; duplicates within 1e-6 are merged. All minima are refined together as arrays, so a
     refined point's residuals round exactly as a grid sample there would.
     """
     x0, y0, x1, y1 = _check_region(region)
@@ -443,15 +451,12 @@ def umbilic_search(field: ScalarField, region, n: int,
         return UmbilicScan([], True, frac)
     # every grid local minimum seeds a refinement; keepers are decided by
     # the refined residual, so umbilics between nodes are still found
-    margin_x = 0.05 * (x1 - x0)
-    margin_y = 0.05 * (y1 - y0)
+    mx, my = 0.05 * (x1 - x0), 0.05 * (y1 - y0)  # escape margins
     i, j = local_minima(Dn).T
     cx, cy = xs[i], ys[j]
-    rx, ry, ok = _newton_refine(field, cx, cy)
+    rx, ry, ok = _newton_refine(field, cx, cy, (x0 - mx, y0 - my, x1 + mx, y1 + my))
     dn = _normalized_discriminant(field, rx, ry)
-    inside = ((x0 - margin_x <= rx) & (rx <= x1 + margin_x)
-              & (y0 - margin_y <= ry) & (ry <= y1 + margin_y))
-    refined = ok & (dn < tol) & inside
+    refined = ok & (dn < tol)
     # Newton stalled or escaped: keep the coarse grid minimum if below tol
     keep = refined | below[i, j]
     cols = (np.where(refined, rx, cx), np.where(refined, ry, cy),

@@ -195,6 +195,25 @@ def test_curvature_map_golden_bytes(tmp_path, monkeypatch, threads):
         assert hashlib.sha256(read(path)).hexdigest() == MAP_GOLDEN[kind], kind
 
 
+# sha256 of contour SVGs as the per-vertex writer wrote them: the README
+# example (3 polylines, n = m = 101) and 7 polylines, 5 of them closed, on
+# a 61-by-101 grid
+CONTOUR_SVG_GOLDEN = {
+    "asym_bump dk -3 3 101": "0253e4a42860cd2c69dedf03cf6b1e3b3d71aa76a1c688ca00d02d8761e7482a",
+    "gaussian_bump P2 -3 3 61": "74e9dd09e9387289b6c626faa80834746e5e32cad6e6e1155c64763848dfd8fc",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CONTOUR_SVG_GOLDEN))
+def test_contour_svg_golden_bytes(tmp_path, spec):
+    field, residual, lo, hi, n = spec.split()
+    svg = tmp_path / "c.svg"
+    assert main(["contour", "--field", field, "--residual", residual,
+                 "--region", lo, lo, hi, hi, "--n", n, "--out", str(tmp_path / "c.csv"),
+                 "--svg", str(svg)]) == 0
+    assert hashlib.sha256(read(svg)).hexdigest() == CONTOUR_SVG_GOLDEN[spec]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["floor", "--n", "41"],

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import all_fields
 from umbilic import (Direction, Jet2, contours, dk_dtheta, graph_mean_divergence,
-                     grid_field, make_field, normal_curvature, rotate_frame,
+                     grid_field, make_field, normal_curvature, rotate_frame, scan,
                      sign_witness, umbilic_free_floor, umbilic_residuals,
                      umbilic_search)
 from umbilic.cli import main
@@ -253,10 +253,12 @@ def test_refined_points_satisfy_residual_bound():
         assert max(abs(float(p1)), abs(float(p2))) < 1e-8
 
 
-def _newton_reference(field, x0, y0, max_iter=60, target=1e-12):
+def _newton_reference(field, x0, y0, box, max_iter=60, target=1e-12):
     """The one-candidate Newton loop the batched one replaced, evaluated on
-    one-element arrays; returns (x, y, ok, exit)."""
+    one-element arrays, which stops at the first step outside ``box``;
+    returns (x, y, ok, exit)."""
     x, y = float(x0), float(y0)
+    bx0, by0, bx1, by1 = box
 
     def res(px, py):
         p1, p2 = _normalized_pair(field, np.array([px]), np.array([py]))
@@ -284,6 +286,8 @@ def _newton_reference(field, x0, y0, max_iter=60, target=1e-12):
             lam *= 0.5
         else:
             return x, y, max(abs(r[0]), abs(r[1])) < target, "stalled"
+        if not (bx0 <= x <= bx1 and by0 <= y <= by1):
+            return x, y, False, "escaped"
     return x, y, max(abs(r[0]), abs(r[1])) < target, "max_iter"
 
 
@@ -305,20 +309,29 @@ def test_max_abs_keeps_python_max_nan_order():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_batched_newton_matches_reference(rng):
-    # separable at lam 0.5 has a start whose line search stalls, and none
-    # of the default families reach that exit from the starts above
-    cases = [(f, *_newton_starts(f, rng)) for f in all_fields()]
-    cases.append((make_field("separable", lam=0.5),
+    # each family's starts in its sample box grown by 5%, as umbilic_search
+    # grows its region, where rows that walk off to infinity escape; and in
+    # an unbounded box, where they run on. separable at lam 0.5 has a start
+    # whose line search stalls, and none of the default families reach that
+    # exit from the starts above
+    cases = []
+    for f in all_fields():
+        lo, hi = f.sample_box
+        m = 0.05 * (hi - lo)
+        starts = _newton_starts(f, rng)
+        cases.append((f, (lo - m, lo - m, hi + m, hi + m), *starts))
+        cases.append((f, (-np.inf, -np.inf, np.inf, np.inf), *starts))
+    cases.append((make_field("separable", lam=0.5), (-30.0, -30.0, 30.0, 30.0),
                   np.array([22.540401649565922]), np.array([21.95828933794433])))
     exits = set()
-    for field, xs, ys in cases:
+    for field, box, xs, ys in cases:
         for max_iter in (60, 3):  # 3 also reaches the test after the loop
-            bx, by, bok = _newton_refine(field, xs, ys, max_iter=max_iter)
+            bx, by, bok = _newton_refine(field, xs, ys, box, max_iter=max_iter)
             for k in range(xs.size):
-                x, y, ok, how = _newton_reference(field, xs[k], ys[k], max_iter)
+                x, y, ok, how = _newton_reference(field, xs[k], ys[k], box, max_iter)
                 exits.add(how)
-                assert (bx[k], by[k], bok[k]) == (x, y, ok), (field.name, k, how)
-    assert exits == {"converged", "singular", "stalled", "max_iter"}
+                assert (bx[k], by[k], bok[k]) == (x, y, ok), (field.name, box, k, how)
+    assert exits == {"converged", "singular", "stalled", "max_iter", "escaped"}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -327,9 +340,10 @@ def test_newton_rows_independent_of_batch(rng):
     xs, ys = rng.uniform(-3.0, 3.0, (2, 20))
     xs[5] = ys[5] = np.nan            # stalls, unconverged
     xs[9], ys[9] = -2.133709716507291, 1.4720952946367494  # an umbilic of the scan
-    bx, by, bok = _newton_refine(field, xs, ys)
+    box = (-3.3, -3.3, 3.3, 3.3)
+    bx, by, bok = _newton_refine(field, xs, ys, box)
     for k in range(xs.size):
-        x1, y1, ok1 = _newton_refine(field, xs[k:k + 1], ys[k:k + 1])
+        x1, y1, ok1 = _newton_refine(field, xs[k:k + 1], ys[k:k + 1], box)
         assert np.array_equal([bx[k], by[k]], [x1[0], y1[0]], equal_nan=True)
         assert bok[k] == ok1[0]
     assert not bok[5] and bok[9]
@@ -349,6 +363,58 @@ def test_umbilic_scan_golden_bytes(tmp_path, monkeypatch, spec, threads):
     out = tmp_path / "u.csv"
     assert main(["umbilic", "scan", "--field", spec, "--n", "101", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_GOLDEN[spec]
+
+
+# sha256 and row count of `umbilic scan --n 101` CSVs over ±half, scans in
+# which most refinements leave the region, as written before a refinement
+# stopped at its first step outside the region plus 5%
+ESCAPE_GOLDEN = {
+    ("loglog_tail", 9.73982):
+        (641, "04fd16ef567b5cdea8240506c3bad1d5322984cd336cee0d5ea9e912a5f03c3d"),
+    ("separable:lam=0.453312,g=exp,h=exp", 9.97904):
+        (5, "5da5d7bfecb5e0b800db8a45e441423c6c8df973902146d3daf5add22115bafe"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("spec, half", sorted(ESCAPE_GOLDEN))
+def test_umbilic_scan_escaping_rows_golden_bytes(tmp_path, monkeypatch, spec, half,
+                                                 threads):
+    monkeypatch.setenv("UMBILIC_THREADS", threads)
+    out = tmp_path / "u.csv"
+    region = [str(-half), str(-half), str(half), str(half)]
+    assert main(["umbilic", "scan", "--field", spec, "--region", *region,
+                 "--n", "101", "--out", str(out)]) == 0
+    rows, digest = ESCAPE_GOLDEN[spec, half]
+    assert len(out.read_text().splitlines()) == rows + 2  # comment, header
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_escaping_refinements_stop_at_the_box(monkeypatch):
+    # bates_like has no umbilic, and every grid minimum's refinement walks
+    # out of the region; each stops at its first step outside the region
+    # plus 5% (21,206 residual points when every row ran 60 iterations)
+    points, refined = [], []
+    pair, refine = scan._normalized_pair, scan._newton_refine
+
+    def counted_pair(field, x, y):
+        points.append(np.size(x))
+        return pair(field, x, y)
+
+    def spied_refine(field, x0, y0, box, **kw):
+        refined.append((box, *refine(field, x0, y0, box, **kw)))
+        return refined[-1][1:]
+
+    monkeypatch.setattr(scan, "_normalized_pair", counted_pair)
+    monkeypatch.setattr(scan, "_newton_refine", spied_refine)
+    half = 1.6658
+    res = umbilic_search(make_field("bates_like"), (-half, -half, half, half), 101)
+    assert sum(points) <= 1000
+    (box, x, y, ok), = refined
+    assert box == pytest.approx((-1.1 * half, -1.1 * half, 1.1 * half, 1.1 * half))
+    assert x.size == 21 and not ok.any()
+    assert not ((box[0] <= x) & (x <= box[2]) & (box[1] <= y) & (y <= box[3])).any()
+    assert res.points == [] and not res.totally_umbilic
 
 
 def test_umbilic_scan_asym_bump_rows(tmp_path):
