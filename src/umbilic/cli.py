@@ -4,6 +4,10 @@ Subcommands compute curvature maps, umbilic scans, inversion profiles,
 flux-decay ladders, and the convex-body pipeline, writing CSV (and
 optionally SVG) with deterministic formatting. Exit codes: 0 success,
 1 usage error, 2 numerical non-convergence, 3 a mathematical check failed.
+
+Each command is one ``_COMMANDS`` entry: its words, help text, handler
+and options. An option's argparse ``type`` converts and checks its value,
+so a handler receives parsed fields, bodies, radii and counts.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import math
 import sys
 
 from . import convexbody, quad, scan, transform
+from .convexbody import SupportBody
+from .curvature import curvature_difference_field, principal_deviation_field
 from .errors import (ConvexityError, DomainError, GraphConditionError,
                      NonConvergenceError, RegularityError)
 from .families import list_families, parse_field_spec
@@ -36,26 +42,55 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_floats(text):
+def _argument(parse):
+    """An argparse type that reports ``parse``'s ValueError message after
+    the option's name."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+def _positive(convert):
+    """An argparse type: ``convert``, then a check that the value is positive."""
+    def positive(text):
+        value = convert(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        return value
+    positive.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return positive
+
+
+@_argument
+def _radii(text):
     vals = [float(v) for v in text.split(",") if v.strip()]
     if not vals:
-        raise UsageError(f"empty list '{text}'")
-    return vals
-
-
-def _positive(name, value):
-    if value <= 0:
-        raise UsageError(f"{name} must be positive, got {value}")
-    return value
-
-
-def _increasing(name, vals):
+        raise ValueError(f"empty list '{text}'")
     if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise UsageError(f"{name} must be strictly increasing")
+        raise ValueError("must be strictly increasing")
     return vals
+
+
+# body name -> (parameter defaults, builder called with every parameter)
+_BODIES = {
+    "sphere": ({"R": 1.0}, lambda R: SupportBody(c0=R, name="sphere")),
+    "zonal": ({"eps": 0.05}, lambda eps: SupportBody(
+        quad=((-eps, 0.0, 0.0), (0.0, -eps, 0.0), (0.0, 0.0, 2.0 * eps)),
+        name=f"zonal(eps={eps})")),
+    "triaxial": ({"ax": 0.02, "ay": 0.05, "az": 0.08}, lambda ax, ay, az: SupportBody(
+        quad=((ax, 0.0, 0.0), (0.0, ay, 0.0), (0.0, 0.0, az)), name="triaxial")),
+    "shifted": ({"cx": 0.0, "cy": 0.0, "cz": 0.0},
+                lambda cx, cy, cz: SupportBody(linear=(cx, cy, cz), name="shifted")),
+    "quartic": ({"qx": 0.0, "qy": 0.0, "qz": 0.0},
+                lambda qx, qy, qz: SupportBody(quartic=(qx, qy, qz), name="quartic")),
+}
 
 
 def _parse_body(text):
+    """Parse CLI syntax 'name' or 'name:key=value,...' into a support body."""
     name, _, tail = text.partition(":")
     params = {}
     for item in tail.split(","):
@@ -64,128 +99,211 @@ def _parse_body(text):
         k, _, v = item.partition("=")
         params[k.strip()] = float(v)
     name = name.strip()
-    if name == "sphere":
-        return convexbody.SupportBody(c0=params.get("R", 1.0), name="sphere")
-    if name == "zonal":
-        eps = params.get("eps", 0.05)
-        q = ((-eps, 0.0, 0.0), (0.0, -eps, 0.0), (0.0, 0.0, 2.0 * eps))
-        return convexbody.SupportBody(1.0, (0.0, 0.0, 0.0), q, name=f"zonal(eps={eps})")
-    if name == "triaxial":
-        q = ((params.get("ax", 0.02), 0.0, 0.0),
-             (0.0, params.get("ay", 0.05), 0.0),
-             (0.0, 0.0, params.get("az", 0.08)))
-        return convexbody.SupportBody(1.0, (0.0, 0.0, 0.0), q, name="triaxial")
-    if name == "shifted":
-        lin = (params.get("cx", 0.0), params.get("cy", 0.0), params.get("cz", 0.0))
-        return convexbody.SupportBody(1.0, lin, name="shifted")
-    if name == "quartic":
-        a = (params.get("qx", 0.0), params.get("qy", 0.0), params.get("qz", 0.0))
-        return convexbody.SupportBody(1.0, quartic=a, name="quartic")
-    raise UsageError(f"unknown body '{name}' (sphere, zonal, triaxial, shifted, quartic)")
+    if name not in _BODIES:
+        raise ValueError(f"unknown body '{name}' ({', '.join(_BODIES)})")
+    defaults, build = _BODIES[name]
+    unknown = set(params) - set(defaults)
+    if unknown:
+        raise ValueError(f"body '{name}' takes parameters {tuple(defaults)}, "
+                         f"got unknown {sorted(unknown)}")
+    return build(**{**defaults, **params})
 
 
+def _fields_list(args):
+    rows = [(s.name, ";".join(s.params) or "-", s.asymptotically_constant,
+             s.umbilic_free, s.positively_curved, s.notes)
+            for s in list_families()]
+    header = ("name", "params", "asymptotically_constant", "umbilic_free",
+              "positively_curved", "notes")
+    print("  ".join(header))
+    for r in rows:
+        print("  ".join(str(v) for v in r))
+    if args.out:
+        write_csv(args.out, header, rows, "registered field families")
+    return EXIT_OK
+
+
+def _curvature_map(args):
+    g = scan.grid_field(args.field, args.quantity, args.region, args.n, args.m,
+                        X=Direction(args.X), Y=Direction(args.Y), theta0=args.theta0)
+    write_grid_csv(args.out, args.quantity, g,
+                   f"{args.quantity} of graph({args.field.name}); lengths in plane units")
+    if args.svg:
+        svg_heatmap(g, args.svg)
+    return EXIT_OK
+
+
+def _umbilic_scan(args):
+    result = scan.umbilic_search(args.field, args.region, args.n, tol=args.tol)
+    rows = [(p.x, p.y, p.residual, int(p.refined)) for p in result.points]
+    write_csv(args.out, ("x", "y", "D_normalized", "refined"), rows,
+              f"umbilic candidates of graph({args.field.name}); "
+              f"totally_umbilic={result.totally_umbilic}")
+    if result.totally_umbilic:
+        print("region flagged totally umbilic", file=sys.stderr)
+    return EXIT_OK
+
+
+def _floor(args):
+    rep = scan.umbilic_free_floor(args.field, args.region, args.n)
+    write_csv(args.out, ("floor", "argmin_x", "argmin_y"),
+              [(rep.floor, rep.argmin[0], rep.argmin[1])],
+              f"min over grid of max(|P1|,|P2|)/(1+q)^(3/2) for {args.field.name}")
+    return EXIT_OK
+
+
+def _invert_graph(args):
+    graph = transform.invert_local_graph(args.field, args.r0, normalize=args.normalize)
+    prof = decay_profile(graph.as_field(), args.radii, n_theta=args.ntheta)
+    write_csv(args.out, ("rbar", "sup_dev", "sup_rbar_grad"), prof.rows(),
+              f"inverted-graph decay of {args.field.name}; c={format_float(prof.c)} "
+              f"({prof.c_source}); scale={format_float(graph.scale)}")
+    return EXIT_OK
+
+
+def _verify_thm2(args):
+    table = quad.curvature_difference_decay(args.field, Direction(args.X), Direction(args.Y),
+                                            args.radii, quad.QuadScheme(args.nr, args.ntheta))
+    write_csv(args.out, table.columns, table.rows,
+              f"curvature-difference flux decay of {args.field.name}; "
+              f"X={format_float(args.X)} Y={format_float(args.Y)} rad")
+    return EXIT_OK
+
+
+def _verify_thm3(args):
+    table = quad.principal_deviation_decay(args.field, args.theta0, args.radii,
+                                           quad.QuadScheme(args.nr, args.ntheta))
+    write_csv(args.out, table.columns, table.rows,
+              f"principal-deviation flux decay of {args.field.name}; "
+              f"theta0={format_float(args.theta0)} rad")
+    return EXIT_OK
+
+
+def _verify_divergence(args):
+    scheme = quad.QuadScheme(args.nr, args.ntheta)
+    if args.which == "v2":
+        V = curvature_difference_field(args.field, Direction(args.X), Direction(args.Y))
+    else:
+        V = principal_deviation_field(args.field, args.theta0)
+    rows = [(r, quad.divergence_consistency(V, r, scheme)) for r in args.radii]
+    write_csv(args.out, ("r", "abs_residual"), rows,
+              f"divergence-theorem residual |disk(div V) - flux(V)| "
+              f"for {V.label} on {args.field.name}")
+    return EXIT_OK
+
+
+def _pipeline_thm1(args):
+    rep = convexbody.theorem1_pipeline(args.body, offset_r=args.offset,
+                                       radii=args.radii, n_theta=args.ntheta)
+    write_csv(args.out, rep.columns, rep.rows,
+              f"inversion decay of body {args.body.name}; "
+              f"ustar=({','.join(format_float(v) for v in rep.ustar)}); "
+              f"offset={format_float(rep.offset_r)}; c={format_float(rep.c)}; "
+              f"graph_check={'pass' if rep.graph_check_passed else 'fail'}")
+    if not rep.graph_check_passed:
+        print("inverted surface failed the vertical-line sampling check",
+              file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
+
+
+def _contour(args):
+    g = scan.grid_field(args.field, args.residual, args.region, args.n, args.m,
+                        X=Direction(args.X), Y=Direction(args.Y), theta0=args.theta0)
+    cs = scan.contours(g)
+    write_polyline_csv(args.out, cs.polylines,
+                       f"zero contours of {args.residual} for {args.field.name}")
+    if args.svg:
+        svg_contours(cs, g.region, args.svg)
+    return EXIT_OK
+
+
+def _decay(args):
+    prof = decay_profile(args.field, args.radii, n_theta=args.ntheta)
+    write_csv(args.out, ("r", "sup_dev", "sup_rgrad"), prof.rows(),
+              f"ring decay of {args.field.name}; c={format_float(prof.c)} "
+              f"({prof.c_source}, var={format_float(prof.c_variance)})")
+    return EXIT_OK
+
+
+_COUNT = _positive(int)
+# parse_field_spec is looked up per call, so a wrapper patched into this
+# module (as bench/tracing.py does) sees the call
+_FIELD = ("--field", {"type": _argument(lambda text: parse_field_spec(text)),
+                      "required": True})
 _REGION = {"nargs": 4, "type": float, "metavar": ("X0", "Y0", "X1", "Y1")}
 _X = ("--X", {"type": float, "default": 0.0})
 _Y = ("--Y", {"type": float, "default": math.pi / 2})
 _THETA0 = ("--theta0", {"type": float, "default": 0.0})
+_OUT = ("--out", {"required": True})
+_GRID = (("--region", {"default": (-2.0, -2.0, 2.0, 2.0), **_REGION}),
+         ("--n", {"type": _COUNT, "default": 101}), ("--m", {"type": _COUNT, "default": 101}),
+         _X, _Y, _THETA0, _OUT, ("--svg", {}))
+_QUAD = (("--nr", {"type": int, "default": 16}), ("--ntheta", {"type": int, "default": 64}),
+         _OUT)
 
-
-def _grid_command(sub, name, summary, *options):
-    """A grid subcommand; ``options`` are (flag, kwargs) pairs after --field."""
-    p = sub.add_parser(name, help=summary)
-    p.add_argument("--field", required=True)
-    for flag, kwargs in options:
-        p.add_argument(flag, **kwargs)
-    p.add_argument("--region", default=(-2.0, -2.0, 2.0, 2.0), **_REGION)
-    p.add_argument("--n", type=int, default=101)
-    p.add_argument("--m", type=int, default=101)
-    for flag, kwargs in (_X, _Y, _THETA0):
-        p.add_argument(flag, **kwargs)
-    p.add_argument("--out", required=True)
-    p.add_argument("--svg")
-
-
-def _flux_command(sub, name, summary, radii, *options):
-    """A flux-ladder subcommand; ``options`` are (flag, kwargs) pairs after --field."""
-    p = sub.add_parser(name, help=summary)
-    p.add_argument("--field", required=True)
-    for flag, kwargs in options:
-        p.add_argument(flag, **kwargs)
-    p.add_argument("--radii", default=radii)
-    p.add_argument("--nr", type=int, default=16)
-    p.add_argument("--ntheta", type=int, default=64)
-    p.add_argument("--out", required=True)
+# (words, help, handler, (flag, kwargs) options); an entry without a
+# handler is a group whose commands follow it
+_COMMANDS = (
+    (("fields",), "field registry", None, ()),
+    (("fields", "list"), "list registered field families", _fields_list,
+     (("--out", {"help": "optional CSV path"}),)),
+    (("curvature",), "curvature maps", None, ()),
+    (("curvature", "map"), "sample a curvature quantity on a grid", _curvature_map,
+     (_FIELD, ("--quantity", {"default": "H",
+                              "choices": scan.CURVATURE_NAMES + scan.RESIDUAL_NAMES}),
+      *_GRID)),
+    (("umbilic",), "umbilic search", None, ()),
+    (("umbilic", "scan"), "locate umbilics of a graph", _umbilic_scan,
+     (_FIELD, ("--region", {"default": (-2.0, -2.0, 2.0, 2.0), **_REGION}),
+      ("--n", {"type": _COUNT, "default": 101}), ("--tol", {"type": float, "default": 1e-8}),
+      _OUT)),
+    (("floor",), "umbilic-free floor of a region", _floor,
+     (_FIELD, ("--region", {"default": (-20.0, -20.0, 20.0, 20.0), **_REGION}),
+      ("--n", {"type": _COUNT, "default": 401}), _OUT)),
+    (("invert",), "graph inversion", None, ()),
+    (("invert", "graph"), "invert a local graph, profile decay", _invert_graph,
+     (_FIELD, ("--r0", {"type": _positive(float), "required": True}),
+      ("--normalize", {"action": "store_true"}),
+      ("--radii", {"type": _radii, "default": "10,100,1000"}),
+      ("--ntheta", {"type": _COUNT, "default": 128}), _OUT)),
+    (("verify",), "flux-decay and consistency checks", None, ()),
+    (("verify", "thm2"), "curvature-difference flux decay", _verify_thm2,
+     (_FIELD, _X, _Y, ("--radii", {"type": _radii, "default": "2,4,8,16"}), *_QUAD)),
+    (("verify", "thm3"), "principal-deviation flux decay", _verify_thm3,
+     (_FIELD, _THETA0, ("--radii", {"type": _radii, "default": "2,4,8,16"}), *_QUAD)),
+    (("verify", "divergence"), "disk-vs-boundary consistency", _verify_divergence,
+     (_FIELD, ("--which", {"choices": ("v2", "v3"), "default": "v2"}), _X, _Y, _THETA0,
+      ("--radii", {"type": _radii, "default": "2,4,8"}), *_QUAD)),
+    (("pipeline",), "convex-body pipelines", None, ()),
+    (("pipeline", "thm1"), "umbilic -> offset -> pose -> invert -> profile", _pipeline_thm1,
+     (("--body", {"type": _argument(_parse_body), "required": True}),
+      ("--offset", {"type": float}),
+      ("--radii", {"type": _radii, "default": "10,100,1000"}),
+      ("--ntheta", {"type": _COUNT, "default": 512}), _OUT)),
+    (("contour",), "zero contours of a residual", _contour,
+     (_FIELD, ("--residual", {"default": "D", "choices": scan.RESIDUAL_NAMES}), *_GRID)),
+    (("decay",), "ring decay profile of a field", _decay,
+     (_FIELD, ("--radii", {"type": _radii, "default": "2,4,8,16"}),
+      ("--ntheta", {"type": _COUNT, "default": 256}), _OUT)),
+)
 
 
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once: parsing leaves it unchanged."""
-    p = _Parser(prog="umbilic", description=__doc__)
+    # the docstring's last paragraph is about the code, not the commands
+    p = _Parser(prog="umbilic", description=__doc__.rpartition("\n\n")[0])
     p.add_argument("--config", help="key=value defaults file; flags override")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    f = sub.add_parser("fields", help="field registry")
-    fsub = f.add_subparsers(dest="sub", required=True)
-    flist = fsub.add_parser("list", help="list registered field families")
-    flist.add_argument("--out", help="optional CSV path")
-
-    c = sub.add_parser("curvature", help="curvature maps")
-    csub = c.add_subparsers(dest="sub", required=True)
-    _grid_command(csub, "map", "sample a curvature quantity on a grid",
-                  ("--quantity", {"default": "H",
-                                  "choices": scan.CURVATURE_NAMES + scan.RESIDUAL_NAMES}))
-
-    u = sub.add_parser("umbilic", help="umbilic search")
-    usub = u.add_subparsers(dest="sub", required=True)
-    uscan = usub.add_parser("scan", help="locate umbilics of a graph")
-    uscan.add_argument("--field", required=True)
-    uscan.add_argument("--region", default=(-2.0, -2.0, 2.0, 2.0), **_REGION)
-    uscan.add_argument("--n", type=int, default=101)
-    uscan.add_argument("--tol", type=float, default=1e-8)
-    uscan.add_argument("--out", required=True)
-
-    fl = sub.add_parser("floor", help="umbilic-free floor of a region")
-    fl.add_argument("--field", required=True)
-    fl.add_argument("--region", default=(-20.0, -20.0, 20.0, 20.0), **_REGION)
-    fl.add_argument("--n", type=int, default=401)
-    fl.add_argument("--out", required=True)
-
-    inv = sub.add_parser("invert", help="graph inversion")
-    isub = inv.add_subparsers(dest="sub", required=True)
-    igraph = isub.add_parser("graph", help="invert a local graph, profile decay")
-    igraph.add_argument("--field", required=True)
-    igraph.add_argument("--r0", type=float, required=True)
-    igraph.add_argument("--normalize", action="store_true")
-    igraph.add_argument("--radii", default="10,100,1000")
-    igraph.add_argument("--ntheta", type=int, default=128)
-    igraph.add_argument("--out", required=True)
-
-    v = sub.add_parser("verify", help="flux-decay and consistency checks")
-    vsub = v.add_subparsers(dest="sub", required=True)
-    _flux_command(vsub, "thm2", "curvature-difference flux decay", "2,4,8,16", _X, _Y)
-    _flux_command(vsub, "thm3", "principal-deviation flux decay", "2,4,8,16", _THETA0)
-    _flux_command(vsub, "divergence", "disk-vs-boundary consistency", "2,4,8",
-                  ("--which", {"choices": ("v2", "v3"), "default": "v2"}),
-                  _X, _Y, _THETA0)
-
-    pl = sub.add_parser("pipeline", help="convex-body pipelines")
-    psub = pl.add_subparsers(dest="sub", required=True)
-    pt1 = psub.add_parser("thm1", help="umbilic -> offset -> pose -> invert -> profile")
-    pt1.add_argument("--body", required=True)
-    pt1.add_argument("--offset", type=float)
-    pt1.add_argument("--radii", default="10,100,1000")
-    pt1.add_argument("--ntheta", type=int, default=512)
-    pt1.add_argument("--out", required=True)
-
-    _grid_command(sub, "contour", "zero contours of a residual",
-                  ("--residual", {"default": "D", "choices": scan.RESIDUAL_NAMES}))
-
-    dc = sub.add_parser("decay", help="ring decay profile of a field")
-    dc.add_argument("--field", required=True)
-    dc.add_argument("--radii", default="2,4,8,16")
-    dc.add_argument("--ntheta", type=int, default=256)
-    dc.add_argument("--out", required=True)
-
+    groups = {(): p.add_subparsers(dest="command", required=True)}
+    for words, summary, handler, options in _COMMANDS:
+        cmd = groups[words[:-1]].add_parser(words[-1], help=summary)
+        for flag, kwargs in options:
+            cmd.add_argument(flag, **kwargs)
+        if handler is None:
+            groups[words] = cmd.add_subparsers(dest="sub", required=True)
+        else:
+            cmd.set_defaults(run=handler)
     return p
 
 
@@ -219,139 +337,9 @@ def _apply_config(argv):
     return words + injected + rest
 
 
-def _grid_directions(args):
-    return Direction(args.X), Direction(args.Y)
-
-
 def run(argv) -> int:
-    argv = _apply_config(list(argv))
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "fields":
-        rows = [(s.name, ";".join(s.params) or "-", s.asymptotically_constant,
-                 s.umbilic_free, s.positively_curved, s.notes)
-                for s in list_families()]
-        header = ("name", "params", "asymptotically_constant", "umbilic_free",
-                  "positively_curved", "notes")
-        print("  ".join(header))
-        for r in rows:
-            print("  ".join(str(v) for v in r))
-        if args.out:
-            write_csv(args.out, header, rows, "registered field families")
-        return EXIT_OK
-
-    if args.command == "curvature":
-        field = parse_field_spec(args.field)
-        _positive("n", args.n), _positive("m", args.m)
-        X, Y = _grid_directions(args)
-        g = scan.grid_field(field, args.quantity, args.region, args.n, args.m,
-                            X=X, Y=Y, theta0=args.theta0)
-        write_grid_csv(args.out, args.quantity, g,
-                       f"{args.quantity} of graph({field.name}); lengths in plane units")
-        if args.svg:
-            svg_heatmap(g, args.svg)
-        return EXIT_OK
-
-    if args.command == "umbilic":
-        field = parse_field_spec(args.field)
-        result = scan.umbilic_search(field, args.region, _positive("n", args.n),
-                                     tol=args.tol)
-        rows = [(p.x, p.y, p.residual, int(p.refined)) for p in result.points]
-        write_csv(args.out, ("x", "y", "D_normalized", "refined"), rows,
-                  f"umbilic candidates of graph({field.name}); "
-                  f"totally_umbilic={result.totally_umbilic}")
-        if result.totally_umbilic:
-            print("region flagged totally umbilic", file=sys.stderr)
-        return EXIT_OK
-
-    if args.command == "floor":
-        field = parse_field_spec(args.field)
-        rep = scan.umbilic_free_floor(field, args.region, _positive("n", args.n))
-        write_csv(args.out, ("floor", "argmin_x", "argmin_y"),
-                  [(rep.floor, rep.argmin[0], rep.argmin[1])],
-                  f"min over grid of max(|P1|,|P2|)/(1+q)^(3/2) for {field.name}")
-        return EXIT_OK
-
-    if args.command == "invert":
-        field = parse_field_spec(args.field)
-        radii = _increasing("radii", _parse_floats(args.radii))
-        graph = transform.invert_local_graph(field, _positive("r0", args.r0),
-                                             normalize=args.normalize)
-        prof = decay_profile(graph.as_field(), radii, n_theta=args.ntheta)
-        write_csv(args.out, ("rbar", "sup_dev", "sup_rbar_grad"), prof.rows(),
-                  f"inverted-graph decay of {field.name}; c={format_float(prof.c)} "
-                  f"({prof.c_source}); scale={format_float(graph.scale)}")
-        return EXIT_OK
-
-    if args.command == "verify":
-        field = parse_field_spec(args.field)
-        radii = _increasing("radii", _parse_floats(args.radii))
-        scheme = quad.QuadScheme(args.nr, args.ntheta)
-        if args.sub == "thm2":
-            X, Y = _grid_directions(args)
-            table = quad.curvature_difference_decay(field, X, Y, radii, scheme)
-            desc = (f"curvature-difference flux decay of {field.name}; "
-                    f"X={format_float(args.X)} Y={format_float(args.Y)} rad")
-        elif args.sub == "thm3":
-            table = quad.principal_deviation_decay(field, args.theta0, radii, scheme)
-            desc = (f"principal-deviation flux decay of {field.name}; "
-                    f"theta0={format_float(args.theta0)} rad")
-        else:  # divergence
-            if args.which == "v2":
-                X, Y = _grid_directions(args)
-                from .curvature import curvature_difference_field
-                V = curvature_difference_field(field, X, Y)
-            else:
-                from .curvature import principal_deviation_field
-                V = principal_deviation_field(field, args.theta0)
-            rows = [(r, quad.divergence_consistency(V, r, scheme)) for r in radii]
-            write_csv(args.out, ("r", "abs_residual"), rows,
-                      f"divergence-theorem residual |disk(div V) - flux(V)| "
-                      f"for {V.label} on {field.name}")
-            return EXIT_OK
-        write_csv(args.out, table.columns, table.rows, desc)
-        return EXIT_OK
-
-    if args.command == "pipeline":
-        body = _parse_body(args.body)
-        radii = _increasing("radii", _parse_floats(args.radii))
-        rep = convexbody.theorem1_pipeline(body, offset_r=args.offset,
-                                           radii=radii, n_theta=args.ntheta)
-        write_csv(args.out, rep.columns, rep.rows,
-                  f"inversion decay of body {body.name}; "
-                  f"ustar=({','.join(format_float(v) for v in rep.ustar)}); "
-                  f"offset={format_float(rep.offset_r)}; c={format_float(rep.c)}; "
-                  f"graph_check={'pass' if rep.graph_check_passed else 'fail'}")
-        if not rep.graph_check_passed:
-            print("inverted surface failed the vertical-line sampling check",
-                  file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        return EXIT_OK
-
-    if args.command == "contour":
-        field = parse_field_spec(args.field)
-        X, Y = _grid_directions(args)
-        g = scan.grid_field(field, args.residual, args.region,
-                            _positive("n", args.n), _positive("m", args.m),
-                            X=X, Y=Y, theta0=args.theta0)
-        cs = scan.contours(g)
-        write_polyline_csv(args.out, cs.polylines,
-                           f"zero contours of {args.residual} for {field.name}")
-        if args.svg:
-            svg_contours(cs, g.region, args.svg)
-        return EXIT_OK
-
-    if args.command == "decay":
-        field = parse_field_spec(args.field)
-        radii = _increasing("radii", _parse_floats(args.radii))
-        prof = decay_profile(field, radii, n_theta=_positive("ntheta", args.ntheta))
-        write_csv(args.out, ("r", "sup_dev", "sup_rgrad"), prof.rows(),
-                  f"ring decay of {field.name}; c={format_float(prof.c)} "
-                  f"({prof.c_source}, var={format_float(prof.c_variance)})")
-        return EXIT_OK
-
-    raise UsageError(f"unhandled command {args.command}")
+    args = build_parser().parse_args(_apply_config(list(argv)))
+    return args.run(args)
 
 
 def main(argv=None) -> int:

@@ -13,11 +13,11 @@ carry a complex step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvexityError, DomainError
+from .errors import ConvexityError, DomainError, NonConvergenceError
 from .util import (_floating, _row_norms, _solve2, bracket_root, complex_step,
                    local_minima, unit3)
 
@@ -353,15 +353,11 @@ class PipelineReport:
     """Outcome of the flatten-by-inversion pipeline on a convex body."""
 
     ustar: np.ndarray
-    umbilic_residual: float
     offset_r: float
-    rescale: float
-    pose: Pose
     c: float
-    columns: tuple
     rows: list
     graph_check_passed: bool
-    meta: dict = dc_field(default_factory=dict)
+    columns: tuple = ("rbar", "sup_height_dev", "sup_rbar_slope")
 
 
 def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
@@ -378,10 +374,15 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
 
     A sampled single-valuedness check (rbar strictly decreasing along each
     azimuth ray) guards the graph reading; failure is reported, with the
-    metric rows left empty.
+    metric rows left empty. A most umbilic normal that misses ``FIND_TOL``
+    raises ``NonConvergenceError``: only an umbilic is posed.
     """
     check_convexity(body)
     site = find_umbilic(body)
+    if not site.converged:
+        raise NonConvergenceError(
+            f"umbilic search stopped at rho2 - rho1 = {site.residual:.3e}, "
+            f"above {FIND_TOL:g}")
     if offset_r is None:
         hmax = float(np.max(body.h(fibonacci_sphere(512))))
         offset_r = 10.0 * hmax
@@ -403,12 +404,8 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
     n2 = np.sum(q * q, axis=-1)
     rbar = np.hypot(q[..., 0], q[..., 1]) / n2
     monotone = bool(np.all(np.diff(rbar, axis=0) < 0.0))
-    meta = {"offset_default": offset_r, "rho_star": rho_star,
-            "umbilic_converged": site.converged}
     if not monotone:
-        return PipelineReport(site.u, site.residual, offset_r, 1.0 / (1.0 + offset_r),
-                              posed.pose, c, ("rbar", "sup_height_dev", "sup_rbar_slope"),
-                              [], False, meta)
+        return PipelineReport(site.u, offset_r, c, [], False)
 
     rows = []
     for target in radii:
@@ -431,6 +428,4 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
         slope = np.hypot(nref[..., 0], nref[..., 1]) / np.abs(nref[..., 2])
         rows.append((target, float(np.max(np.abs(height - c))),
                      float(np.max(rb * slope))))
-    return PipelineReport(site.u, site.residual, offset_r, 1.0 / (1.0 + offset_r),
-                          posed.pose, c, ("rbar", "sup_height_dev", "sup_rbar_slope"),
-                          rows, True, meta)
+    return PipelineReport(site.u, offset_r, c, rows, True)

@@ -38,26 +38,22 @@ class FamilySpec:
     sample_box: tuple = (-3.0, 3.0)
 
 
-def _zeros_like(x):
-    return np.zeros_like(x)
-
-
 # ---------------------------------------------------------------------------
 # jets of the individual families
 # ---------------------------------------------------------------------------
 
 def _saddle_jets(x, y):
-    z = _zeros_like(x)
+    z = np.zeros_like(x)
     return (x * y, y.copy(), x.copy(), z, np.ones_like(x), z)
 
 
 def _cylinder_jets(x, y):
-    z = _zeros_like(x)
+    z = np.zeros_like(x)
     return (x * x, 2.0 * x, z, np.full_like(x, 2.0), z, z)
 
 
 def _paraboloid_jets(x, y):
-    z = _zeros_like(x)
+    z = np.zeros_like(x)
     return (x * x + y * y, 2.0 * x, 2.0 * y,
             np.full_like(x, 2.0), z, np.full_like(x, 2.0))
 
@@ -157,7 +153,7 @@ def _bates_like_jets(lam):
 def _ridge_jets(lam):
     def jets(x, y):
         w = np.sqrt(1.0 + x * x)
-        z = _zeros_like(x)
+        z = np.zeros_like(x)
         return (1.0 + lam * w, lam * x / w, z, lam / w ** 3, z, z)
 
     return jets
@@ -177,7 +173,7 @@ def _separable_jets(lam, g, h):
     h, h1, h2 = _PROFILES[h]
 
     def jets(x, y):
-        z = _zeros_like(x)
+        z = np.zeros_like(x)
         return (1.0 + lam * (g(x) + h(y)), lam * g1(x), lam * h1(y),
                 lam * g2(x), z, lam * h2(y))
 

@@ -262,19 +262,17 @@ def decay_profile(field: ScalarField, radii, n_theta: int = 256) -> DecayProfile
     thetas = np.arange(n_theta) * (math.tau / n_theta)
     ct, st = np.cos(thetas), np.sin(thetas)
 
+    rings = [field.values_and_grads(r * ct, r * st) for r in radii]
     if field.asymptotic_c is not None:
         c, c_source, c_var = float(field.asymptotic_c), "metadata", 0.0
     else:
-        f_big = field.values_and_grads(radii[-1] * ct, radii[-1] * st)[0]
+        f_big = rings[-1][0]
         c = float(np.mean(f_big))
         c_var = float(np.var(f_big))
         c_source = "ring-mean"
 
-    sup_dev, sup_rgrad = [], []
-    for r in radii:
-        f, f1, f2 = field.values_and_grads(r * ct, r * st)
-        sup_dev.append(float(np.max(np.abs(f - c))))
-        sup_rgrad.append(float(r * np.max(np.hypot(f1, f2))))
-    return DecayProfile(tuple(radii), tuple(sup_dev), tuple(sup_rgrad),
-                        c, c_source, c_var)
+    sup_dev = tuple(float(np.max(np.abs(f - c))) for f, _, _ in rings)
+    sup_rgrad = tuple(float(r * np.max(np.hypot(f1, f2)))
+                      for r, (_, f1, f2) in zip(radii, rings))
+    return DecayProfile(tuple(radii), sup_dev, sup_rgrad, c, c_source, c_var)
 

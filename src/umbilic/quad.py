@@ -57,14 +57,12 @@ def disk_nodes(r: float, scheme: QuadScheme):
     if r <= 0.0:
         raise ValueError("disk radius must be positive")
     t, w = np.polynomial.legendre.leggauss(scheme.n_r)
+    # for r > 0 the edges 0, 1, ..., ceil(r) - 1, r number at least 2 and
+    # strictly increase, so every annulus has positive width
     edges = np.arange(0.0, np.ceil(r) + 1.0)
     edges[-1] = r
-    if edges.size < 2:
-        edges = np.array([0.0, r])
     rs, wr = [], []
     for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         rs.append(mid + half * t)
         wr.append(half * w)

@@ -53,9 +53,6 @@ def pushforward_inversion(q, w) -> np.ndarray:
 class GraphConditionReport:
     passes: bool
     sup_fr: float
-    r0: float
-    f_origin: float
-    grad_origin: float
 
 
 def graph_condition(field: ScalarField, r0: float) -> GraphConditionReport:
@@ -82,7 +79,7 @@ def graph_condition(field: ScalarField, r0: float) -> GraphConditionReport:
     _, f1, f2 = field.values_and_grads(X, Y)
     fr = (X * f1 + Y * f2) / R
     sup_fr = float(np.max(np.abs(fr)))
-    return GraphConditionReport(sup_fr < 1.0, sup_fr, r0, f0, g0)
+    return GraphConditionReport(sup_fr < 1.0, sup_fr)
 
 
 def _rescaled_field(field: ScalarField, s: float) -> ScalarField:

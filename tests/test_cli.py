@@ -72,6 +72,45 @@ def test_usage_errors():
                  "--out", "/tmp/n.csv"]) == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["curvature", "map", "--field", "paraboloid", "--m", "0"], "--m"),
+    (["contour", "--field", "saddle", "--n", "0"], "--n"),
+    (["invert", "graph", "--field", "sphere_cap", "--r0", "0"], "--r0"),
+    (["invert", "graph", "--field", "sphere_cap", "--r0", "0.7", "--radii", "8,2"],
+     "--radii"),
+    (["invert", "graph", "--field", "sphere_cap", "--r0", "0.7", "--ntheta", "0"],
+     "--ntheta"),
+    (["decay", "--field", "gaussian_bump", "--ntheta", "0"], "--ntheta"),
+    (["decay", "--field", "gaussian_bump", "--radii", "8,2"], "--radii"),
+    (["decay", "--field", "gaussian_bump", "--radii", ","], "--radii"),
+    (["pipeline", "thm1", "--body", "zonal", "--radii", "8,2"], "--radii"),
+    (["pipeline", "thm1", "--body", "zonal", "--ntheta", "0"], "--ntheta"),
+    (["pipeline", "thm1", "--body", "triaxial:ayy=0.2"], "--body"),
+    (["pipeline", "thm1", "--body", "cube"], "--body"),
+    (["verify", "thm3", "--field", "unknown_family"], "--field"),
+], ids=["map-m", "contour-n", "invert-r0", "invert-radii", "invert-ntheta",
+        "decay-ntheta", "decay-radii", "decay-empty-radii", "pipeline-radii",
+        "pipeline-ntheta", "pipeline-body-key", "pipeline-body-name", "thm3-field"])
+def test_bad_option_value_is_a_usage_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("words", [
+    [], ["fields"], ["fields", "list"], ["curvature"], ["curvature", "map"],
+    ["umbilic"], ["umbilic", "scan"], ["floor"], ["invert"], ["invert", "graph"],
+    ["verify"], ["verify", "thm2"], ["verify", "thm3"], ["verify", "divergence"],
+    ["pipeline"], ["pipeline", "thm1"], ["contour"], ["decay"],
+], ids=lambda words: " ".join(words) or "umbilic")
+def test_help_exits_zero(capsys, words):
+    with pytest.raises(SystemExit) as exc:
+        main(words + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: {' '.join(['umbilic', *words])} ")
+
+
 def test_floor_and_scan_outputs(tmp_path):
     out = tmp_path / "floor.csv"
     rc = main(["floor", "--field", "ridge:lam=0.1", "--region",

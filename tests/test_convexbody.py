@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from umbilic import convexbody
-from umbilic import (ConvexityError, SupportBody, body_point, check_convexity,
-                     find_umbilic, parallel_body, pose_at_umbilic,
+from umbilic import (ConvexityError, NonConvergenceError, SupportBody, body_point,
+                     check_convexity, find_umbilic, parallel_body, pose_at_umbilic,
                      radii_of_curvature, rotate_body, theorem1_pipeline,
                      umbilic_sites)
-from umbilic.cli import _parse_body
+from umbilic.cli import _parse_body, main
 from umbilic.convexbody import (PosedBody, _anisotropy, _polish_umbilics, _solve2,
                                 _tangent_basis, fibonacci_sphere)
 from umbilic.util import bracket_root, complex_step, unit3
@@ -344,6 +344,18 @@ def test_pipeline_graph_check_failure_path():
     # the default (large) offset rounds the body enough to pass
     rep_ok = theorem1_pipeline(body)
     assert rep_ok.graph_check_passed
+
+
+def test_pipeline_refuses_an_unconverged_umbilic(tmp_path, monkeypatch, capsys):
+    # a most umbilic normal above FIND_TOL is not an umbilic: nothing is posed
+    site = convexbody.UmbilicSite(EZ, 1e-3, False)
+    monkeypatch.setattr(convexbody, "find_umbilic", lambda body: site)
+    with pytest.raises(NonConvergenceError):
+        theorem1_pipeline(zonal(0.05), offset_r=10.0)
+    out = tmp_path / "p.csv"
+    assert main(["pipeline", "thm1", "--body", "zonal", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("non-convergence:")
+    assert not out.exists()
 
 
 def _phi_bisection(posed, theta, target, lo, hi):
