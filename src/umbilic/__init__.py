@@ -10,14 +10,13 @@ from .curvature import (PlaneField, PrincipalData, UmbilicResiduals,
 from .errors import (ConvexityError, DomainError, GraphConditionError,
                      NonConvergenceError, RegularityError)
 from .families import FamilySpec, list_families, make_field, parse_field_spec
-from .field import (DecayProfile, Direction, Jet2, Point2, ScalarField,
-                    decay_profile, directional, eval_jet, fd_jet, rotate_frame,
-                    uniform_field)
+from .field import (DecayProfile, Direction, Jet2, ScalarField, decay_profile,
+                    fd_jet, rotate_frame, uniform_field)
 from .quad import (DecayTable, QuadScheme, boundary_flux, boundary_majorant,
                    curvature_difference_decay, disk_integral,
                    divergence_consistency, principal_deviation_decay)
 from .scan import (ContourSet, FloorReport, Grid, UmbilicScan, contours,
-                   grid_field, sign_witness, umbilic_free_floor, umbilic_search)
+                   grid_field, umbilic_free_floor, umbilic_search)
 from .transform import (ExteriorGraph, GraphConditionReport, Patch3,
                         PreservationReport, ellipsoid_patch, exterior_eval,
                         graph_condition, invert_local_graph, invert_patch,
@@ -25,7 +24,7 @@ from .transform import (ExteriorGraph, GraphConditionReport, Patch3,
                         perturbed_sphere_patch, plane_patch,
                         principal_preservation_check, pushforward_inversion,
                         sphere_patch)
-from .convexbody import (PipelineReport, Pose, SupportBody, UmbilicSite,
+from .convexbody import (PipelineReport, SupportBody, UmbilicSite,
                          body_point, check_convexity, find_umbilic,
                          parallel_body, pose_at_umbilic, radii_of_curvature,
                          rotate_body, theorem1_pipeline, umbilic_sites)

@@ -53,6 +53,17 @@ def _argument(parse):
     return convert
 
 
+def _finite(text):
+    """An argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+_finite.__name__ = "float"  # argparse names it in "invalid float value"
+
+
 def _positive(convert):
     """An argparse type: ``convert``, then a check that the value is positive."""
     def positive(text):
@@ -66,7 +77,7 @@ def _positive(convert):
 
 @_argument
 def _radii(text):
-    vals = [float(v) for v in text.split(",") if v.strip()]
+    vals = [_finite(v) for v in text.split(",") if v.strip()]
     if not vals:
         raise ValueError(f"empty list '{text}'")
     if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -97,7 +108,7 @@ def _parse_body(text):
         if not item.strip():
             continue
         k, _, v = item.partition("=")
-        params[k.strip()] = float(v)
+        params[k.strip()] = _finite(v)
     name = name.strip()
     if name not in _BODIES:
         raise ValueError(f"unknown body '{name}' ({', '.join(_BODIES)})")
@@ -231,10 +242,10 @@ _COUNT = _positive(int)
 # module (as bench/tracing.py does) sees the call
 _FIELD = ("--field", {"type": _argument(lambda text: parse_field_spec(text)),
                       "required": True})
-_REGION = {"nargs": 4, "type": float, "metavar": ("X0", "Y0", "X1", "Y1")}
-_X = ("--X", {"type": float, "default": 0.0})
-_Y = ("--Y", {"type": float, "default": math.pi / 2})
-_THETA0 = ("--theta0", {"type": float, "default": 0.0})
+_REGION = {"nargs": 4, "type": _finite, "metavar": ("X0", "Y0", "X1", "Y1")}
+_X = ("--X", {"type": _finite, "default": 0.0})
+_Y = ("--Y", {"type": _finite, "default": math.pi / 2})
+_THETA0 = ("--theta0", {"type": _finite, "default": 0.0})
 _OUT = ("--out", {"required": True})
 _GRID = (("--region", {"default": (-2.0, -2.0, 2.0, 2.0), **_REGION}),
          ("--n", {"type": _COUNT, "default": 101}), ("--m", {"type": _COUNT, "default": 101}),
@@ -256,14 +267,14 @@ _COMMANDS = (
     (("umbilic",), "umbilic search", None, ()),
     (("umbilic", "scan"), "locate umbilics of a graph", _umbilic_scan,
      (_FIELD, ("--region", {"default": (-2.0, -2.0, 2.0, 2.0), **_REGION}),
-      ("--n", {"type": _COUNT, "default": 101}), ("--tol", {"type": float, "default": 1e-8}),
-      _OUT)),
+      ("--n", {"type": _COUNT, "default": 101}),
+      ("--tol", {"type": _positive(_finite), "default": 1e-8}), _OUT)),
     (("floor",), "umbilic-free floor of a region", _floor,
      (_FIELD, ("--region", {"default": (-20.0, -20.0, 20.0, 20.0), **_REGION}),
       ("--n", {"type": _COUNT, "default": 401}), _OUT)),
     (("invert",), "graph inversion", None, ()),
     (("invert", "graph"), "invert a local graph, profile decay", _invert_graph,
-     (_FIELD, ("--r0", {"type": _positive(float), "required": True}),
+     (_FIELD, ("--r0", {"type": _positive(_finite), "required": True}),
       ("--normalize", {"action": "store_true"}),
       ("--radii", {"type": _radii, "default": "10,100,1000"}),
       ("--ntheta", {"type": _COUNT, "default": 128}), _OUT)),
@@ -278,7 +289,7 @@ _COMMANDS = (
     (("pipeline",), "convex-body pipelines", None, ()),
     (("pipeline", "thm1"), "umbilic -> offset -> pose -> invert -> profile", _pipeline_thm1,
      (("--body", {"type": _argument(_parse_body), "required": True}),
-      ("--offset", {"type": float}),
+      ("--offset", {"type": _finite}),
       ("--radii", {"type": _radii, "default": "10,100,1000"}),
       ("--ntheta", {"type": _COUNT, "default": 512}), _OUT)),
     (("contour",), "zero contours of a residual", _contour,

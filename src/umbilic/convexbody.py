@@ -149,9 +149,11 @@ def _anisotropy(body: SupportBody, u):
 
 
 def _polish_umbilics(body: SupportBody, u0, max_iter: int = 30):
-    """Newton iteration on the tangent anisotropy, quadratically convergent,
-    on every row of u0 (N, 3) at once; the Jacobian is a complex step along
-    each tangent axis. Each row takes the steps it would take alone; returns
+    """Newton iteration on the tangent anisotropy on every row of u0 (N, 3)
+    at once; the Jacobian is a complex step along each tangent axis. It
+    converges quadratically where that Jacobian is regular at the site
+    (index +-1/2) and only linearly where it vanishes there (index +1, as at
+    the zonal poles). Each row takes the steps it would take alone; returns
     the polished unit rows and their converged flags."""
     u = unit3(np.asarray(u0, float).reshape(-1, 3))
     ok = np.zeros(len(u), bool)
@@ -268,17 +270,6 @@ def rotate_body(body: SupportBody, R) -> SupportBody:
 # pose and pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Pose:
-    """Rigid motion p -> R p + t."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def apply(self, p):
-        return np.asarray(p, float) @ self.rotation.T + self.translation
-
-
 def _rotation_taking(a, b) -> np.ndarray:
     """Rotation matrix mapping unit vector a to unit vector b.
 
@@ -303,11 +294,12 @@ def _rotation_taking(a, b) -> np.ndarray:
 @dataclass(frozen=True)
 class PosedBody:
     """A body rigidly moved so the point with normal ustar sits at the
-    origin with outward normal pointing straight down."""
+    origin with outward normal pointing straight down: p -> R (p - X(ustar))
+    with R = ``rotation``."""
 
     body: SupportBody
     ustar: np.ndarray
-    pose: Pose
+    rotation: np.ndarray
     t1: np.ndarray
     t2: np.ndarray
 
@@ -333,7 +325,7 @@ class PosedBody:
               + np.sum(a * du * usum * (u ** 2 + self.ustar ** 2), axis=-1))
         dgrad = b.sphere_grad(u) - b.sphere_grad(self.ustar)
         delta = hu[..., None] * du + dh[..., None] * self.ustar + dgrad
-        R = self.pose.rotation
+        R = self.rotation
         return delta @ R.T, u @ R.T
 
 
@@ -343,9 +335,8 @@ def pose_at_umbilic(body: SupportBody, ustar) -> PosedBody:
     xy-plane, tangent to it at the origin."""
     ustar = unit3(np.asarray(ustar, float))
     R = _rotation_taking(ustar, np.array([0.0, 0.0, -1.0]))
-    t = -R @ body_point(body, ustar)
     t1, t2 = _tangent_basis(ustar)
-    return PosedBody(body, ustar, Pose(R, t), t1, t2)
+    return PosedBody(body, ustar, R, t1, t2)
 
 
 @dataclass(frozen=True)

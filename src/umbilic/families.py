@@ -249,8 +249,9 @@ def make_field(name: str, **params) -> ScalarField:
     merged.update(params)
     if "lam" in merged:
         merged["lam"] = float(merged["lam"])
-        if merged["lam"] <= 0.0:
-            raise ValueError(f"parameter lam must be positive, got {merged['lam']}")
+        if not 0.0 < merged["lam"] < math.inf:
+            raise ValueError(f"parameter lam must be positive and finite, "
+                             f"got {merged['lam']}")
     for key in ("g", "h"):
         if key in merged and merged[key] not in _PROFILES:
             raise ValueError(f"unknown profile '{merged[key]}'; options: {sorted(_PROFILES)}")

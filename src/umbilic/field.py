@@ -20,26 +20,6 @@ JetArrays = tuple
 
 
 @dataclass(frozen=True)
-class Point2:
-    """A point of the graph plane; coordinates must be finite."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-
-    @property
-    def r(self) -> float:
-        return math.hypot(self.x, self.y)
-
-
-@dataclass(frozen=True)
 class Direction:
     """A unit direction of the plane, stored as its angle."""
 
@@ -53,9 +33,6 @@ class Direction:
     def y(self) -> float:
         return math.sin(self.theta)
 
-    def perp(self) -> "Direction":
-        return Direction(self.theta + 0.5 * math.pi)
-
 
 class Jet2(NamedTuple):
     """Value, gradient, and symmetric Hessian of a scalar field at a point."""
@@ -68,19 +45,13 @@ class Jet2(NamedTuple):
     f22: float
 
     @property
-    def grad(self) -> np.ndarray:
-        return np.array([self.f1, self.f2])
-
-    @property
     def q(self) -> float:
         """Squared gradient norm |grad f|^2."""
         return self.f1 * self.f1 + self.f2 * self.f2
 
 
 def as_xy(p) -> tuple:
-    """Accept a Point2 or any 2-sequence and return plain floats."""
-    if isinstance(p, Point2):
-        return p.x, p.y
+    """Accept any 2-sequence and return plain floats."""
     x, y = p
     return float(x), float(y)
 
@@ -158,23 +129,10 @@ def uniform_field(c: float, name: str | None = None) -> ScalarField:
                        asymptotic_c=float(c))
 
 
-def eval_jet(field: ScalarField, p) -> Jet2:
-    """Value, gradient, and Hessian of the field at p."""
-    return field.jet(p)
-
-
 def directional_arrays(f1, f2, f11, f12, f22, c, s):
     """(f_X, f_XX) along the unit direction X = (c, s), from jet component
     arrays: f_X = <grad f, X> and f_XX = X^T H X."""
     return f1 * c + f2 * s, f11 * c * c + 2.0 * f12 * c * s + f22 * s * s
-
-
-def directional(j: Jet2, X: Direction) -> tuple:
-    """First and second derivatives of f along the unit direction X.
-
-    Returns (f_X, f_XX) with f_X = <grad f, X> and f_XX = X^T H X.
-    """
-    return directional_arrays(j.f1, j.f2, j.f11, j.f12, j.f22, X.x, X.y)
 
 
 def rotate_frame(j: Jet2, theta0: float) -> Jet2:
@@ -252,8 +210,8 @@ def decay_profile(field: ScalarField, radii, n_theta: int = 256) -> DecayProfile
     estimate's variance is reported).
     """
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0.0 for r in radii):
-        raise ValueError("radii must be positive")
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise ValueError("radii must be positive and finite")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     if n_theta < 8:

@@ -1,5 +1,5 @@
-"""Grid sampling of curvature residuals, zero-contour extraction,
-sign witnesses, and umbilic searches.
+"""Grid sampling of curvature residuals, zero-contour extraction, and
+umbilic searches.
 
 Residual grids are normalized by powers of (1 + |grad f|^2) so that
 thresholds stay meaningful where the graph is steep.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,25 +29,18 @@ _BLOCK_SEGMENTS = 1 << 12
 
 @dataclass(frozen=True)
 class Grid:
-    """Dense samples of a named residual over a rectangle.
+    """Dense samples of a residual over a rectangle.
 
-    ``values[i, j]`` is the residual at (xs[i], ys[j]). ``evaluator`` can
-    re-evaluate the residual at arbitrary points (used for saddle-cell
-    disambiguation and vertex verification).
+    ``values[i, j]`` is the residual at (xs[i], ys[j]). ``evaluator``
+    re-evaluates the residual at arbitrary points; ``contours`` reads it at
+    the centers of saddle cells.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     values: np.ndarray
-    residual: str
     region: tuple
-    params: dict = dc_field(default_factory=dict)
-    evaluator: object = None
-
-    def cell_diagonal(self) -> float:
-        dx = self.xs[1] - self.xs[0] if self.xs.size > 1 else 0.0
-        dy = self.ys[1] - self.ys[0] if self.ys.size > 1 else 0.0
-        return math.hypot(dx, dy)
+    evaluator: object
 
 
 @dataclass(frozen=True)
@@ -56,15 +49,6 @@ class ContourSet:
 
     polylines: list
     closed: list
-
-    def __len__(self):
-        return len(self.polylines)
-
-
-@dataclass(frozen=True)
-class SignWitness:
-    positive: tuple  # ((x, y), value)
-    negative: tuple
 
 
 @dataclass(frozen=True)
@@ -169,7 +153,7 @@ def grid_field(field: ScalarField, residual: str, region, n: int, m: int,
         params = {"theta0": float(theta0)}
     ev = _residual_evaluator(field, residual, params)
     xs, ys, values = _sample(ev, region, n, m)
-    return Grid(xs, ys, values, residual, region, params, ev)
+    return Grid(xs, ys, values, region, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +182,8 @@ _EDGE_CORNERS = np.array([((0, 0), (1, 0)), ((1, 0), (1, 1)),
 def contours(grid: Grid) -> ContourSet:
     """Marching-squares polylines of the zero set ``values == 0``.
 
-    Saddle cells are disambiguated by the residual at the cell center when
-    the grid carries an evaluator, else by the corner average. Vertices lie
-    on cell edges where the sampled residual changes sign.
+    Saddle cells are disambiguated by the residual at the cell center.
+    Vertices lie on cell edges where the sampled residual changes sign.
     """
     # the cell arrays are freed before the segments are chained
     return _chain_segments(_segments(grid))
@@ -217,13 +200,8 @@ def _segments(grid: Grid) -> np.ndarray:
     saddle = np.flatnonzero((case == 5) | (case == 10))
     if saddle.size:
         i, j = np.divmod(saddle, v.shape[1] - 1)
-        if grid.evaluator is not None:
-            center = np.asarray(grid.evaluator(0.5 * (xs[i] + xs[i + 1]),
-                                               0.5 * (ys[j] + ys[j + 1])),
-                                dtype=float)
-        else:
-            center = 0.25 * (v[i, j] + v[i + 1, j] + v[i + 1, j + 1]
-                             + v[i, j + 1])
+        center = np.asarray(grid.evaluator(0.5 * (xs[i] + xs[i + 1]),
+                                           0.5 * (ys[j] + ys[j + 1])), dtype=float)
         flip = saddle[~(center >= 0.0)]
         case[flip] = 15 - case[flip]
     counts = _SEGMENT_COUNTS[case]
@@ -321,18 +299,6 @@ def _chain_segments(ends) -> ContourSet:
     at = node_of[flat]
     return ContourSet(np.split(pts[flat], bounds[1:-1]),
                       (at[bounds[:-1]] == at[bounds[1:] - 1]).tolist())
-
-
-def sign_witness(grid: Grid) -> SignWitness | None:
-    """A strictly positive and a strictly negative sample, or None."""
-    values = grid.values
-    imax = np.unravel_index(np.argmax(values), values.shape)
-    imin = np.unravel_index(np.argmin(values), values.shape)
-    vmax, vmin = float(values[imax]), float(values[imin])
-    if vmax <= 0.0 or vmin >= 0.0:
-        return None
-    return SignWitness(((float(grid.xs[imax[0]]), float(grid.ys[imax[1]])), vmax),
-                       ((float(grid.xs[imin[0]]), float(grid.ys[imin[1]])), vmin))
 
 
 # ---------------------------------------------------------------------------

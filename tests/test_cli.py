@@ -88,9 +88,27 @@ def test_usage_errors():
     (["pipeline", "thm1", "--body", "triaxial:ayy=0.2"], "--body"),
     (["pipeline", "thm1", "--body", "cube"], "--body"),
     (["verify", "thm3", "--field", "unknown_family"], "--field"),
+    (["umbilic", "scan", "--field", "paraboloid", "--tol", "-1"], "--tol"),
+    # NaN passes every `<=` test, so each number is also checked to be finite
+    (["decay", "--field", "gaussian_bump", "--radii", "2,nan"], "--radii"),
+    (["decay", "--field", "gaussian_bump", "--radii", "2,inf"], "--radii"),
+    (["verify", "thm2", "--field", "asym_bump", "--X", "nan"], "--X"),
+    (["verify", "thm3", "--field", "asym_bump", "--theta0", "nan"], "--theta0"),
+    (["verify", "divergence", "--field", "asym_bump", "--Y=-inf"], "--Y"),
+    (["umbilic", "scan", "--field", "paraboloid", "--tol", "nan"], "--tol"),
+    (["invert", "graph", "--field", "sphere_cap", "--r0", "nan"], "--r0"),
+    (["floor", "--field", "ridge", "--region", "nan", "-1", "1", "1"], "--region"),
+    (["curvature", "map", "--field", "paraboloid", "--region", "-1", "-1", "inf", "1"],
+     "--region"),
+    (["contour", "--field", "bates_like:lam=nan"], "--field"),
+    (["pipeline", "thm1", "--body", "zonal", "--offset", "nan"], "--offset"),
+    (["pipeline", "thm1", "--body", "sphere:R=nan"], "--body"),
 ], ids=["map-m", "contour-n", "invert-r0", "invert-radii", "invert-ntheta",
         "decay-ntheta", "decay-radii", "decay-empty-radii", "pipeline-radii",
-        "pipeline-ntheta", "pipeline-body-key", "pipeline-body-name", "thm3-field"])
+        "pipeline-ntheta", "pipeline-body-key", "pipeline-body-name", "thm3-field",
+        "scan-tol", "decay-radii-nan", "decay-radii-inf", "thm2-X-nan", "thm3-theta0-nan",
+        "divergence-Y-inf", "scan-tol-nan", "invert-r0-nan", "floor-region-nan",
+        "map-region-inf", "contour-lam-nan", "pipeline-offset-nan", "pipeline-body-nan"])
 def test_bad_option_value_is_a_usage_error(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1
@@ -251,6 +269,33 @@ def test_contour_svg_golden_bytes(tmp_path, spec):
                  "--region", lo, lo, hi, hi, "--n", n, "--out", str(tmp_path / "c.csv"),
                  "--svg", str(svg)]) == 0
     assert hashlib.sha256(read(svg)).hexdigest() == CONTOUR_SVG_GOLDEN[spec]
+
+
+# sha256 of the CSVs of README examples that no other golden covers, taken
+# before the unused API was deleted from the package
+README_GOLDEN = {
+    "verify thm2 --field asym_bump --X 0 --Y 1.5708 --radii 2,4,8":
+        "8e4404ac7132cdc4bcdcab768dd2f015a858df6c1782b0a7de8d48d613bd68a4",
+    "verify thm3 --field asym_bump --theta0 0 --radii 2,4,8":
+        "6916c7e40f456a488caae401f2c7fd04f7dc1168c5fe26d27a26708bc9f562fb",
+    "verify divergence --field asym_bump --which v2 --radii 2,4,8":
+        "579f54da3f83a21da974ec7d1911c5acc1d66b834fb9a573c2998b1eb21802c8",
+    "floor --field bates_like:lam=0.1 --region -20 -20 20 20 --n 401":
+        "ec51f91b1b1e4ce67652e73ec2e0bba73ad1fae18cb1f964114b4cfd81e0ec24",
+    "contour --field asym_bump --residual dk --region -3 -3 3 3":
+        "0215905ea3a3ebfa8d443e0fa8e5c9fcbbe0962e23808bc3a8eac27e9db6bdaf",
+    "decay --field gaussian_bump --radii 2,4,8,16":
+        "5ac74cbdcad9a138c595e0d92d6068028efd47712c282aea3d0e168f3f2bf7e0",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(README_GOLDEN))
+def test_readme_example_golden_bytes(tmp_path, monkeypatch, command, threads):
+    monkeypatch.setenv("UMBILIC_THREADS", threads)
+    out = tmp_path / "out.csv"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == README_GOLDEN[command]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -284,19 +284,22 @@ def test_umbilic_sites_counts(spec, count):
 def test_pose_sphere_center():
     posed = pose_at_umbilic(sphere(), -EZ)
     # posed sphere is centered one radius above the tangency point
-    center = posed.pose.apply(np.zeros(3))
-    assert np.allclose(center, [0.0, 0.0, 1.0], atol=1e-14)
+    q, _ = posed.cap_points(np.linspace(0.1, 3.0, 7)[:, None], np.linspace(0, 6, 9))
+    assert np.allclose(np.linalg.norm(q - [0.0, 0.0, 1.0], axis=-1), 1.0, atol=1e-14)
 
 
 def test_pose_maps_umbilic_to_origin():
     b = zonal(0.05)
     site = find_umbilic(b, grid_n=32)
     posed = pose_at_umbilic(b, site.u)
-    q = posed.pose.apply(body_point(b, site.u))
-    assert np.linalg.norm(q) < 1e-12
     q2, n2 = posed.cap_points(np.array(0.0), np.array(0.0))
     assert np.linalg.norm(q2) < 1e-12
     assert np.allclose(n2, [0.0, 0.0, -1.0], atol=1e-12)
+    # the cap points are the rigid motion p -> R (p - X(ustar)) of boundary points
+    q, n = posed.cap_points(np.linspace(0.01, 2.0, 5)[:, None], np.linspace(0, 6, 7))
+    R = posed.rotation
+    ref = (body_point(b, n @ R) - body_point(b, site.u)) @ R.T
+    assert np.allclose(q, ref, rtol=0.0, atol=1e-14)
 
 
 # --- pipeline ---------------------------------------------------------------

@@ -148,7 +148,7 @@ def test_shape_operator_invariants(rng):
             assert rel_close(pd.K, pd.k1 * pd.k2, 1e-12)
             if not pd.umbilic and (pd.k2 - pd.k1) > 1e-6:
                 j = field.jet((x, y))
-                g = np.eye(2) + np.outer(j.grad, j.grad)
+                g = np.eye(2) + np.outer((j.f1, j.f2), (j.f1, j.f2))
                 assert abs(pd.e1 @ g @ pd.e2) < 1e-10
 
 

@@ -21,6 +21,9 @@ def test_registry_defaults_and_errors():
         make_field("no_such_family")
     with pytest.raises(ValueError):
         make_field("cone_type", lam=-0.1)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make_field("ridge", lam=lam)
     with pytest.raises(ValueError):
         make_field("paraboloid", lam=0.2)  # takes no parameters
     with pytest.raises(ValueError):

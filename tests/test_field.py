@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_fields, sample_points
-from umbilic import (Direction, DomainError, Jet2, Point2, decay_profile,
-                     directional, eval_jet, fd_jet, make_field, rotate_frame,
-                     uniform_field)
-
-
-def test_point_types_validate():
-    with pytest.raises(ValueError):
-        Point2(float("nan"), 0.0)
+from umbilic import (Direction, DomainError, Jet2, decay_profile, fd_jet,
+                     make_field, rotate_frame, uniform_field)
+from umbilic.field import directional_arrays
 
 
 def test_direction_unit_norm():
@@ -22,48 +17,49 @@ def test_direction_unit_norm():
 
 
 def test_eval_jet_paraboloid_origin():
-    assert eval_jet(make_field("paraboloid"), (0.0, 0.0)) == Jet2(0, 0, 0, 2, 0, 2)
+    assert make_field("paraboloid").jet((0.0, 0.0)) == Jet2(0, 0, 0, 2, 0, 2)
 
 
 def test_eval_jet_saddle():
-    assert eval_jet(make_field("saddle"), (1.0, 2.0)) == Jet2(2, 2, 1, 0, 1, 0)
+    assert make_field("saddle").jet((1.0, 2.0)) == Jet2(2, 2, 1, 0, 1, 0)
 
 
 def test_eval_jet_gaussian_origin():
-    j = eval_jet(make_field("gaussian_bump"), Point2(0.0, 0.0))
+    j = make_field("gaussian_bump").jet((0.0, 0.0))
     assert j == Jet2(1, 0, 0, -2, 0, -2)
 
 
 def test_directional_reads_jet():
-    j = eval_jet(make_field("saddle"), (1.0, 2.0))
-    fX, fXX = directional(j, Direction(0.0))
+    j = make_field("saddle").jet((1.0, 2.0))
+    fX, fXX = directional_arrays(*j[1:], 1.0, 0.0)
     assert (fX, fXX) == (2.0, 0.0)
 
 
 def test_directional_isotropic():
-    j = eval_jet(make_field("paraboloid"), (0.0, 0.0))
+    j = make_field("paraboloid").jet((0.0, 0.0))
     for theta in (0.0, 0.7, 2.1):
-        fX, fXX = directional(j, Direction(theta))
+        fX, fXX = directional_arrays(*j[1:], math.cos(theta), math.sin(theta))
         assert abs(fX) < 1e-15
         assert abs(fXX - 2.0) < 1e-13
 
 
 def test_directional_saddle_diagonal():
-    j = eval_jet(make_field("saddle"), (0.0, 0.0))
-    fX, fXX = directional(j, Direction(math.pi / 4))
+    j = make_field("saddle").jet((0.0, 0.0))
+    d = Direction(math.pi / 4)
+    fX, fXX = directional_arrays(*j[1:], d.x, d.y)
     assert abs(fX) < 1e-15
     assert abs(fXX - 1.0) < 1e-14
 
 
 def test_rotate_frame_identity_and_flip():
-    j = eval_jet(make_field("saddle"), (0.3, -0.4))
+    j = make_field("saddle").jet((0.3, -0.4))
     assert rotate_frame(j, 0.0) == j
-    jr = rotate_frame(eval_jet(make_field("saddle"), (0.0, 0.0)), math.pi / 2)
+    jr = rotate_frame(make_field("saddle").jet((0.0, 0.0)), math.pi / 2)
     assert np.allclose([jr.f11, jr.f12, jr.f22], [0.0, -1.0, 0.0], atol=1e-15)
 
 
 def test_rotate_frame_full_turn():
-    j = eval_jet(make_field("asym_bump"), (0.4, 0.9))
+    j = make_field("asym_bump").jet((0.4, 0.9))
     jr = rotate_frame(j, 2 * math.pi)
     assert np.allclose(list(jr), list(j), atol=1e-14)
 
@@ -72,7 +68,7 @@ def test_rotate_frame_full_turn():
 @given(st.floats(-2, 2), st.floats(-2, 2),
        st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi))
 def test_rotate_frame_group_action(x, y, t1, t2):
-    j = eval_jet(make_field("asym_bump"), (x, y))
+    j = make_field("asym_bump").jet((x, y))
     a = rotate_frame(rotate_frame(j, t2), t1)
     b = rotate_frame(j, t1 + t2)
     assert np.allclose(list(a), list(b), atol=1e-12)
@@ -81,9 +77,10 @@ def test_rotate_frame_group_action(x, y, t1, t2):
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0, 2 * math.pi))
 def test_directional_trace_identity(x, y, theta):
-    j = eval_jet(make_field("bates_like"), (x, y))
-    _, fXX = directional(j, Direction(theta))
-    _, fYY = directional(j, Direction(theta).perp())
+    j = make_field("bates_like").jet((x, y))
+    X, Y = Direction(theta), Direction(theta + math.pi / 2)
+    _, fXX = directional_arrays(*j[1:], X.x, X.y)
+    _, fYY = directional_arrays(*j[1:], Y.x, Y.y)
     assert abs(fXX + fYY - (j.f11 + j.f22)) < 1e-12
 
 
@@ -130,6 +127,9 @@ def test_decay_profile_nonnegative_and_validates():
         decay_profile(make_field("gaussian_bump"), [2.0, 1.0])
     with pytest.raises(ValueError):
         decay_profile(make_field("gaussian_bump"), [1.0], n_theta=4)
+    for radii in ([2.0, math.nan], [math.nan], [2.0, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            decay_profile(make_field("gaussian_bump"), radii)
 
 
 def test_sphere_cap_domain_error():

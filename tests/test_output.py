@@ -11,12 +11,12 @@ def read(path):
         return fh.read()
 
 
-def grid_of(values, xs=None, ys=None):
+def grid_of(values, xs=None, ys=None, evaluator=None):
     values = np.asarray(values, dtype=float)
     n, m = values.shape
     xs = np.linspace(-1.5, 2.0, n) if xs is None else np.asarray(xs, dtype=float)
     ys = np.linspace(-1.0, 1.0, m) if ys is None else np.asarray(ys, dtype=float)
-    return Grid(xs, ys, values, "custom", (xs[0], ys[0], xs[-1], ys[-1]))
+    return Grid(xs, ys, values, (xs[0], ys[0], xs[-1], ys[-1]), evaluator)
 
 
 # the per-cell heatmap loop the array writer replaced, kept as the oracle
@@ -100,7 +100,11 @@ def test_polyline_csv_matches_row_writer(tmp_path):
     xs = np.linspace(-2.0, 2.0, 41)
     ys = np.linspace(-1.5, 1.5, 33)
     XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    cs = contours(grid_of(XX**2 + 2.0 * YY**2 - 1.0 - 0.3 * XX**3, xs, ys))
+
+    def fn(x, y):
+        return x**2 + 2.0 * y**2 - 1.0 - 0.3 * x**3
+
+    cs = contours(grid_of(fn(XX, YY), xs, ys, fn))
     assert len(cs.polylines) >= 1
     polylines = cs.polylines + [np.array([[-0.0, 1e-5], [5e-324, 1e16]])]
     rows = [(pid, x, y) for pid, poly in enumerate(polylines) for x, y in poly]

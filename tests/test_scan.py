@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import all_fields
 from umbilic import (Direction, Jet2, contours, dk_dtheta, graph_mean_divergence,
                      grid_field, make_field, normal_curvature, rotate_frame, scan,
-                     sign_witness, umbilic_free_floor, umbilic_residuals,
-                     umbilic_search)
+                     umbilic_free_floor, umbilic_residuals, umbilic_search)
 from umbilic.cli import main
 from umbilic.curvature import principal_arrays
 from umbilic.field import rotate_jet_arrays
@@ -25,7 +24,7 @@ def linear_grid(n=21, lo=-1.0, hi=1.0, fn=lambda x, y: x):
     xs = np.linspace(lo, hi, n)
     ys = np.linspace(lo, hi, n)
     XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    return Grid(xs, ys, fn(XX, YY), "custom", (lo, lo, hi, hi), {}, fn)
+    return Grid(xs, ys, fn(XX, YY), (lo, lo, hi, hi), fn)
 
 
 # --- grid sampling ----------------------------------------------------------
@@ -90,7 +89,7 @@ def test_grid_quantities_equal_scalar_apis(field):
 
 def test_contour_vertical_line():
     cs = contours(linear_grid())
-    assert len(cs) == 1
+    assert len(cs.polylines) == 1
     poly = cs.polylines[0]
     assert np.allclose(poly[:, 0], 0.0, atol=1e-14)
     assert poly[:, 1].min() == -1.0 and poly[:, 1].max() == 1.0
@@ -98,7 +97,7 @@ def test_contour_vertical_line():
 
 def test_contour_empty_for_positive_grid():
     cs = contours(linear_grid(fn=lambda x, y: np.ones_like(x)))
-    assert len(cs) == 0
+    assert len(cs.polylines) == 0
 
 
 def test_contour_circle_hausdorff():
@@ -107,9 +106,9 @@ def test_contour_circle_hausdorff():
 
     g = linear_grid(81, fn=fn)
     cs = contours(g)
-    assert len(cs) == 1 and cs.closed[0]
+    assert len(cs.polylines) == 1 and cs.closed[0]
     pts = cs.polylines[0]
-    cell = g.cell_diagonal()
+    cell = math.hypot(g.xs[1] - g.xs[0], g.ys[1] - g.ys[0])
     # every vertex close to the circle r = 1/2
     assert np.max(np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 0.5)) < cell
     # every circle point close to the polyline
@@ -167,7 +166,8 @@ def test_chain_segments_matches_reference(seed):
     values[r.random((n, m)) < 0.2] = -0.0
     xs = np.linspace(-1.0, 1.0, n)
     ys = np.concatenate([[-0.0], np.linspace(0.0, 2.0, m)[1:]])
-    grid = Grid(xs, ys, values, "custom", (-1.0, -0.0, 1.0, 2.0))
+    # the chaining is checked, not the saddle rule: every center reads 0
+    grid = Grid(xs, ys, values, (-1.0, -0.0, 1.0, 2.0), lambda x, y: np.zeros(np.shape(x)))
     ends = _segments(grid)
     cs = _chain_segments(ends)
     polylines, closed = cs.polylines, cs.closed
@@ -182,35 +182,14 @@ def test_contour_vertices_near_zero_level(rng):
     field = make_field("asym_bump")
     g = grid_field(field, "dk", (-2, -2, 2, 2), 41, 41, X=EX, Y=EY)
     cs = contours(g)
-    assert len(cs) >= 1
-    cell = g.cell_diagonal()
+    assert len(cs.polylines) >= 1
+    cell = math.hypot(g.xs[1] - g.xs[0], g.ys[1] - g.ys[0])
     # Lipschitz bound from the sampled gradient of the residual
     lip = np.max(np.abs(np.gradient(g.values, g.xs, axis=0))) \
         + np.max(np.abs(np.gradient(g.values, g.ys, axis=1)))
     for poly in cs.polylines:
         res = np.abs(g.evaluator(poly[:, 0], poly[:, 1]))
         assert np.max(res) < lip * cell
-
-
-# --- sign witness -----------------------------------------------------------
-
-def test_sign_witness_linear():
-    w = sign_witness(linear_grid())
-    assert w is not None
-    assert w.positive[1] > 0 and w.negative[1] < 0
-    assert w.positive[0][0] > 0 and w.negative[0][0] < 0
-
-
-def test_sign_witness_none_for_constant():
-    assert sign_witness(linear_grid(fn=lambda x, y: np.ones_like(x))) is None
-
-
-def test_sign_witness_curvature_difference():
-    g = grid_field(make_field("asym_bump"), "dk", (-3, -3, 3, 3), 41, 41,
-                   X=EX, Y=EY)
-    w = sign_witness(g)
-    assert w is not None
-    assert w.positive[1] > 1e-4 and w.negative[1] < -1e-4
 
 
 # --- umbilic search ---------------------------------------------------------
@@ -473,7 +452,7 @@ def test_witness_coheres_with_vanishing_integrals():
     assert all(abs(v) < 1e-4 for v in table.column("I_flux"))
     g = grid_field(field, "dk", (-3, -3, 3, 3), 41, 41, X=EX, Y=EY)
     assert np.max(np.abs(g.values)) > 1e-3
-    assert sign_witness(g) is not None
+    assert g.values.max() > 0.0 > g.values.min()
 
 
 # --- marching-squares cases -------------------------------------------------
@@ -501,23 +480,21 @@ def test_contour_saddle_resolution(sign):
     cut_x1y0 = {frozenset(("left", "top")), frozenset(("bottom", "right"))}
     up_joined, down_joined = (cut_x1y0, cut_x0y0) if sign > 0 else (cut_x0y0, cut_x1y0)
 
-    def joined(vals, center=None, evaluate=True):
-        ev = (lambda x, y: np.full(np.shape(x), center)) if evaluate else None
-        return _joined_edges(contours(Grid(xs, ys, vals, "custom", (0, 0, 1, 1), {}, ev)))
+    def joined(center):
+        ev = lambda x, y: np.full(np.shape(x), center)
+        return _joined_edges(contours(Grid(xs, ys, values, (0, 0, 1, 1), ev)))
 
-    assert joined(values, 1.0) == up_joined
-    assert joined(values, -1.0) == down_joined
+    assert joined(1.0) == up_joined
+    # a zero center is at the level, so it counts as up
+    assert joined(0.0) == up_joined
+    assert joined(-1.0) == down_joined
     # a NaN center is not at or above the level
-    assert joined(values, math.nan) == down_joined
-    # without an evaluator the corner mean decides; a zero mean counts as up
-    assert joined(values, evaluate=False) == up_joined
-    assert joined(values + 0.5, evaluate=False) == up_joined
-    assert joined(values - 0.5, evaluate=False) == down_joined
+    assert joined(math.nan) == down_joined
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 6), st.integers(2, 6), st.data(),
-       st.sampled_from([None, 1.0, -1.0]))
+       st.sampled_from([1.0, -1.0, math.nan]))
 def test_contour_vertices_one_per_sign_change(n, m, data, center):
     """Every edge whose ends differ in sign (>= 0 or not) carries one
     vertex, at its linear crossing, and no other vertex appears."""
@@ -527,8 +504,8 @@ def test_contour_vertices_one_per_sign_change(n, m, data, center):
     values = values.reshape(n, m)
     xs = np.linspace(-1.0, 1.0, n)
     ys = np.linspace(-2.0, 3.0, m)
-    ev = None if center is None else (lambda x, y: np.full(np.shape(x), center))
-    cs = contours(Grid(xs, ys, values, "custom", (-1, -2, 1, 3), {}, ev))
+    ev = lambda x, y: np.full(np.shape(x), center)
+    cs = contours(Grid(xs, ys, values, (-1, -2, 1, 3), ev))
     expected = set()
     for i, j in np.ndindex(n, m):
         for k, l in ((i + 1, j), (i, j + 1)):
