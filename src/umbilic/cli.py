@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 from . import convexbody, quad, scan, transform
@@ -38,6 +39,14 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a token for a negative number only in plain decimal
+        # notation (-1, -.5), so -1e-3 or -inf would start an option; any
+        # negative float() spelling is a value here (no option looks like one)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):
         raise UsageError(message)
 

@@ -36,36 +36,60 @@ class SupportBody:
     quartic: tuple = (0.0, 0.0, 0.0)
     name: str = "body"
 
-    def _arrays(self):
-        return (np.asarray(self.linear, float), np.asarray(self.quad, float),
-                np.asarray(self.quartic, float))
+    def _h(self, u):
+        """h at the normals given as three component planes."""
+        u4 = [c * c * (c * c) for c in u]
+        return (self.c0 + _dot3(u, self.linear) + _dot3(_vecmat3(u, self.quad), u)
+                + _dot3(u4, self.quartic))
+
+    def _grad(self, u):
+        """Euclidean gradient of the polynomial extension of h, as planes."""
+        return tuple(l + 2.0 * m + 4.0 * a * (c * c * c) for l, m, a, c
+                     in zip(self.linear, _vecmat3(u, self.quad), self.quartic, u))
+
+    def _sphere_grad(self, u):
+        """Tangential gradient of h on the sphere at the unit normals u, as planes."""
+        g = self._grad(u)
+        gu = _dot3(g, u)
+        return tuple(gk - gu * uk for gk, uk in zip(g, u))
 
     def h(self, u):
-        u = _floating(u)
-        l, Q, a = self._arrays()
-        u2 = u * u
-        return (self.c0 + np.sum(u * l, axis=-1) + np.einsum("...i,ij,...j->...", u, Q, u)
-                + np.sum(u2 * u2 * a, axis=-1))
+        """Support function at the unit normals u (last axis)."""
+        return self._h(_planes(u))
 
     def grad_ambient(self, u):
         """Euclidean gradient of the polynomial extension of h."""
-        u = _floating(u)
-        l, Q, a = self._arrays()
-        return l + 2.0 * u @ Q + 4.0 * a * (u * u * u)
+        return np.stack(self._grad(_planes(u)), axis=-1)
 
     def hess_ambient(self, u):
         u = _floating(u)
-        l, Q, a = self._arrays()
-        out = np.broadcast_to(2.0 * Q, u.shape[:-1] + (3, 3)).astype(u.dtype)
+        out = np.broadcast_to(2.0 * np.asarray(self.quad, float),
+                              u.shape[:-1] + (3, 3)).astype(u.dtype)
         idx = np.arange(3)
-        out[..., idx, idx] += 12.0 * a * u ** 2
+        out[..., idx, idx] += 12.0 * np.asarray(self.quartic, float) * u ** 2
         return out
 
     def sphere_grad(self, u):
         """Tangential gradient of h on the sphere at the unit normal u."""
-        u = _floating(u)
-        g = self.grad_ambient(u)
-        return g - np.sum(g * u, axis=-1, keepdims=True) * u
+        return np.stack(self._sphere_grad(_planes(u)), axis=-1)
+
+
+def _planes(u):
+    """The three component planes of an array of 3-vectors (last axis)."""
+    u = _floating(u)
+    return u[..., 0], u[..., 1], u[..., 2]
+
+
+def _dot3(a, b):
+    """a0 b0 + a1 b1 + a2 b2, added in that order (as ``np.sum`` adds a row
+    of three), for 3-sequences of planes or scalars. Every operation is
+    elementwise, so a value's bits never depend on the batch it sits in."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _vecmat3(a, M):
+    """The components of the row vector a times the 3x3 matrix M."""
+    return tuple(_dot3(a, (M[0][j], M[1][j], M[2][j])) for j in range(3))
 
 
 def body_point(body: SupportBody, u) -> np.ndarray:
@@ -101,8 +125,9 @@ def radii_of_curvature(body: SupportBody, u, check: bool = True):
     eigenvalues of m = a + (h - <grad h, u>) I, a the tangent Hessian."""
     u = _floating(u)
     a11, m12, a22 = _tangent_hessian(body, u)
-    gdot = np.sum(body.grad_ambient(u) * u, axis=-1)
-    h = body.h(u)
+    up = _planes(u)
+    gdot = _dot3(body._grad(up), up)
+    h = body._h(up)
     m11, m22 = a11 - gdot + h, a22 - gdot + h
     mean = 0.5 * (m11 + m22)
     s = np.sqrt(np.maximum(0.25 * (m11 - m22) ** 2 + m12 ** 2, 0.0))
@@ -207,9 +232,46 @@ def find_umbilic(body: SupportBody, grid_n: int = 48) -> UmbilicSite:
     return UmbilicSite(u, final, final < FIND_TOL)
 
 
+def _merge_close(us):
+    """Rows of us (K, 3) kept by a greedy merge in row order: a row is
+    dropped when an earlier kept row lies closer than 1e-3 rad to it, that is
+    arccos(min(1, |d|)) < 1e-3 with d = <u_i, u_j> > 0.
+
+    Two unit rows that close differ by less than 1e-3 in z and have
+    d > cos(1e-3), so the test runs only on the pairs of a window of 1e-3 in
+    z over the rows sorted by z that have d > cos(2e-3)."""
+    x, y, z = us[:, 0], us[:, 1], us[:, 2]
+    order = np.argsort(z)
+    zs = z[order]
+    # every pair (first, later) of positions in zs at most 1e-3 apart
+    span = np.searchsorted(zs, zs + 1e-3, side="right") - np.arange(len(zs)) - 1
+    first = np.repeat(np.arange(len(zs)), span)
+    later = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(span) - span, span)
+    i, j = np.sort([order[first], order[later]], axis=0)
+    d = x[i] * x[j] + y[i] * y[j] + z[i] * z[j]
+    near = d > math.cos(2e-3)
+    i, j, d = i[near], j[near], d[near]
+    close = (np.arccos(np.minimum(1.0, np.abs(d))) < 1e-3) & (d > 0.0)
+    by_j = np.argsort(j[close])
+    keep = np.ones(len(us), bool)
+    # in increasing j, a row's fate is settled before any later row reads it
+    for a, b in zip(i[close][by_j].tolist(), j[close][by_j].tolist()):
+        if keep[a]:
+            keep[b] = False
+    return keep
+
+
 def umbilic_sites(body: SupportBody, grid_n: int = 48):
-    """All distinct umbilic directions found from grid local minima; sites
-    closer than 1e-3 rad merge into the first."""
+    """All distinct umbilic directions found from grid local minima.
+
+    The candidates are the two poles, then the local minima of rho2 - rho1
+    on a (max(grid_n, 16), 2 max(grid_n, 16)) polar grid in row-major order,
+    each Newton-polished; those below ``SITES_TOL`` are sites. Sites merge
+    greedily in candidate order: one closer than 1e-3 rad to an earlier kept
+    site is dropped (``_merge_close``). The list is sorted by its
+    directions rounded to 9 decimals, z first, then x, then y, ties in
+    candidate order.
+    """
     n_phi = max(grid_n, 16)
     phis = (np.arange(n_phi) + 0.5) * (math.pi / n_phi)
     thetas = np.arange(2 * n_phi) * (math.tau / (2 * n_phi))
@@ -224,18 +286,13 @@ def umbilic_sites(body: SupportBody, grid_n: int = 48):
     us, _ = _polish_umbilics(body, cands)
     rr1, rr2 = radii_of_curvature(body, us, check=False)
     resid = rr2 - rr1
-    # greedy merge in candidate order against the sites accepted so far
-    sites = []
-    accepted = np.empty_like(us)
     good = resid < SITES_TOL
-    for u, r in zip(us[good], resid[good]):
-        d = accepted[:len(sites)] @ u
-        if np.any((np.arccos(np.minimum(1.0, np.abs(d))) < 1e-3) & (d > 0.0)):
-            continue
-        accepted[len(sites)] = u
-        sites.append(UmbilicSite(u, float(r), True))
-    sites.sort(key=lambda s: (round(s.u[2], 9), round(s.u[0], 9), round(s.u[1], 9)))
-    return sites
+    us, resid = us[good], resid[good]
+    keep = _merge_close(us)
+    us, resid = us[keep], resid[keep]
+    key = np.round(us, 9)
+    return [UmbilicSite(us[k], float(resid[k]), True)
+            for k in np.lexsort((key[:, 1], key[:, 0], key[:, 2]))]
 
 
 def parallel_body(body: SupportBody, r: float, rescale: bool = False) -> SupportBody:
@@ -308,25 +365,29 @@ class PosedBody:
 
         u(phi, theta) runs at angle phi from ustar; the difference
         X(u) - X(ustar) is assembled term by term so nothing cancels
-        catastrophically for small phi.
+        catastrophically for small phi. Every value is made one component
+        plane at a time by elementwise operations, so its bits do not depend
+        on the shape of the batch; both results are component-major.
         """
         phis = np.asarray(phis, float)
         thetas = np.asarray(thetas, float)
-        sphi = np.sin(phis)[..., None]
-        du_star = -2.0 * np.sin(0.5 * phis)[..., None] ** 2 * self.ustar
-        w = (np.cos(thetas)[..., None] * self.t1 + np.sin(thetas)[..., None] * self.t2)
-        du = du_star + sphi * w
-        u = self.ustar + du
-        b = self.body
-        l, Q, a = b._arrays()
-        hu = b.h(u)
-        usum = u + self.ustar
-        dh = (du @ l + np.einsum("...i,ij,...j->...", du, Q, usum)
-              + np.sum(a * du * usum * (u ** 2 + self.ustar ** 2), axis=-1))
-        dgrad = b.sphere_grad(u) - b.sphere_grad(self.ustar)
-        delta = hu[..., None] * du + dh[..., None] * self.ustar + dgrad
+        b, us = self.body, self.ustar
+        sphi = np.sin(phis)
+        dstar = -2.0 * np.sin(0.5 * phis) ** 2  # du along ustar
+        c, s = np.cos(thetas), np.sin(thetas)
+        du = [dstar * us[k] + sphi * (c * self.t1[k] + s * self.t2[k]) for k in range(3)]
+        u = [us[k] + du[k] for k in range(3)]
+        usum = [u[k] + us[k] for k in range(3)]
+        dh = (_dot3(du, b.linear) + _dot3(_vecmat3(du, b.quad), usum)
+              + _dot3(b.quartic, [du[k] * usum[k] * (u[k] * u[k] + us[k] * us[k])
+                                  for k in range(3)]))
+        hu = b._h(u)
+        sg, sg_star = b._sphere_grad(u), b._sphere_grad(us)
+        delta = [hu * du[k] + dh * us[k] + (sg[k] - sg_star[k]) for k in range(3)]
+        del du, usum, dh, hu, sg  # a ladder-sized call holds fewer planes at once
         R = self.rotation
-        return delta @ R.T, u @ R.T
+        return (np.moveaxis(np.stack([_dot3(row, delta) for row in R]), 0, -1),
+                np.moveaxis(np.stack([_dot3(row, u) for row in R]), 0, -1))
 
 
 def pose_at_umbilic(body: SupportBody, ustar) -> PosedBody:
@@ -337,6 +398,12 @@ def pose_at_umbilic(body: SupportBody, ustar) -> PosedBody:
     R = _rotation_taking(ustar, np.array([0.0, 0.0, -1.0]))
     t1, t2 = _tangent_basis(ustar)
     return PosedBody(body, ustar, R, t1, t2)
+
+
+def _inverted_rbar(q):
+    """Horizontal radius |q_xy| / |q|^2 of the inverted images of posed points q."""
+    x, y, z = _planes(q)
+    return np.hypot(x, y) / _dot3((x, y, z), (x, y, z))
 
 
 @dataclass(frozen=True)
@@ -391,13 +458,12 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
     # monotonicity ladder: phi from well inside the largest bin out to the cap
     phi_lo = min(0.01 / max(radii), 1e-4)
     phis = np.geomspace(phi_lo, 2.8, 220)
-    q, n = posed.cap_points(phis[:, None], thetas[None, :])
-    n2 = np.sum(q * q, axis=-1)
-    rbar = np.hypot(q[..., 0], q[..., 1]) / n2
+    rbar = _inverted_rbar(posed.cap_points(phis[:, None], thetas[None, :])[0])
     monotone = bool(np.all(np.diff(rbar, axis=0) < 0.0))
     if not monotone:
         return PipelineReport(site.u, offset_r, c, [], False)
 
+    cols = np.arange(n_theta)
     rows = []
     for target in radii:
         if not (rbar[-1].max() < target < rbar[0].min()):
@@ -405,11 +471,12 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
         lo_idx = np.argmax(rbar < target, axis=0)  # first index past the target
 
         def above(phi):
-            qm, _ = posed.cap_points(phi, thetas)
-            return np.hypot(qm[..., 0], qm[..., 1]) / np.sum(qm * qm, axis=-1) - target
+            return _inverted_rbar(posed.cap_points(phi, thetas)[0]) - target
 
-        a, b = phis[lo_idx - 1], phis[lo_idx]
-        phi_sol = bracket_root(above, a, b, above(a), above(b))
+        # the ladder rows on either side of the root hold g at the bracket ends,
+        # bit for bit, as cap_points is elementwise
+        phi_sol = bracket_root(above, phis[lo_idx - 1], phis[lo_idx],
+                               rbar[lo_idx - 1, cols] - target, rbar[lo_idx, cols] - target)
         qs, ns = posed.cap_points(phi_sol, thetas)
         n2s = np.sum(qs * qs, axis=-1)
         rb = np.hypot(qs[..., 0], qs[..., 1]) / n2s

@@ -116,6 +116,36 @@ def test_bad_option_value_is_a_usage_error(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, sci, plain", [
+    (["verify", "thm2", "--field", "asym_bump"], ["--X", "-1e-3"], ["--X=-0.001"]),
+    (["contour", "--field", "saddle", "--n", "5"], ["--region", "-1e-1", "-1", "1", "1"],
+     ["--region", "-0.1", "-1", "1", "1"]),
+    (["curvature", "map", "--field", "paraboloid", "--n", "5", "--m", "5"],
+     ["--region", "-2E-1", "-.5", "1", "1"], ["--region", "-0.2", "-0.5", "1", "1"]),
+], ids=["thm2-X", "contour-region", "map-region"])
+def test_negative_scientific_notation_is_a_value(tmp_path, argv, sci, plain):
+    # argparse alone reads -1e-3 as an option flag, and -0.001 as a number
+    out, ref = tmp_path / "sci.csv", tmp_path / "plain.csv"
+    assert main(argv + sci + ["--out", str(out)]) == 0
+    assert main(argv + plain + ["--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "thm2", "--field", "asym_bump", "--X", "-inf"], "--X"),
+    (["contour", "--field", "saddle", "--region", "-1e-1", "-1", "1", "-Infinity"],
+     "--region"),
+    (["verify", "thm3", "--field", "asym_bump", "--theta0", "-NaN"], "--theta0"),
+], ids=["thm2-X", "contour-region", "thm3-theta0"])
+def test_negative_nonfinite_value_is_a_usage_error(tmp_path, capsys, argv, flag):
+    # read as a value, not as an option flag, it meets the finite check
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"usage error: argument {flag}: must be finite, got ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("words", [
     [], ["fields"], ["fields", "list"], ["curvature"], ["curvature", "map"],
     ["umbilic"], ["umbilic", "scan"], ["floor"], ["invert"], ["invert", "graph"],

@@ -11,7 +11,7 @@ from umbilic import (ConvexityError, NonConvergenceError, SupportBody, body_poin
 from umbilic.cli import _parse_body, main
 from umbilic.convexbody import (PosedBody, _anisotropy, _polish_umbilics, _solve2,
                                 _tangent_basis, fibonacci_sphere)
-from umbilic.util import bracket_root, complex_step, unit3
+from umbilic.util import bracket_root, complex_step, local_minima, unit3
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -265,6 +265,131 @@ def test_support_polynomials_rows_independent_of_batch(spec):
         assert np.array_equal(body.grad_ambient(u[k]), g[k])
 
 
+# bodies with every term of the support polynomial, the last two with a full
+# (rotated) quadratic form
+KERNEL_BODIES = (
+    *map(_parse_body, CLI_BODIES),
+    SupportBody(1.0, (0.1, -0.2, 0.15), ((0.05, 0.02, -0.01), (0.02, 0.03, 0.04),
+                                         (-0.01, 0.04, 0.08)), (0.03, 0.05, 0.07)),
+    rotate_body(triaxial(0.01, 0.05, 0.09), np.linalg.qr(
+        np.random.default_rng(3).standard_normal((3, 3)))[0]),
+)
+
+
+def _h_reference(body, u):
+    """h as an einsum over the length-3 axis, the expression the component
+    planes replaced."""
+    l, Q, a = (np.asarray(v, float) for v in (body.linear, body.quad, body.quartic))
+    u2 = u * u
+    return (body.c0 + np.sum(u * l, axis=-1) + np.einsum("...i,ij,...j->...", u, Q, u)
+            + np.sum(u2 * u2 * a, axis=-1))
+
+
+def _grad_reference(body, u):
+    l, Q, a = (np.asarray(v, float) for v in (body.linear, body.quad, body.quartic))
+    return l + 2.0 * u @ Q + 4.0 * a * (u * u * u)
+
+
+def _magnitude(body):
+    """The body with every coefficient made nonnegative: on |u| its h and
+    gradient are the sums of the absolute values of their terms."""
+    return SupportBody(abs(body.c0), tuple(np.abs(body.linear)),
+                       tuple(map(tuple, np.abs(body.quad))), tuple(np.abs(body.quartic)))
+
+
+@pytest.mark.parametrize("body", KERNEL_BODIES, ids=lambda b: getattr(b, "name", b))
+def test_support_polynomials_match_the_einsum_reference(body):
+    # each value is a sum of at most 16 rounded products and sums, so both
+    # forms lie within 16 (eps / 2) S of the exact value, S the sum of the
+    # absolute values of the terms: they differ by at most 16 ulps of S
+    rng = np.random.default_rng(12)
+    u = unit3(rng.standard_normal((500, 3)))
+    direction = rng.standard_normal((500, 3))
+    ulps = 16.0 * np.finfo(float).eps
+    big = _magnitude(body)
+    for w, w_abs in ((u, np.abs(u)), (u + 1j * 1e-30 * direction,
+                                      np.abs(u) + 1j * 1e-30 * np.abs(direction))):
+        for new, ref, scale in ((body.h(w), _h_reference(body, w), big.h(w_abs)),
+                                (body.grad_ambient(w), _grad_reference(body, w),
+                                 _grad_reference(big, w_abs))):
+            assert new.dtype == ref.dtype and new.shape == ref.shape
+            assert np.all(np.abs(new.real - ref.real) <= ulps * scale.real)
+            assert np.all(np.abs(new.imag - ref.imag) <= ulps * scale.imag)
+
+
+@pytest.mark.parametrize("body", KERNEL_BODIES[2:], ids=lambda b: getattr(b, "name", b))
+def test_cap_points_ladder_rows_match_per_phi_calls(body):
+    # the phi-solve reads g at its bracket ends off the ladder rows, so a
+    # ladder row must carry the bits of a call at that one phi
+    posed = pose_at_umbilic(parallel_body(body, 10.0, rescale=True), find_umbilic(body).u)
+    phis = np.geomspace(1e-5, 2.8, 41)
+    thetas = np.arange(37) * (math.tau / 37)
+    q, n = posed.cap_points(phis[:, None], thetas[None, :])
+    assert q.shape == n.shape == (41, 37, 3)
+    for k, phi in enumerate(phis):
+        qk, nk = posed.cap_points(np.full(37, phi), thetas)
+        assert np.array_equal(qk, q[k]) and np.array_equal(nk, n[k])
+    # one phi per azimuth, as in a step of the solve, and one point alone
+    rows = np.random.default_rng(4).integers(0, 41, 37)
+    cols = np.arange(37)
+    qr, nr = posed.cap_points(phis[rows], thetas)
+    assert np.array_equal(qr, q[rows, cols]) and np.array_equal(nr, n[rows, cols])
+    q1, n1 = posed.cap_points(phis[5], thetas[7])
+    assert np.array_equal(q1, q[5, 7]) and np.array_equal(n1, n[5, 7])
+
+
+def _umbilic_sites_reference(body, grid_n):
+    """umbilic_sites with the greedy merge as a loop over the candidates
+    (against the sites kept so far) and the sort on a tuple of rounded
+    components: what the array passes replaced."""
+    n_phi = max(grid_n, 16)
+    phis = (np.arange(n_phi) + 0.5) * (math.pi / n_phi)
+    thetas = np.arange(2 * n_phi) * (math.tau / (2 * n_phi))
+    P, T = np.meshgrid(phis, thetas, indexing="ij")
+    U = np.stack([np.sin(P) * np.cos(T), np.sin(P) * np.sin(T), np.cos(P)], axis=-1)
+    r1, r2 = radii_of_curvature(body, U, check=False)
+    mins = local_minima(r2 - r1, wrap_cols=True)
+    cands = np.concatenate([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], U[mins[:, 0], mins[:, 1]]])
+    us, _ = _polish_umbilics(body, cands)
+    rr1, rr2 = radii_of_curvature(body, us, check=False)
+    resid = rr2 - rr1
+    sites = []
+    accepted = np.empty_like(us)
+    good = resid < convexbody.SITES_TOL
+    for u, r in zip(us[good], resid[good]):
+        d = accepted[:len(sites)] @ u
+        if np.any((np.arccos(np.minimum(1.0, np.abs(d))) < 1e-3) & (d > 0.0)):
+            continue
+        accepted[len(sites)] = u
+        sites.append(convexbody.UmbilicSite(u, float(r), True))
+    sites.sort(key=lambda s: (round(s.u[2], 9), round(s.u[0], 9), round(s.u[1], 9)))
+    return sites, int(good.sum())
+
+
+@pytest.mark.parametrize("grid_n", [16, 17, 25, 32])
+@pytest.mark.parametrize("spec", CLI_BODIES)
+def test_umbilic_sites_match_the_loop_reference(spec, grid_n):
+    body = _parse_body(spec)
+    sites = umbilic_sites(body, grid_n=grid_n)
+    ref, candidates = _umbilic_sites_reference(body, grid_n)
+    assert [(s.u.tobytes(), repr(s.residual), s.converged) for s in sites] == \
+        [(s.u.tobytes(), repr(s.residual), s.converged) for s in ref]
+    if spec.startswith("zonal") and grid_n == 17:
+        # the two poles and 54 grid minima merge into the two poles
+        assert (candidates, len(sites)) == (56, 2)
+
+
+def test_umbilic_sites_merge_keeps_the_first_of_a_cluster():
+    # rows 0 and 1 are 5e-4 rad apart and merge; row 2 is 5e-4 rad from row 1
+    # and 1e-3 from row 0, so it stays (row 1 was dropped); row 3 is the
+    # antipode of row 0, which d > 0 keeps apart; row 4 repeats row 2
+    a = np.array([0.0, 5e-4, 1e-3 + 1e-9])
+    us = np.stack([np.sin(a), np.zeros(3), np.cos(a)], axis=-1)
+    us = np.concatenate([us, -us[:1], us[2:]])
+    assert convexbody._merge_close(us).tolist() == [True, False, True, True, False]
+    assert convexbody._merge_close(np.empty((0, 3))).tolist() == []
+
+
 @pytest.mark.parametrize("spec, count", [("zonal:eps=0.05", 2),
                                          ("quartic:qx=0.03,qy=0.05,qz=0.07", 14)])
 def test_umbilic_sites_counts(spec, count):
@@ -395,9 +520,9 @@ def test_pipeline_phi_solve(monkeypatch, body):
     n_theta, radii = 24, (10.0, 100.0, 1000.0)
     rep = theorem1_pipeline(body, offset_r=10.0, radii=radii, n_theta=n_theta)
     assert rep.graph_check_passed and len(solves) == len(radii)
-    # the ladder, then per radius the two bracket ends, the solve's steps and
-    # one evaluation at its roots
-    assert calls[0] == 1 + sum(s[3] for s in solves) + 3 * len(radii)
+    # the ladder, then per radius the solve's steps and one evaluation at its
+    # roots: the ladder rows give g at the bracket ends
+    assert calls[0] == 1 + sum(s[3] for s in solves) + len(radii)
     thetas = np.arange(n_theta) * (math.tau / n_theta)
     for target, (lo, hi, phi, n) in zip(radii, solves):
         assert n + 2 <= 12
