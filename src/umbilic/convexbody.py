@@ -108,7 +108,9 @@ def _tangent_basis(u):
     seed[..., 1] = np.where(use_x, 0.0, 1.0)
     t1 = seed - np.sum(seed * u, axis=-1, keepdims=True) * u
     t1 = unit3(t1)
-    t2 = np.cross(u, t1)
+    # u x t1 with np.cross's arithmetic, without its per-call axis shuffling
+    (u0, u1, u2), (a0, a1, a2) = _planes(u), _planes(t1)
+    t2 = np.stack([u1 * a2 - u2 * a1, u2 * a0 - u0 * a2, u0 * a1 - u1 * a0], axis=-1)
     return t1, t2
 
 
@@ -178,13 +180,15 @@ def _polish_umbilics(body: SupportBody, u0, max_iter: int = 30):
     at once; the Jacobian is a complex step along each tangent axis. It
     converges quadratically where that Jacobian is regular at the site
     (index +-1/2) and only linearly where it vanishes there (index +1, as at
-    the zonal poles). Each row takes the steps it would take alone; returns
-    the polished unit rows and their converged flags."""
+    the zonal poles). Each row takes the steps it would take alone; the trial
+    residual of a step that descends is the next iteration's residual, so
+    each iterate is evaluated once. Returns the polished unit rows and their
+    converged flags."""
     u = unit3(np.asarray(u0, float).reshape(-1, 3))
     ok = np.zeros(len(u), bool)
     live = np.arange(len(u))  # rows still iterating
+    F = _anisotropy(body, u)  # the anisotropy at u[live]
     for _ in range(max_iter):
-        F = _anisotropy(body, u[live])
         nF = _row_norms(F)
         conv = nF < 1e-13
         ok[live[conv]] = True
@@ -205,13 +209,14 @@ def _polish_umbilics(body: SupportBody, u0, max_iter: int = 30):
         big = ns > 0.5
         step[big] *= (0.5 / ns[big])[:, None]
         un = unit3(v + step)
+        Fn = _anisotropy(body, un)
         # no descent (a NaN trial residual counts as descent) stops the row
-        stall = _row_norms(_anisotropy(body, un)) >= nF
+        stall = _row_norms(Fn) >= nF
         ok[live[stall]] = nF[stall] < 1e-10
         u[live[~stall]] = un[~stall]
-        live = live[~stall]
+        live, F = live[~stall], Fn[~stall]
     else:
-        ok[live] = _row_norms(_anisotropy(body, u[live])) < 1e-10
+        ok[live] = _row_norms(F) < 1e-10
     return u, ok
 
 
@@ -360,23 +365,34 @@ class PosedBody:
     t1: np.ndarray
     t2: np.ndarray
 
+    def _cap_planes(self, phis, thetas):
+        """The component planes of u(phi, theta) - ustar and of u(phi, theta),
+        the unit normal at angle phi from ustar in azimuth theta."""
+        phis = np.asarray(phis, float)
+        thetas = np.asarray(thetas, float)
+        us = self.ustar
+        sphi = np.sin(phis)
+        dstar = -2.0 * np.sin(0.5 * phis) ** 2  # du along ustar
+        c, s = np.cos(thetas), np.sin(thetas)
+        du = [dstar * us[k] + sphi * (c * self.t1[k] + s * self.t2[k]) for k in range(3)]
+        return du, [us[k] + du[k] for k in range(3)]
+
+    def _rotate(self, planes):
+        """The rotation applied to vectors given as component planes; the
+        result has the components on its last axis and is component-major."""
+        return np.moveaxis(np.stack([_dot3(row, planes) for row in self.rotation]), 0, -1)
+
     def cap_points(self, phis, thetas):
-        """Posed boundary points and outward normals on the polar cap grid.
+        """Posed boundary points on the polar cap grid.
 
         u(phi, theta) runs at angle phi from ustar; the difference
         X(u) - X(ustar) is assembled term by term so nothing cancels
         catastrophically for small phi. Every value is made one component
         plane at a time by elementwise operations, so its bits do not depend
-        on the shape of the batch; both results are component-major.
+        on the shape of the batch.
         """
-        phis = np.asarray(phis, float)
-        thetas = np.asarray(thetas, float)
         b, us = self.body, self.ustar
-        sphi = np.sin(phis)
-        dstar = -2.0 * np.sin(0.5 * phis) ** 2  # du along ustar
-        c, s = np.cos(thetas), np.sin(thetas)
-        du = [dstar * us[k] + sphi * (c * self.t1[k] + s * self.t2[k]) for k in range(3)]
-        u = [us[k] + du[k] for k in range(3)]
+        du, u = self._cap_planes(phis, thetas)
         usum = [u[k] + us[k] for k in range(3)]
         dh = (_dot3(du, b.linear) + _dot3(_vecmat3(du, b.quad), usum)
               + _dot3(b.quartic, [du[k] * usum[k] * (u[k] * u[k] + us[k] * us[k])
@@ -384,10 +400,13 @@ class PosedBody:
         hu = b._h(u)
         sg, sg_star = b._sphere_grad(u), b._sphere_grad(us)
         delta = [hu * du[k] + dh * us[k] + (sg[k] - sg_star[k]) for k in range(3)]
-        del du, usum, dh, hu, sg  # a ladder-sized call holds fewer planes at once
-        R = self.rotation
-        return (np.moveaxis(np.stack([_dot3(row, delta) for row in R]), 0, -1),
-                np.moveaxis(np.stack([_dot3(row, u) for row in R]), 0, -1))
+        del du, u, usum, dh, hu, sg  # a ladder-sized call holds fewer planes at once
+        return self._rotate(delta)
+
+    def cap_normals(self, phis, thetas):
+        """Posed outward normals R u(phi, theta) on the polar cap grid, made
+        as ``cap_points`` makes its points."""
+        return self._rotate(self._cap_planes(phis, thetas)[1])
 
 
 def pose_at_umbilic(body: SupportBody, ustar) -> PosedBody:
@@ -433,8 +452,15 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
     A sampled single-valuedness check (rbar strictly decreasing along each
     azimuth ray) guards the graph reading; failure is reported, with the
     metric rows left empty. A most umbilic normal that misses ``FIND_TOL``
-    raises ``NonConvergenceError``: only an umbilic is posed.
+    raises ``NonConvergenceError``: only an umbilic is posed. The radii must
+    be positive, finite and strictly increasing (``ValueError``, checked
+    before any search).
     """
+    radii = [float(r) for r in radii]
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise ValueError("radii must be positive and finite")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly increasing")
     check_convexity(body)
     site = find_umbilic(body)
     if not site.converged:
@@ -450,40 +476,39 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
     rho_star = 0.5 * float(rho1 + rho2)
     c = 1.0 / (2.0 * rho_star)
 
-    radii = [float(r) for r in radii]
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
     thetas = np.arange(n_theta) * (math.tau / n_theta)
 
     # monotonicity ladder: phi from well inside the largest bin out to the cap
     phi_lo = min(0.01 / max(radii), 1e-4)
     phis = np.geomspace(phi_lo, 2.8, 220)
-    rbar = _inverted_rbar(posed.cap_points(phis[:, None], thetas[None, :])[0])
+    rbar = _inverted_rbar(posed.cap_points(phis[:, None], thetas[None, :]))
     monotone = bool(np.all(np.diff(rbar, axis=0) < 0.0))
     if not monotone:
         return PipelineReport(site.u, offset_r, c, [], False)
 
-    cols = np.arange(n_theta)
-    rows = []
     for target in radii:
         if not (rbar[-1].max() < target < rbar[0].min()):
             raise DomainError(f"target radius {target} outside sampled ladder")
-        lo_idx = np.argmax(rbar < target, axis=0)  # first index past the target
+    targets = np.array(radii)[:, None]
+    # per (radius, azimuth): the first ladder index past the target
+    lo_idx = np.argmax(rbar < targets[:, :, None], axis=1)
+    cols = np.arange(n_theta)
 
-        def above(phi):
-            return _inverted_rbar(posed.cap_points(phi, thetas)[0]) - target
+    def above(phi):
+        return _inverted_rbar(posed.cap_points(phi, thetas)) - targets
 
-        # the ladder rows on either side of the root hold g at the bracket ends,
-        # bit for bit, as cap_points is elementwise
-        phi_sol = bracket_root(above, phis[lo_idx - 1], phis[lo_idx],
-                               rbar[lo_idx - 1, cols] - target, rbar[lo_idx, cols] - target)
-        qs, ns = posed.cap_points(phi_sol, thetas)
-        n2s = np.sum(qs * qs, axis=-1)
-        rb = np.hypot(qs[..., 0], qs[..., 1]) / n2s
-        height = qs[..., 2] / n2s
-        qhat = qs / np.sqrt(n2s)[..., None]
-        nref = ns - 2.0 * np.sum(ns * qhat, axis=-1, keepdims=True) * qhat
-        slope = np.hypot(nref[..., 0], nref[..., 1]) / np.abs(nref[..., 2])
-        rows.append((target, float(np.max(np.abs(height - c))),
-                     float(np.max(rb * slope))))
+    # one solve for every (radius, azimuth) pair; the ladder rows on either
+    # side of each root hold g at its bracket ends, bit for bit, as cap_points
+    # is elementwise
+    phi_sol = bracket_root(above, phis[lo_idx - 1], phis[lo_idx],
+                           rbar[lo_idx - 1, cols] - targets, rbar[lo_idx, cols] - targets)
+    qs, ns = posed.cap_points(phi_sol, thetas), posed.cap_normals(phi_sol, thetas)
+    n2s = np.sum(qs * qs, axis=-1)
+    rb = np.hypot(qs[..., 0], qs[..., 1]) / n2s
+    height = qs[..., 2] / n2s
+    qhat = qs / np.sqrt(n2s)[..., None]
+    nref = ns - 2.0 * np.sum(ns * qhat, axis=-1, keepdims=True) * qhat
+    slope = np.hypot(nref[..., 0], nref[..., 1]) / np.abs(nref[..., 2])
+    rows = [(target, float(dev), float(decay)) for target, dev, decay
+            in zip(radii, np.max(np.abs(height - c), axis=-1), np.max(rb * slope, axis=-1))]
     return PipelineReport(site.u, offset_r, c, rows, True)

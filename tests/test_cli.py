@@ -53,6 +53,16 @@ def test_pipeline_graph_check_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("radii", ["0,10", "0,100,1000"])
+def test_pipeline_nonpositive_radius_is_a_usage_error(tmp_path, capsys, radii):
+    # checked before the umbilic search, like the radii of decay and verify
+    out = tmp_path / "p.csv"
+    assert main(["pipeline", "thm1", "--body", "zonal", "--radii", radii,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: radii must be positive and finite\n"
+    assert not out.exists()
+
+
 def test_usage_errors():
     assert main(["verify", "thm2", "--field", "asym_bump", "--radii", "8,2",
                  "--out", "/tmp/never.csv"]) == 1
@@ -316,6 +326,11 @@ README_GOLDEN = {
         "0215905ea3a3ebfa8d443e0fa8e5c9fcbbe0962e23808bc3a8eac27e9db6bdaf",
     "decay --field gaussian_bump --radii 2,4,8,16":
         "5ac74cbdcad9a138c595e0d92d6068028efd47712c282aea3d0e168f3f2bf7e0",
+    # taken before the pipeline's phi-solve became one solve over every radius
+    "pipeline thm1 --body zonal:eps=0.05 --offset 10":
+        "18a07578e76c70dd11a1c8fa9b95a0602f68a1f25b6abf55a9141f6445272bee",
+    "pipeline thm1 --body triaxial:ax=0.01,ay=0.05,az=0.09":
+        "3efe1d74fd39e25c1667873bf5dd113942b3fd9bbccfa761cb3c5ceb4205184d",
 }
 
 
@@ -326,6 +341,29 @@ def test_readme_example_golden_bytes(tmp_path, monkeypatch, command, threads):
     out = tmp_path / "out.csv"
     assert main(command.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(read(out)).hexdigest() == README_GOLDEN[command]
+
+
+# sha256 of `pipeline thm1 --ntheta 64` CSVs of five bodies, taken before the
+# phi-solve became one solve over every radius
+PIPELINE_GOLDEN = {
+    "sphere:R=1.3": "24cb831761cc4fa806d4c0ac8ff74f4926356c816b5cc9c5a3336461e16e7de2",
+    "zonal:eps=0.07": "e48a162542d6aeb98c7bcf77164339b9e11c306a23ee2fb0a55ee8a00ea0d0a5",
+    "triaxial:ax=0.01,ay=0.05,az=0.09":
+        "92b04f5278de400df99a17ea5f2007221bf4bf815f62354598de4721c34aeefb",
+    "shifted:cx=0.2,cy=-0.4,cz=0.1":
+        "975eb6b48cdf6004e3da00dda85936236c19046d515e36451691e68cb62c3259",
+    "quartic:qx=0.03,qy=0.05,qz=0.07":
+        "ef75c58245a5dd47e835c5e22aa3c0e1c1dbba6125801d18f4b3f5c356dc403e",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("body", sorted(PIPELINE_GOLDEN))
+def test_pipeline_golden_bytes(tmp_path, monkeypatch, body, threads):
+    monkeypatch.setenv("UMBILIC_THREADS", threads)
+    out = tmp_path / "p.csv"
+    assert main(["pipeline", "thm1", "--body", body, "--ntheta", "64", "--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == PIPELINE_GOLDEN[body]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from umbilic import (ConvexityError, NonConvergenceError, SupportBody, body_poin
 from umbilic.cli import _parse_body, main
 from umbilic.convexbody import (PosedBody, _anisotropy, _polish_umbilics, _solve2,
                                 _tangent_basis, fibonacci_sphere)
-from umbilic.util import bracket_root, complex_step, local_minima, unit3
+from umbilic.util import _floating, _row_norms, bracket_root, complex_step, local_minima, unit3
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -245,6 +246,85 @@ def test_polish_rows_independent_of_batch():
     assert not oks[3] and oks[4]
 
 
+def _tangent_basis_cross(u):
+    """_tangent_basis with its second axis from np.cross."""
+    t1, _ = _tangent_basis(u)
+    return t1, np.cross(_floating(u), t1)
+
+
+def _polish_evaluating_twice(body, u0, max_iter=30):
+    """The batched polish that re-evaluated the anisotropy of the accepted
+    iterates at the top of each iteration (run with _tangent_basis_cross)."""
+    u = unit3(np.asarray(u0, float).reshape(-1, 3))
+    ok = np.zeros(len(u), bool)
+    live = np.arange(len(u))
+    for _ in range(max_iter):
+        F = _anisotropy(body, u[live])
+        nF = _row_norms(F)
+        conv = nF < 1e-13
+        ok[live[conv]] = True
+        live, F, nF = live[~conv], F[~conv], nF[~conv]
+        if not live.size:
+            break
+        v = u[live]
+        t1, t2 = convexbody._tangent_basis(v)
+        J = np.moveaxis(complex_step(lambda w: _anisotropy(body, unit3(w)), v,
+                                     np.stack([t1, t2])), 0, -1)
+        st, solved = _solve2(J, -F)
+        keep = solved & np.all(np.isfinite(st), axis=-1)
+        live, v, nF, st = live[keep], v[keep], nF[keep], st[keep]
+        step = st[:, :1] * t1[keep] + st[:, 1:] * t2[keep]
+        ns = _row_norms(step)
+        big = ns > 0.5
+        step[big] *= (0.5 / ns[big])[:, None]
+        un = unit3(v + step)
+        stall = _row_norms(_anisotropy(body, un)) >= nF
+        ok[live[stall]] = nF[stall] < 1e-10
+        u[live[~stall]] = un[~stall]
+        live = live[~stall]
+    else:
+        ok[live] = _row_norms(_anisotropy(body, u[live])) < 1e-10
+    return u, ok
+
+
+@pytest.mark.parametrize("spec", CLI_BODIES)
+def test_polish_matches_the_loop_evaluating_twice(monkeypatch, spec):
+    # the candidates umbilic_sites polishes at four grids and find_umbilic's
+    # one row at grid 48; max_iter 2 also ends rows in the loop's else branch
+    body = _parse_body(spec)
+    cands = []
+
+    def record(body, u0, max_iter=30):
+        cands.append(u0)
+        return _polish_umbilics(body, u0, max_iter)
+
+    with monkeypatch.context() as m:
+        m.setattr(convexbody, "_polish_umbilics", record)
+        for grid_n in (16, 17, 25, 32):
+            umbilic_sites(body, grid_n=grid_n)
+        find_umbilic(body, grid_n=48)
+    assert len(cands) == 5 and np.shape(cands[-1]) == (3,)
+    for max_iter in (30, 2):
+        polished = [_polish_umbilics(body, u0, max_iter) for u0 in cands]
+        with monkeypatch.context() as m:
+            m.setattr(convexbody, "_tangent_basis", _tangent_basis_cross)
+            ref = [_polish_evaluating_twice(body, u0, max_iter) for u0 in cands]
+        for (u, ok), (ref_u, ref_ok) in zip(polished, ref):
+            assert u.tobytes() == ref_u.tobytes() and ok.tobytes() == ref_ok.tobytes()
+
+
+def test_tangent_basis_second_axis_is_np_cross():
+    rng = np.random.default_rng(13)
+    u = unit3(rng.standard_normal((400, 3)))
+    u[:100] = unit3(u[:100] * [20.0, 1.0, 1.0])  # |u_x| >= 0.9 takes the y seed
+    assert np.any(np.abs(u[:, 0]) >= 0.9) and np.any(np.abs(u[:, 0]) < 0.9)
+    for w in (u, u + 1j * 1e-30 * rng.standard_normal((400, 3)), u[7]):
+        t1, t2 = _tangent_basis(w)
+        ref = np.cross(w, t1)
+        assert t2.dtype == ref.dtype and t2.shape == ref.shape
+        assert t2.tobytes() == ref.tobytes()
+
+
 def test_solve2_singular_rows_do_not_spoil_the_stack():
     J = np.array([[[2.0, 1.0], [0.5, 3.0]], [[1.0, 2.0], [2.0, 4.0]],
                   [[0.0, 1.0], [-1.0, 0.25]]])
@@ -324,17 +404,19 @@ def test_cap_points_ladder_rows_match_per_phi_calls(body):
     posed = pose_at_umbilic(parallel_body(body, 10.0, rescale=True), find_umbilic(body).u)
     phis = np.geomspace(1e-5, 2.8, 41)
     thetas = np.arange(37) * (math.tau / 37)
-    q, n = posed.cap_points(phis[:, None], thetas[None, :])
+    q, n = (posed.cap_points(phis[:, None], thetas[None, :]),
+            posed.cap_normals(phis[:, None], thetas[None, :]))
     assert q.shape == n.shape == (41, 37, 3)
     for k, phi in enumerate(phis):
-        qk, nk = posed.cap_points(np.full(37, phi), thetas)
+        one = np.full(37, phi)
+        qk, nk = posed.cap_points(one, thetas), posed.cap_normals(one, thetas)
         assert np.array_equal(qk, q[k]) and np.array_equal(nk, n[k])
     # one phi per azimuth, as in a step of the solve, and one point alone
     rows = np.random.default_rng(4).integers(0, 41, 37)
     cols = np.arange(37)
-    qr, nr = posed.cap_points(phis[rows], thetas)
+    qr, nr = posed.cap_points(phis[rows], thetas), posed.cap_normals(phis[rows], thetas)
     assert np.array_equal(qr, q[rows, cols]) and np.array_equal(nr, n[rows, cols])
-    q1, n1 = posed.cap_points(phis[5], thetas[7])
+    q1, n1 = posed.cap_points(phis[5], thetas[7]), posed.cap_normals(phis[5], thetas[7])
     assert np.array_equal(q1, q[5, 7]) and np.array_equal(n1, n[5, 7])
 
 
@@ -404,12 +486,46 @@ def test_umbilic_sites_counts(spec, count):
         assert abs(float(r2 - r1) - s.residual) < 1e-14
 
 
+# sha256 of find_umbilic's site and of the umbilic_sites list (u bytes, repr
+# of the residual, converged) at the default grid, taken before the polish
+# reused its trial residual
+SITES_GOLDEN = {
+    "sphere:R=1.3": (
+        "9981bd053b277ae88e7084fcf216ecf5a14e877db7354c6d4ac63621e190c373",
+        "e387d5b423dca399e7a9de31d4db06365ac129ee95b0cd9f4964f8d3fdfa6aa7"),
+    "zonal:eps=0.07": (
+        "a0a1821d7f6bf9ff76f02c92db5f0556b1a66477b887814d554ad6dd2c2505f1",
+        "8680dc4ceb41ccfdad8b8b0c03bfef1df7e42d3f14551869facd1837aad1b95c"),
+    "triaxial:ax=0.01,ay=0.05,az=0.09": (
+        "317f457d239a36abb1ff0b6cec720ea5f73a5a1bfb8f5bd227a40207c72a2a82",
+        "0bc139174e6528e9f70e0b9457c5d2c5911529fee13cfb5741784be8e438b86f"),
+    "shifted:cx=0.2,cy=-0.4,cz=0.1": (
+        "9981bd053b277ae88e7084fcf216ecf5a14e877db7354c6d4ac63621e190c373",
+        "e387d5b423dca399e7a9de31d4db06365ac129ee95b0cd9f4964f8d3fdfa6aa7"),
+    "quartic:qx=0.03,qy=0.05,qz=0.07": (
+        "3fa5510550e8f3655f1d9900eea241be5bc849dd86b69494a893d4e68f1dec81",
+        "dab86bc6ceaef8e333468d678458c04afd9852ceab0d23cca394d6faacd18183"),
+}
+
+
+def _sites_digest(sites):
+    return hashlib.sha256(b"".join(s.u.tobytes() + repr(s.residual).encode()
+                                   + bytes([s.converged]) for s in sites)).hexdigest()
+
+
+@pytest.mark.parametrize("spec", CLI_BODIES)
+def test_umbilic_search_golden_bytes(spec):
+    body = _parse_body(spec)
+    assert (_sites_digest([find_umbilic(body)]), _sites_digest(umbilic_sites(body))) \
+        == SITES_GOLDEN[spec]
+
+
 # --- pose -------------------------------------------------------------------
 
 def test_pose_sphere_center():
     posed = pose_at_umbilic(sphere(), -EZ)
     # posed sphere is centered one radius above the tangency point
-    q, _ = posed.cap_points(np.linspace(0.1, 3.0, 7)[:, None], np.linspace(0, 6, 9))
+    q = posed.cap_points(np.linspace(0.1, 3.0, 7)[:, None], np.linspace(0, 6, 9))
     assert np.allclose(np.linalg.norm(q - [0.0, 0.0, 1.0], axis=-1), 1.0, atol=1e-14)
 
 
@@ -417,11 +533,12 @@ def test_pose_maps_umbilic_to_origin():
     b = zonal(0.05)
     site = find_umbilic(b, grid_n=32)
     posed = pose_at_umbilic(b, site.u)
-    q2, n2 = posed.cap_points(np.array(0.0), np.array(0.0))
+    q2, n2 = posed.cap_points(np.array(0.0), np.array(0.0)), posed.cap_normals(0.0, 0.0)
     assert np.linalg.norm(q2) < 1e-12
     assert np.allclose(n2, [0.0, 0.0, -1.0], atol=1e-12)
     # the cap points are the rigid motion p -> R (p - X(ustar)) of boundary points
-    q, n = posed.cap_points(np.linspace(0.01, 2.0, 5)[:, None], np.linspace(0, 6, 7))
+    phis, thetas = np.linspace(0.01, 2.0, 5)[:, None], np.linspace(0, 6, 7)
+    q, n = posed.cap_points(phis, thetas), posed.cap_normals(phis, thetas)
     R = posed.rotation
     ref = (body_point(b, n @ R) - body_point(b, site.u)) @ R.T
     assert np.allclose(q, ref, rtol=0.0, atol=1e-14)
@@ -486,6 +603,18 @@ def test_pipeline_refuses_an_unconverged_umbilic(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("radii", [(0.0, 10.0), (-1.0, 10.0), (10.0, math.inf),
+                                   (10.0, math.nan), (), (10.0, 10.0)])
+def test_pipeline_checks_its_radii_before_any_search(monkeypatch, radii):
+    def never(body):
+        raise AssertionError("the body was searched before the radii were checked")
+
+    monkeypatch.setattr(convexbody, "check_convexity", never)
+    monkeypatch.setattr(convexbody, "find_umbilic", never)
+    with pytest.raises(ValueError, match="^radii must be"):
+        theorem1_pipeline(zonal(0.05), offset_r=10.0, radii=radii)
+
+
 def _phi_bisection(posed, theta, target, lo, hi):
     """Bisection of rbar(phi) = target along one azimuth to float resolution,
     a tie moving hi: the oracle of the pipeline's phi-solve."""
@@ -493,7 +622,7 @@ def _phi_bisection(posed, theta, target, lo, hi):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return mid
-        q = PosedBody.cap_points(posed, mid, theta)[0]
+        q = PosedBody.cap_points(posed, mid, theta)
         if math.hypot(q[0], q[1]) / float(q @ q) > target:
             lo = mid
         else:
@@ -519,13 +648,16 @@ def test_pipeline_phi_solve(monkeypatch, body):
     monkeypatch.setattr(convexbody, "bracket_root", solve)
     n_theta, radii = 24, (10.0, 100.0, 1000.0)
     rep = theorem1_pipeline(body, offset_r=10.0, radii=radii, n_theta=n_theta)
-    assert rep.graph_check_passed and len(solves) == len(radii)
-    # the ladder, then per radius the solve's steps and one evaluation at its
-    # roots: the ladder rows give g at the bracket ends
-    assert calls[0] == 1 + sum(s[3] for s in solves) + len(radii)
+    # one solve on (radius, azimuth) brackets
+    assert rep.graph_check_passed and len(solves) == 1
+    lo, hi, phi, n = solves[0]
+    assert lo.shape == hi.shape == phi.shape == (len(radii), n_theta)
+    # the ladder, then the solve's steps and one evaluation at its roots: the
+    # ladder rows give g at the bracket ends
+    assert calls[0] == 1 + n + 1
+    assert n + 2 <= 12
     thetas = np.arange(n_theta) * (math.tau / n_theta)
-    for target, (lo, hi, phi, n) in zip(radii, solves):
-        assert n + 2 <= 12
+    for i, target in enumerate(radii):
         for k, theta in enumerate(thetas):
-            ref = _phi_bisection(posed[0], theta, target, lo[k], hi[k])
-            assert abs(phi[k] - ref) <= 16.0 * np.spacing(ref)
+            ref = _phi_bisection(posed[0], theta, target, lo[i, k], hi[i, k])
+            assert abs(phi[i, k] - ref) <= 16.0 * np.spacing(ref)
