@@ -453,14 +453,16 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
     azimuth ray) guards the graph reading; failure is reported, with the
     metric rows left empty. A most umbilic normal that misses ``FIND_TOL``
     raises ``NonConvergenceError``: only an umbilic is posed. The radii must
-    be positive, finite and strictly increasing (``ValueError``, checked
-    before any search).
+    be positive, finite and strictly increasing, and ``n_theta`` at least 1
+    (``ValueError``, checked before any search).
     """
     radii = [float(r) for r in radii]
     if not radii or not all(0.0 < r < math.inf for r in radii):
         raise ValueError("radii must be positive and finite")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
+    if n_theta < 1:
+        raise ValueError("n_theta must be at least 1")
     check_convexity(body)
     site = find_umbilic(body)
     if not site.converged:

@@ -1,8 +1,21 @@
-"""CSV and SVG writers with deterministic, locale-free formatting."""
+"""CSV and SVG writers with deterministic, locale-free formatting.
+
+Grid and polyline CSVs, and the heatmap's fill colours, go through one
+distinct-value pass: the array is cut into blocks of ``_FORMAT_BLOCK``
+(2^16) elements, and each value of a block is formatted once however often
+it repeats there, values being compared bit for bit. Repeats are common
+(symmetric fields, contour vertices on grid lines, a small palette), and the
+block bound keeps the strings of one block alive at a time.
+"""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+# elements per block of the distinct-value pass: bounds the strings alive
+_FORMAT_BLOCK = 1 << 16
 
 
 def format_float(v) -> str:
@@ -17,6 +30,27 @@ def _format_cell(v) -> str:
     if isinstance(v, (int, np.integer)):  # bool too
         return str(int(v))
     return str(v)
+
+
+def _format_block(block, fmt):
+    """[fmt(v) for v in block.tolist()], with fmt run once per distinct bit
+    pattern (so -0.0 and 0.0 stay apart) of a 1-d float64 or int64 array."""
+    keys, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    if len(keys) == len(block):  # nothing repeats: skip the gather
+        return [fmt(v) for v in block.tolist()]
+    texts = np.array([fmt(v) for v in keys.view(block.dtype).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+def _formatted(values, fmt=repr):
+    """Iterator over fmt(v) of every element of a float64 or int64 array in
+    C order, formatted one block of ``_FORMAT_BLOCK`` elements at a time."""
+    flat = np.ravel(values)
+    # a block's strings live only in the list chain is reading, so they are
+    # freed before the next block is formatted
+    return itertools.chain.from_iterable(
+        _format_block(flat[i:i + _FORMAT_BLOCK], fmt)
+        for i in range(0, flat.size, _FORMAT_BLOCK))
 
 
 def _write_lines(path, columns, description, blocks) -> None:
@@ -40,24 +74,35 @@ def write_csv(path, columns, rows, description: str = "") -> None:
 
 def write_grid_csv(path, column, grid, description: str = "") -> None:
     """The bytes of ``write_csv`` over the rows (x, y, values[i, j]), x
-    outer: each coordinate and value is formatted once, and one x-row of
-    strings is held at a time."""
-    ys = [repr(y) for y in grid.ys.tolist()]
+    outer: each coordinate and distinct value is formatted once, and at most
+    one ``_FORMAT_BLOCK`` of value strings and one joined x-row are held at
+    a time."""
+    m = len(grid.ys)
 
     def blocks():
-        for x, row in zip(grid.xs.tolist(), grid.values):
-            prefix = f"{x!r},"
-            yield "".join([f"{prefix}{y},{v!r}\n" for y, v in zip(ys, row.tolist())])
+        values = _formatted(grid.values)
+        parts = [None, None, None, "\n"] * m
+        parts[1::4] = [f"{y!r}," for y in grid.ys.tolist()]
+        for x in grid.xs.tolist():
+            parts[0::4] = [f"{x!r},"] * m
+            parts[2::4] = itertools.islice(values, m)
+            yield "".join(parts)
     _write_lines(path, ("x", "y", column), description, blocks())
 
 
 def write_polyline_csv(path, polylines, description: str = "") -> None:
     """The bytes of ``write_csv`` over the rows (index, x, y) of every
-    vertex of every polyline, one polyline at a time."""
+    vertex of every polyline, one polyline at a time. A contour vertex
+    has one coordinate on a grid line, which repeats at that line's every
+    crossing, so the coordinates go through the distinct-value pass."""
     def blocks():
+        coords = _formatted(np.concatenate(polylines)) if polylines else iter(())
         for pid, poly in enumerate(polylines):
-            prefix = f"{pid},"
-            yield "".join([f"{prefix}{x!r},{y!r}\n" for x, y in poly.tolist()])
+            texts = list(itertools.islice(coords, 2 * len(poly)))
+            parts = [f"{pid},", None, ",", None, "\n"] * len(poly)
+            parts[1::5] = texts[0::2]
+            parts[3::5] = texts[1::2]
+            yield "".join(parts)
     _write_lines(path, ("polyline", "x", "y"), description, blocks())
 
 
@@ -89,16 +134,18 @@ def svg_heatmap(grid, path) -> None:
     n, m = values.shape
     cw = _SVG_SIZE / n
     ch = _SVG_SIZE / m
-    colors = _colors(values)
-    extent = f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}"'
+    rgb = _colors(values)
+    fills = _formatted(rgb[..., 0] << 16 | rgb[..., 1] << 8 | rgb[..., 2],
+                       lambda c: f'fill="rgb({c >> 16},{c >> 8 & 255},{c & 255})"/>\n')
+    parts = [None, None, f'" width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" ', None] * m
     # svg y axis points down; flip j so larger y draws higher
-    ys = [f"{(m - 1 - j) * ch:.2f}" for j in range(m)]
+    parts[1::4] = [f"{(m - 1 - j) * ch:.2f}" for j in range(m)]
     with open(path, "w", newline="\n") as fh:
         fh.write(_SVG_OPEN + "\n")
         for i in range(n):
-            prefix = f'<rect x="{i * cw:.2f}" y="'
-            fh.write("".join([f'{prefix}{y}" {extent} fill="rgb({r},{g},{b})"/>\n'
-                              for y, (r, g, b) in zip(ys, colors[i].tolist())]))
+            parts[0::4] = [f'<rect x="{i * cw:.2f}" y="'] * m
+            parts[3::4] = itertools.islice(fills, m)
+            fh.write("".join(parts))
         fh.write("</svg>\n")
 
 

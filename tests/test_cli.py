@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import os
@@ -292,6 +293,28 @@ def test_curvature_map_golden_bytes(tmp_path, monkeypatch, threads):
         assert hashlib.sha256(read(path)).hexdigest() == MAP_GOLDEN[kind], kind
 
 
+# sha256 of map CSVs whose values repeat heavily, as the per-node writer
+# wrote them: loglog_tail's flat disk of zeros and radial repeats (1,599
+# distinct values of 10,201), and a ridge, constant along y (272 of 205,209)
+REPEAT_MAP_GOLDEN = {
+    "loglog_tail k2 --region -4 -4 4 4 --n 101":
+        "73b6c8c57f317d64593c50f59e32bf108771c27c9d126641540b39c30d75445b",
+    "ridge:lam=0.3 P2 --n 453 --m 453":
+        "4c9bb947ebd337b98fd17af850c17fd1aeb70de4d2a56810f8adb7dd435688aa",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("spec", sorted(REPEAT_MAP_GOLDEN))
+def test_repeat_heavy_map_golden_bytes(tmp_path, monkeypatch, spec, threads):
+    monkeypatch.setenv("UMBILIC_THREADS", threads)
+    field, quantity, *rest = spec.split()
+    out = tmp_path / "map.csv"
+    assert main(["curvature", "map", "--field", field, "--quantity", quantity, *rest,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == REPEAT_MAP_GOLDEN[spec]
+
+
 # sha256 of contour SVGs as the per-vertex writer wrote them: the README
 # example (3 polylines, n = m = 101) and 7 polylines, 5 of them closed, on
 # a 61-by-101 grid
@@ -422,3 +445,23 @@ def test_cli_import_leaves_scipy_out():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # orjson and the like may be installed, but none is a dependency; the CSV
+    # contract is repr's text, which orjson's float text differs from
+    allowed = set(sys.stdlib_module_names) | {"numpy", "umbilic"}
+    package = Path(umbilic.__file__).resolve().parent
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in allowed:
+                    found.setdefault(path.name, []).append(name)
+    assert found == {}

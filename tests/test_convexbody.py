@@ -603,16 +603,19 @@ def test_pipeline_refuses_an_unconverged_umbilic(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("radii", [(0.0, 10.0), (-1.0, 10.0), (10.0, math.inf),
-                                   (10.0, math.nan), (), (10.0, 10.0)])
-def test_pipeline_checks_its_radii_before_any_search(monkeypatch, radii):
+@pytest.mark.parametrize("kwargs, message", [
+    *[({"radii": radii}, "^radii must be") for radii in
+      [(0.0, 10.0), (-1.0, 10.0), (10.0, math.inf), (10.0, math.nan), (), (10.0, 10.0)]],
+    ({"n_theta": 0}, "^n_theta must be at least 1"),
+    ({"n_theta": -4}, "^n_theta must be at least 1")])
+def test_pipeline_checks_its_arguments_before_any_search(monkeypatch, kwargs, message):
     def never(body):
-        raise AssertionError("the body was searched before the radii were checked")
+        raise AssertionError("the body was searched before its arguments were checked")
 
     monkeypatch.setattr(convexbody, "check_convexity", never)
     monkeypatch.setattr(convexbody, "find_umbilic", never)
-    with pytest.raises(ValueError, match="^radii must be"):
-        theorem1_pipeline(zonal(0.05), offset_r=10.0, radii=radii)
+    with pytest.raises(ValueError, match=message):
+        theorem1_pipeline(zonal(0.05), offset_r=10.0, **kwargs)
 
 
 def _phi_bisection(posed, theta, target, lo, hi):

@@ -1,6 +1,12 @@
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from umbilic import output
 from umbilic.output import (svg_heatmap, write_csv, write_grid_csv,
                             write_polyline_csv)
 from umbilic.scan import Grid, contours
@@ -114,3 +120,46 @@ def test_polyline_csv_matches_row_writer(tmp_path):
     assert read(tmp_path / "poly.csv") == read(tmp_path / "rows.csv")
     write_polyline_csv(tmp_path / "empty.csv", [], desc)
     assert read(tmp_path / "empty.csv") == f"# {desc}\npolyline,x,y\n".encode()
+
+
+# a small pool, so drawn arrays repeat values: both zeros, subnormals, both
+# sides of repr's switches to exponent form below 1e-4 and at 1e16, and NaNs
+# with different bits that all print as 'nan'
+POOL = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-05,
+        9.999999999999999e-05, 0.0001, -0.00010000000000000002, 1 / 3, -2.5,
+        9999999999999998.0, 1e16, -1.0000000000000002e16, 1.7976931348623157e308]
+NANS = [math.nan, math.copysign(math.nan, -1.0)]
+
+
+@st.composite
+def drawn(draw, shape, values=st.sampled_from(POOL + NANS)):
+    n = math.prod(shape)
+    picks = draw(st.lists(values, min_size=n, max_size=n))
+    return np.array(picks, dtype=float).reshape(shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), block=st.integers(1, 7))
+def test_writers_match_row_writer_across_blocks(data, block):
+    # a block this small cuts every grid, so values repeat within and across blocks
+    n, m = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    g = grid_of(data.draw(drawn((n, m))), xs=data.draw(drawn((n,))),
+                ys=data.draw(drawn((m,))))
+    sizes = data.draw(st.lists(st.integers(0, 6), max_size=4))
+    polylines = [data.draw(drawn((k, 2))) for k in sizes]
+    grid_rows = [(x, y, g.values[i, j]) for i, x in enumerate(g.xs)
+                 for j, y in enumerate(g.ys)]
+    poly_rows = [(pid, x, y) for pid, poly in enumerate(polylines) for x, y in poly]
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(output, "_FORMAT_BLOCK", block)
+        tmp = Path(tmp)
+        write_csv(tmp / "rows.csv", ("x", "y", "K"), grid_rows, "K")
+        write_grid_csv(tmp / "grid.csv", "K", g, "K")
+        assert read(tmp / "grid.csv") == read(tmp / "rows.csv")
+        write_csv(tmp / "rows.csv", ("polyline", "x", "y"), poly_rows)
+        write_polyline_csv(tmp / "poly.csv", polylines)
+        assert read(tmp / "poly.csv") == read(tmp / "rows.csv")
+        finite = grid_of(data.draw(drawn((n, m), st.sampled_from(POOL))))
+        reference_heatmap(finite, tmp / "old.svg")
+        svg_heatmap(finite, tmp / "new.svg")
+        assert read(tmp / "new.svg") == read(tmp / "old.svg")
