@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvexityError, DomainError, NonConvergenceError
-from .util import (_floating, _row_norms, _solve2, bracket_root, complex_step,
-                   local_minima, unit3)
+from .util import (_floating, _row_norms, _solve2, bracket_root, check_radii,
+                   complex_step, local_minima, sym_eigvals, unit3)
 
 FIND_TOL = 1e-9    # rho2 - rho1 at which find_umbilic's search has converged
 SITES_TOL = 1e-8   # rho2 - rho1 below which umbilic_sites keeps a polished site
@@ -130,10 +130,7 @@ def radii_of_curvature(body: SupportBody, u, check: bool = True):
     up = _planes(u)
     gdot = _dot3(body._grad(up), up)
     h = body._h(up)
-    m11, m22 = a11 - gdot + h, a22 - gdot + h
-    mean = 0.5 * (m11 + m22)
-    s = np.sqrt(np.maximum(0.25 * (m11 - m22) ** 2 + m12 ** 2, 0.0))
-    rho1, rho2 = mean - s, mean + s
+    rho1, rho2 = sym_eigvals(a11 - gdot + h, m12, a22 - gdot + h)
     if check and np.any(rho1 <= 0.0):
         raise ConvexityError(
             f"body '{body.name}' has a nonpositive radius of curvature "
@@ -456,11 +453,7 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
     be positive, finite and strictly increasing, and ``n_theta`` at least 1
     (``ValueError``, checked before any search).
     """
-    radii = [float(r) for r in radii]
-    if not radii or not all(0.0 < r < math.inf for r in radii):
-        raise ValueError("radii must be positive and finite")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
+    radii = check_radii(radii)
     if n_theta < 1:
         raise ValueError("n_theta must be at least 1")
     check_convexity(body)

@@ -186,27 +186,15 @@ def _null_direction(M: np.ndarray) -> np.ndarray:
     return v
 
 
-def _principal_2x2(S: np.ndarray) -> tuple:
-    """(H, K, gap2, k1, k2, e1, e2) of a 2x2 operator: H = tr S / 2, K = det S,
-    gap2 = max(H^2 - K, 0), k1,2 = H -/+ sqrt(gap2), e_i the null direction
-    of S - k_i I."""
-    H = 0.5 * (S[0, 0] + S[1, 1])
-    K = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    gap2 = max(H * H - K, 0.0)
-    s = math.sqrt(gap2)
-    k1, k2 = H - s, H + s
-    e1 = _null_direction(S - k1 * np.eye(2))
-    e2 = _null_direction(S - k2 * np.eye(2))
-    return H, K, gap2, k1, k2, e1, e2
-
-
 def shape_operator(field: ScalarField, p) -> PrincipalData:
     """Principal curvatures and directions of graph(f) above p.
 
     Eigen-decomposes S = g^{-1} h with g = I + grad f grad f^T and
-    h = Hess f / sqrt(1 + q). A point is classified umbilic when the
-    normalized discriminant D / (1 + q)^3 = 4 (H^2 - K) falls below
-    ``UMBILIC_TOL``; the returned directions are then arbitrary axes.
+    h = Hess f / sqrt(1 + q): H = tr S / 2, K = det S, k1,2 = H -/+
+    sqrt(max(H^2 - K, 0)), and e_i the null direction of S - k_i I. A point
+    is classified umbilic when the normalized discriminant
+    D / (1 + q)^3 = 4 (H^2 - K) falls below ``UMBILIC_TOL``; the returned
+    directions are then arbitrary axes.
     """
     j = field.jet(p)
     q = j.q
@@ -220,11 +208,17 @@ def shape_operator(field: ScalarField, p) -> PrincipalData:
         [(1.0 + j.f1 ** 2) * h12 - j.f1 * j.f2 * h11,
          (1.0 + j.f1 ** 2) * h22 - j.f1 * j.f2 * h12],
     ]) / w
-    H, K, gap2, k1, k2, e1, e2 = _principal_2x2(S)
+    H = 0.5 * (S[0, 0] + S[1, 1])
+    K = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
+    gap2 = max(H * H - K, 0.0)
+    s = math.sqrt(gap2)
+    k1, k2 = H - s, H + s
     umbilic = bool(4.0 * gap2 < UMBILIC_TOL)
     if umbilic:
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0])
+        e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    else:
+        e1 = _null_direction(S - k1 * np.eye(2))
+        e2 = _null_direction(S - k2 * np.eye(2))
     return PrincipalData(float(k1), float(k2), e1, e2, float(H), float(K), umbilic)
 
 

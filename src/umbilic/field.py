@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError
+from .util import check_radii
 
 #: (f, f1, f2, f11, f12, f22) broadcast over input arrays
 JetArrays = tuple
@@ -209,11 +210,7 @@ def decay_profile(field: ScalarField, radii, n_theta: int = 256) -> DecayProfile
     is otherwise estimated as the mean of f on the largest ring (the
     estimate's variance is reported).
     """
-    radii = [float(r) for r in radii]
-    if not radii or not all(0.0 < r < math.inf for r in radii):
-        raise ValueError("radii must be positive and finite")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
+    radii = check_radii(radii)
     if n_theta < 8:
         raise ValueError("n_theta must be at least 8")
 

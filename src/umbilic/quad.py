@@ -15,7 +15,7 @@ import numpy as np
 
 from .curvature import PlaneField, curvature_difference_field, principal_deviation_field
 from .field import Direction, ScalarField
-from .util import pairwise_sum
+from .util import check_radii, pairwise_sum
 
 
 @dataclass(frozen=True)
@@ -42,20 +42,19 @@ class DecayTable:
     columns: tuple
     rows: list
 
-    def __post_init__(self):
-        radii = [row[0] for row in self.rows]
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("radii must be strictly increasing")
-
     def column(self, name: str):
         i = self.columns.index(name)
         return [row[i] for row in self.rows]
 
 
+def _check_radius(r):
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
+
+
 def disk_nodes(r: float, scheme: QuadScheme):
     """Quadrature nodes (x, y) and weights for the disk of radius r."""
-    if r <= 0.0:
-        raise ValueError("disk radius must be positive")
+    _check_radius(r)
     t, w = np.polynomial.legendre.leggauss(scheme.n_r)
     # for r > 0 the edges 0, 1, ..., ceil(r) - 1, r number at least 2 and
     # strictly increase, so every annulus has positive width
@@ -84,8 +83,7 @@ def disk_integral(g, r: float, scheme: QuadScheme = QuadScheme()) -> float:
 
 def boundary_flux(V: PlaneField, r: float, n_theta: int = 256) -> float:
     """Outward flux of V through the circle of radius r (uniform rule)."""
-    if r <= 0.0:
-        raise ValueError("circle radius must be positive")
+    _check_radius(r)
     thetas = np.arange(n_theta) * (math.tau / n_theta)
     c, s = np.cos(thetas), np.sin(thetas)
     vx, vy = V.vector(r * c, r * s)
@@ -94,6 +92,7 @@ def boundary_flux(V: PlaneField, r: float, n_theta: int = 256) -> float:
 
 def boundary_majorant(V: PlaneField, r: float, n_theta: int = 256) -> float:
     """Integral of |V| over the circle of radius r; bounds |flux| from above."""
+    _check_radius(r)
     thetas = np.arange(n_theta) * (math.tau / n_theta)
     vx, vy = V.vector(r * np.cos(thetas), r * np.sin(thetas))
     return pairwise_sum(np.hypot(vx, vy) * r * (math.tau / n_theta))
@@ -123,8 +122,8 @@ def curvature_difference_decay(field: ScalarField, X: Direction, Y: Direction,
     """
     V = curvature_difference_field(field, X, Y)
     rows = []
-    for r in radii:
-        rows.append((float(r),
+    for r in check_radii(radii):
+        rows.append((r,
                      disk_integral(V.div, r, scheme),
                      boundary_flux(V, r, scheme.n_theta),
                      boundary_majorant(V, r, scheme.n_theta)))
@@ -140,18 +139,13 @@ def principal_deviation_decay(field: ScalarField, theta0: float,
     dk/dtheta * (1 + f_X^2) * dA (column I_area_stated) and the divergence
     of the flux field (column I_area). The two densities differ pointwise
     by the factor 2 sqrt(1 + f1^2) in rotated entries, so no identity is
-    asserted between the columns; stated_ratio records their measured
-    quotient where defined.
+    asserted between the columns.
     """
     V = principal_deviation_field(field, theta0)
     rows = []
-    for r in radii:
-        area_div = disk_integral(V.div, r, scheme)
-        area_stated = disk_integral(V.integrand, r, scheme)
-        ratio = area_stated / area_div if area_div != 0.0 else float("nan")
-        rows.append((float(r), area_stated, area_div,
+    for r in check_radii(radii):
+        rows.append((r, disk_integral(V.integrand, r, scheme),
+                     disk_integral(V.div, r, scheme),
                      boundary_flux(V, r, scheme.n_theta),
-                     boundary_majorant(V, r, scheme.n_theta),
-                     ratio))
-    return DecayTable(("r", "I_area_stated", "I_area", "I_flux", "majorant",
-                       "stated_ratio"), rows)
+                     boundary_majorant(V, r, scheme.n_theta)))
+    return DecayTable(("r", "I_area_stated", "I_area", "I_flux", "majorant"), rows)

@@ -45,10 +45,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class ContourSet:
-    """Zero-level polylines extracted from a grid."""
+    """Zero-level polylines extracted from a grid; a closed one ends on its
+    first vertex."""
 
     polylines: list
-    closed: list
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class UmbilicPoint:
 class UmbilicScan:
     points: list
     totally_umbilic: bool
-    below_tol_fraction: float
 
 
 @dataclass(frozen=True)
@@ -243,7 +242,7 @@ def _chain_segments(ends) -> ContourSet:
     A walk leaves each node along its first unused segment.
     """
     if not len(ends):
-        return ContourSet([], [])
+        return ContourSet([])
     pts = ends.reshape(-1, 2)  # endpoint e is an end of segment e >> 1
     # a stable sort of the points lists each node's endpoints in order
     order = np.lexsort((pts[:, 1], pts[:, 0]))
@@ -295,10 +294,7 @@ def _chain_segments(ends) -> ContourSet:
     for s in range(len(ends)):
         if not used[s]:
             walk(2 * s)
-    bounds = np.array(starts)
-    at = node_of[flat]
-    return ContourSet(np.split(pts[flat], bounds[1:-1]),
-                      (at[bounds[:-1]] == at[bounds[1:] - 1]).tolist())
+    return ContourSet(np.split(pts[flat], starts[1:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +408,8 @@ def umbilic_search(field: ScalarField, region, n: int,
     xs, ys, Dn = _sample(lambda x, y: _normalized_discriminant(field, x, y),
                          region, n, n)
     below = Dn < tol
-    frac = float(np.mean(below))
-    if frac > 0.5:
-        return UmbilicScan([], True, frac)
+    if np.mean(below) > 0.5:
+        return UmbilicScan([], True)
     # every grid local minimum seeds a refinement; keepers are decided by
     # the refined residual, so umbilics between nodes are still found
     mx, my = 0.05 * (x1 - x0), 0.05 * (y1 - y0)  # escape margins
@@ -440,7 +435,7 @@ def umbilic_search(field: ScalarField, region, n: int,
             continue
         ax[len(merged)], ay[len(merged)] = p.x, p.y
         merged.append(p)
-    return UmbilicScan(merged, False, frac)
+    return UmbilicScan(merged, False)
 
 
 def umbilic_free_floor(field: ScalarField, region, n: int) -> FloorReport:

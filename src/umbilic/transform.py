@@ -15,10 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import _principal_2x2
 from .errors import DomainError, GraphConditionError, NonConvergenceError, RegularityError
 from .field import ScalarField
-from .util import _EPS, _floating, _libm, bracket_root, complex_step
+from .util import (_EPS, _floating, _libm, bracket_root, complex_step, sym_eigvals,
+                   unit3)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +254,9 @@ def exterior_eval(graph: ExteriorGraph, rbar: float, theta: float) -> tuple:
 class Patch3:
     """A parametric surface patch (u, v) -> R^3, given by its second-order
     jet: ``jet(u, v)`` returns the six 3-vectors (X, X_u, X_v, X_uu, X_uv,
-    X_vv). The unit normal is along X_u x X_v. Jets accept complex (u, v),
-    for the complex steps of ``parallel_patch``.
+    X_vv), stacked on the last axis over the broadcast shape of u and v.
+    The unit normal is along X_u x X_v. Jets accept complex (u, v), for the
+    complex steps of ``parallel_patch``.
     """
 
     jet: Callable
@@ -263,75 +264,79 @@ class Patch3:
     v_range: tuple = (0.0, math.tau)
     label: str = "patch"
 
-    def point(self, u, v):
-        return self.jet(u, v)[0]
 
-    def normal(self, u, v):
-        _, Xu, Xv = self.jet(u, v)[:3]
-        return _unit_normal(self, Xu, Xv, u, v)[0]
+def _dot(a, b):
+    """Inner products of 3-vectors along the last axis, kept as a length-1 axis."""
+    return np.sum(a * b, axis=-1, keepdims=True)
 
 
 def _unit_normal(P: Patch3, Xu, Xv, u, v):
-    """(unit normal, |X_u x X_v|); a vanishing cross product is irregular.
-    The norm sqrt(w . w) is analytic, so it carries a complex step."""
+    """(unit normal, |X_u x X_v|, the latter on a length-1 last axis); a
+    vanishing cross product is irregular. The norm sqrt(w . w) is analytic,
+    so it carries a complex step."""
     w = np.cross(Xu, Xv)
-    nw = np.sqrt(w @ w)
-    if nw.real <= 1e-12:
+    nw = np.sqrt(_dot(w, w))
+    bad = nw[..., 0].real <= 1e-12
+    if np.any(bad):
+        ub, vb = (np.broadcast_to(t, bad.shape)[bad][0] for t in (u, v))
         raise RegularityError(f"patch '{P.label}' degenerates at "
-                              f"(u, v) = ({u}, {v})")
+                              f"(u, v) = ({ub}, {vb})")
     return w / nw, nw
 
 
 @dataclass(frozen=True)
 class PatchPrincipal:
-    k1: float
-    k2: float
-    d1: np.ndarray  # unit tangent 3-vectors
+    k1: np.ndarray
+    k2: np.ndarray
+    d1: np.ndarray  # unit tangent 3-vectors on the last axis
     d2: np.ndarray
-    umbilic: bool
+    umbilic: np.ndarray
 
 
-def patch_principal(P: Patch3, u: float, v: float) -> PatchPrincipal:
-    """Principal curvatures/directions of a patch at (u, v).
+def patch_principal(P: Patch3, u, v) -> PatchPrincipal:
+    """Principal curvatures and directions of a patch at every (u, v).
 
-    Sign convention: a sphere with outward normal has positive curvature
-    (matching the graph convention where convex bowls are positive). The
-    point is umbilic when (k2 - k1)^2 = 4 gap2 is below 64 eps max(1, k^2),
-    the rounding level of gap2 = H^2 - K, so no square root of rounding
-    noise is compared.
+    The second fundamental form (a, b, c) is taken in the orthonormal frame
+    e1 = X_u / |X_u|, e2 the Gram-Schmidt of X_v; the curvatures are
+    -(mean +- sqrt((a - c)^2 / 4 + b^2)) (``util.sym_eigvals``), and d1
+    lies at the angle psi = atan2(2 b, a - c) / 2 from e1, d2 a right angle
+    further. Sign convention: a sphere with outward normal has positive
+    curvature (matching the graph convention where convex bowls are
+    positive). A point is umbilic when (k2 - k1)^2 is below
+    64 eps max(1, k^2), the rounding level of (k2 - k1)^2 / 4 = H^2 - K, so
+    no square root of rounding noise is compared; its directions are then
+    the frame axes e1, e2.
     """
     _, Pu, Pv, Puu, Puv, Pvv = P.jet(u, v)
     n = _unit_normal(P, Pu, Pv, u, v)[0]
-    E, F, G = Pu @ Pu, Pu @ Pv, Pv @ Pv
-    L, M, N = Puu @ n, Puv @ n, Pvv @ n
-    det_I = E * G - F * F
-    if det_I <= 1e-18:
-        raise RegularityError(f"patch '{P.label}' first fundamental form "
-                              f"degenerates at ({u}, {v})")
-    Iinv = np.array([[G, -F], [-F, E]]) / det_I
-    W = -Iinv @ np.array([[L, M], [M, N]])
-    _, _, gap2, k1, k2, a1, a2 = _principal_2x2(W)
-    umbilic = 4.0 * gap2 <= 64.0 * _EPS * max(1.0, k1 * k1, k2 * k2)
-    if umbilic:
-        d1 = Pu / np.linalg.norm(Pu)
-        d2v = Pv - (Pv @ d1) * d1
-        d2 = d2v / np.linalg.norm(d2v)
-    else:
-        d1 = a1[0] * Pu + a1[1] * Pv
-        d2 = a2[0] * Pu + a2[1] * Pv
-        d1 = d1 / np.linalg.norm(d1)
-        d2 = d2 / np.linalg.norm(d2)
-    return PatchPrincipal(k1, k2, d1, d2, umbilic)
+    e1 = unit3(Pu)
+    e2 = unit3(Pv - _dot(Pv, e1) * e1)
+    # X_u = alpha e1 and X_v = alpha s e1 + gamma e2
+    alpha, gamma = _dot(Pu, e1)[..., 0], _dot(Pv, e2)[..., 0]
+    s = _dot(Pv, e1)[..., 0] / alpha
+    L, M, N = (_dot(d, n)[..., 0] for d in (Puu, Puv, Pvv))
+    a = L / (alpha * alpha)
+    b = (M - s * L) / (alpha * gamma)
+    c = (N - 2.0 * s * M + s * s * L) / (gamma * gamma)
+    lo, hi = sym_eigvals(a, b, c)
+    k1, k2 = -hi, -lo
+    umbilic = (k2 - k1) ** 2 <= 64.0 * _EPS * np.maximum(1.0, np.maximum(k1 * k1, k2 * k2))
+    psi = np.where(umbilic, 0.0, 0.5 * np.arctan2(2.0 * b, a - c))[..., None]
+    cp, sp = np.cos(psi), np.sin(psi)
+    return PatchPrincipal(k1, k2, cp * e1 + sp * e2, cp * e2 - sp * e1, umbilic)
 
 
 # --- patch families --------------------------------------------------------
 
 def _sphere_jet(u, v):
     """Jet of the unit sphere at polar angle u and azimuth v."""
-    su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
-    S = np.array([su * cv, su * sv, cu])
-    return (S, np.array([cu * cv, cu * sv, -su]), np.array([-su * sv, su * cv, 0.0]),
-            -S, np.array([-cu * sv, cu * cv, 0.0]), np.array([-su * cv, -su * sv, 0.0]))
+    su, cu, sv, cv = np.broadcast_arrays(np.sin(u), np.cos(u), np.sin(v), np.cos(v))
+    z = np.zeros_like(su)
+    S = np.stack([su * cv, su * sv, cu], axis=-1)
+    return (S, np.stack([cu * cv, cu * sv, -su], axis=-1),
+            np.stack([-su * sv, su * cv, z], axis=-1), -S,
+            np.stack([-cu * sv, cu * cv, z], axis=-1),
+            np.stack([-su * cv, -su * sv, z], axis=-1))
 
 
 def ellipsoid_patch(a: float, b: float, cc: float, center=(0.0, 0.0, 0.0)) -> Patch3:
@@ -364,9 +369,9 @@ def perturbed_sphere_patch(eps: float = 0.1, center=(0.0, 0.0, 0.0)) -> Patch3:
         S, Su, Sv, Suu, Suv, Svv = _sphere_jet(u, v)
         su, s2u, c2u = np.sin(u), np.sin(2 * u), np.cos(2 * u)
         s2v, c2v = np.sin(2 * v), np.cos(2 * v)
-        rho = 1.0 + 0.5 * e * su * su * s2v
-        ru, rv = 0.5 * e * s2u * s2v, e * su * su * c2v
-        ruu, ruv, rvv = e * c2u * s2v, e * s2u * c2v, -2.0 * e * su * su * s2v
+        rho, ru, rv, ruu, ruv, rvv = (np.asarray(w)[..., None] for w in (
+            1.0 + 0.5 * e * su * su * s2v, 0.5 * e * s2u * s2v, e * su * su * c2v,
+            e * c2u * s2v, e * s2u * c2v, -2.0 * e * su * su * s2v))
         return (c + rho * S, ru * S + rho * Su, rv * S + rho * Sv,
                 ruu * S + 2.0 * ru * Su + rho * Suu,
                 ruv * S + ru * Sv + rv * Su + rho * Suv,
@@ -379,8 +384,10 @@ def plane_patch() -> Patch3:
     """The xy-plane, (u, v) -> (u, v, 0), over [-1, 1]^2."""
 
     def jet(u, v):
-        return (np.array([u, v, 0.0]), np.array([1.0, 0.0, 0.0]),
-                np.array([0.0, 1.0, 0.0]), np.zeros(3), np.zeros(3), np.zeros(3))
+        u, v = np.broadcast_arrays(u, v)
+        z, one = np.zeros(u.shape), np.ones(u.shape)
+        return (np.stack([u, v, z], axis=-1), np.stack([one, z, z], axis=-1),
+                np.stack([z, one, z], axis=-1)) + (np.zeros(u.shape + (3,)),) * 3
 
     return Patch3(jet, u_range=(-1.0, 1.0), v_range=(-1.0, 1.0), label="plane")
 
@@ -391,8 +398,8 @@ def parallel_patch(P: Patch3, r: float) -> Patch3:
     First derivatives differentiate the normal analytically from P's jet.
     Second derivatives would need P's third derivatives; they are complex
     steps of those first derivatives in u and in v, exact to rounding.
-    A coarse sample verifies 1 + r k stays away from zero (offsetting by a
-    focal distance folds the patch).
+    A coarse 5 x 5 sample verifies 1 + r k stays away from zero (offsetting
+    by a focal distance folds the patch).
     """
     if r < 0.0:
         raise ValueError("offset distance must be nonnegative")
@@ -402,8 +409,8 @@ def parallel_patch(P: Patch3, r: float) -> Patch3:
         n, nw = _unit_normal(P, Xu, Xv, u, v)
         wu = np.cross(Xuu, Xv) + np.cross(Xu, Xuv)
         wv = np.cross(Xuv, Xv) + np.cross(Xu, Xvv)
-        return (X + r * n, Xu + r * (wu - n * (n @ wu)) / nw,
-                Xv + r * (wv - n * (n @ wv)) / nw)
+        return (X + r * n, Xu + r * (wu - n * _dot(n, wu)) / nw,
+                Xv + r * (wv - n * _dot(n, wv)) / nw)
 
     def jet(u, v):
         _, Xuu, Xuv = complex_step(lambda t: first(t, v), u, 1.0)
@@ -412,23 +419,20 @@ def parallel_patch(P: Patch3, r: float) -> Patch3:
 
     us = np.linspace(P.u_range[0], P.u_range[1], 7)[1:-1]
     vs = np.linspace(P.v_range[0], P.v_range[1], 7)[1:-1]
-    for u in us:
-        for v in vs:
-            pp = patch_principal(P, float(u), float(v))
-            for k in (pp.k1, pp.k2):
-                if abs(1.0 + r * k) < 1e-8:
-                    raise RegularityError(
-                        f"offset {r} hits a focal distance (k = {k:.6g})")
+    pp = patch_principal(P, us[:, None], vs[None, :])
+    k = np.stack([pp.k1, pp.k2], axis=-1)
+    focal = np.abs(1.0 + r * k) < 1e-8
+    if np.any(focal):
+        raise RegularityError(f"offset {r} hits a focal distance (k = {k[focal][0]:.6g})")
     return Patch3(jet, P.u_range, P.v_range, f"{P.label}+parallel({r})")
 
 
 def _inversion_hessian(p, a, b):
     """Second differential of the inversion at p on the tangent pairs a, b:
     (8 (p.a)(p.b) p / |p|^2 - 2 ((p.a) b + (p.b) a + (a.b) p)) / |p|^4."""
-    n2 = p @ p
-    pa, pb = (a @ p)[..., None], (b @ p)[..., None]
-    ab = np.sum(a * b, axis=-1, keepdims=True)
-    return (8.0 * pa * pb * p / n2 - 2.0 * (pa * b + pb * a + ab * p)) / (n2 * n2)
+    n2 = _dot(p, p)
+    pa, pb = _dot(a, p), _dot(b, p)
+    return (8.0 * pa * pb * p / n2 - 2.0 * (pa * b + pb * a + _dot(a, b) * p)) / (n2 * n2)
 
 
 def invert_patch(P: Patch3) -> Patch3:
@@ -458,61 +462,52 @@ class PreservationReport:
     skipped_umbilic: int
 
 
-def _line_angle(a, b) -> float:
-    # atan2 of cross vs dot stays exact for identical vectors, unlike acos
-    cross = np.linalg.norm(np.cross(a, b))
-    dot = abs(float(np.dot(a, b)))
-    return math.atan2(cross, dot)
-
-
-def principal_preservation_check(P: Patch3, transform, samples: int = 200,
+def principal_preservation_check(P: Patch3, Q: Patch3, samples: int = 200,
                                  seed: int = 0) -> PreservationReport:
-    """Measure how well a transform maps principal directions to principal
-    directions.
+    """Measure how well the map from P to its transformed patch Q (in the
+    same parameters, e.g. ``invert_patch(P)`` or ``parallel_patch(P, r)``)
+    carries principal directions to principal directions.
 
-    ``transform`` is "inversion" or ("parallel", r). At each non-umbilic
-    sample the principal directions are pushed through the transform
-    differential (via the transformed patch's tangent basis) and compared,
-    as lines, against the directions recomputed on the transformed patch.
-    Umbilic samples (relative curvature gap below 1e-6) are skipped and
-    counted.
+    Uniform (u, v) samples, 5% inside each parameter edge, are drawn from
+    ``seed`` as rows of a (k, 2) array and evaluated a round of array calls
+    at a time, until ``samples`` of them are usable or 50 x ``samples``
+    are drawn. At a usable sample P's principal directions are pushed into
+    Q's tangent plane (same parameter coordinates on Q's tangent basis) and
+    compared, as lines, against Q's principal directions; the worst angle is
+    reported. Samples umbilic on P (relative curvature gap below 1e-6) or
+    on Q are skipped and counted.
     """
-    if transform == "inversion":
-        Q = invert_patch(P)
-    elif isinstance(transform, tuple) and transform[0] == "parallel":
-        Q = parallel_patch(P, float(transform[1]))
-    else:
-        raise ValueError("transform must be 'inversion' or ('parallel', r)")
     rng = np.random.default_rng(seed)
-    u0, u1 = P.u_range
-    v0, v1 = P.v_range
+    (u0, u1), (v0, v1) = P.u_range, P.v_range
     mu, mv = 0.05 * (u1 - u0), 0.05 * (v1 - v0)
-    usable = skipped = 0
+    lo, hi = (u0 + mu, v0 + mv), (u1 - mu, v1 - mv)
+    usable = skipped = draws = 0
     max_err = 0.0
-    draws = 0
     while usable < samples and draws < 50 * samples:
-        draws += 1
-        u = rng.uniform(u0 + mu, u1 - mu)
-        v = rng.uniform(v0 + mv, v1 - mv)
+        k = min(samples - usable, 50 * samples - draws)
+        draws += k
+        u, v = rng.uniform(lo, hi, size=(k, 2)).T
         pp = patch_principal(P, u, v)
-        gap = pp.k2 - pp.k1
-        if pp.umbilic or gap < 1e-6 * max(1.0, abs(pp.k1), abs(pp.k2)):
-            skipped += 1
+        kappa = np.maximum(1.0, np.maximum(np.abs(pp.k1), np.abs(pp.k2)))
+        rows = np.flatnonzero(~(pp.umbilic | (pp.k2 - pp.k1 < 1e-6 * kappa)))
+        qq = patch_principal(Q, u[rows], v[rows])
+        ok = ~qq.umbilic
+        rows, q1, q2 = rows[ok], qq.d1[ok], qq.d2[ok]
+        usable += len(rows)
+        skipped += k - len(rows)
+        if not len(rows):
             continue
-        qq = patch_principal(Q, u, v)
-        if qq.umbilic:
-            skipped += 1
-            continue
-        _, Pu, Pv = P.jet(u, v)[:3]
-        E, F, G = Pu @ Pu, Pu @ Pv, Pv @ Pv
-        Iinv = np.array([[G, -F], [-F, E]]) / (E * G - F * F)
-        _, Qu, Qv = Q.jet(u, v)[:3]
+        _, Pu, Pv = P.jet(u[rows], v[rows])[:3]
+        _, Qu, Qv = Q.jet(u[rows], v[rows])[:3]
+        E, F, G = _dot(Pu, Pu), _dot(Pu, Pv), _dot(Pv, Pv)
         err = 0.0
-        for d in (pp.d1, pp.d2):
-            a, b = Iinv @ np.array([d @ Pu, d @ Pv])
-            mapped = a * Qu + b * Qv
-            err = max(err, min(_line_angle(mapped, qq.d1),
-                               _line_angle(mapped, qq.d2)))
-        max_err = max(max_err, err)
-        usable += 1
+        for d in (pp.d1[rows], pp.d2[rows]):
+            du, dv = _dot(d, Pu), _dot(d, Pv)
+            # d's (u, v) coordinates, times det I > 0, on Q's tangent basis
+            mapped = (G * du - F * dv) * Qu + (E * dv - F * du) * Qv
+            # atan2 of cross vs dot stays exact for identical lines, unlike acos
+            err = np.maximum(err, np.minimum(*(
+                np.arctan2(np.linalg.norm(np.cross(mapped, e), axis=-1),
+                           np.abs(_dot(mapped, e)[..., 0])) for e in (q1, q2))))
+        max_err = max(max_err, float(np.max(err)))
     return PreservationReport(max_err, usable, skipped)

@@ -1,7 +1,9 @@
-"""Small numeric helpers: deterministic reductions, thread budget, local minima,
-the one bracketed root solver (Chandrupatla's method on arrays),
-complex-step derivatives, and row-wise pieces of the batched Newton solves."""
+"""Small numeric helpers: deterministic reductions, the radius-ladder check,
+thread budget, local minima, the one bracketed root solver (Chandrupatla's
+method on arrays), complex-step derivatives, the eigenvalues of symmetric
+2x2 matrices, and row-wise pieces of the batched Newton solves."""
 
+import math
 import os
 
 import numpy as np
@@ -24,6 +26,17 @@ def pairwise_sum(values):
             a = np.concatenate([a, [0.0]])
         a = a[0::2] + a[1::2]
     return float(a[0])
+
+
+def check_radii(radii):
+    """A radius ladder as a list of floats, checked to be nonempty, positive,
+    finite and strictly increasing (``ValueError`` otherwise)."""
+    radii = [float(r) for r in radii]
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise ValueError("radii must be positive and finite")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly increasing")
+    return radii
 
 
 def worker_count():
@@ -151,6 +164,14 @@ def complex_step(fn, x, dx):
     Rev. 1998). dx may stack several directions on leading axes."""
     h = 1e-30
     return np.imag(fn(x + 1j * h * dx)) / h
+
+
+def sym_eigvals(a, b, c):
+    """Eigenvalues lo <= hi of the symmetric 2x2 matrices [[a, b], [b, c]]:
+    mean -/+ sqrt((a - c)^2 / 4 + b^2), mean = (a + c) / 2."""
+    mean = 0.5 * (a + c)
+    s = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b ** 2, 0.0))
+    return mean - s, mean + s
 
 
 def unit3(v):

@@ -14,9 +14,9 @@ from conftest import all_fields, sample_points
 from umbilic import (Direction, QuadScheme, curvature_difference_decay,
                      curvature_difference_field, dk_dtheta,
                      divergence_consistency, exterior_eval, find_umbilic,
-                     graph_mean_divergence, invert_local_graph, make_field,
-                     normal_curvature, normal_curvature_theta,
-                     perturbed_sphere_patch, principal_deviation_decay,
+                     graph_mean_divergence, invert_local_graph, invert_patch,
+                     make_field, normal_curvature, normal_curvature_theta,
+                     parallel_patch, perturbed_sphere_patch, principal_deviation_decay,
                      principal_deviation_field, principal_preservation_check,
                      shape_operator, theorem1_pipeline, umbilic_free_floor,
                      umbilic_residuals, umbilic_search)
@@ -127,13 +127,12 @@ def test_05_principal_deviation_decay():
                                           (2.0, 4.0, 6.0, 8.0))
         assert abs(table.column("I_area")[-1]) < 1e-6
         assert abs(table.column("I_flux")[-1]) < 1e-6
-        # the raw curvature form is reported next to the divergence form,
-        # with their measured ratio, and carries no tolerance of its own
-        assert len(table.column("I_area_stated")) == 4
-        ratios = table.column("stated_ratio")
-        assert len(ratios) == 4
-        print(f"      stated/divergence ratios: "
-              f"{', '.join(f'{v:.6g}' for v in ratios)}")
+        # the raw curvature form is reported next to the divergence form
+        # and carries no tolerance of its own
+        stated = table.column("I_area_stated")
+        assert len(stated) == 4
+        print(f"      stated curvature-form integrals: "
+              f"{', '.join(f'{v:.6g}' for v in stated)}")
 
 
 def test_06_inversion_suite(rng):
@@ -164,11 +163,11 @@ def test_06_inversion_suite(rng):
 def test_07_principal_direction_preservation():
     with _Clock("07 principal-direction preservation", 30.0):
         patch = perturbed_sphere_patch(0.1, center=(0.0, 0.0, 2.0))
-        rep = principal_preservation_check(patch, "inversion", samples=200, seed=5)
+        rep = principal_preservation_check(patch, invert_patch(patch), samples=200, seed=5)
         assert rep.usable == 200
         assert rep.max_angle_error < 1e-6
         patch2 = perturbed_sphere_patch(0.1)
-        rep2 = principal_preservation_check(patch2, ("parallel", 1.0),
+        rep2 = principal_preservation_check(patch2, parallel_patch(patch2, 1.0),
                                             samples=200, seed=5)
         assert rep2.usable == 200
         assert rep2.max_angle_error < 1e-6

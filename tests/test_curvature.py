@@ -1,12 +1,13 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_fields, sample_points
-from umbilic import (Direction, curvature_difference_field, dk_dtheta,
+from umbilic import (Direction, Patch3, curvature_difference_field, dk_dtheta,
                      graph_mean_divergence, list_families, make_field,
-                     normal_curvature, normal_curvature_theta,
+                     normal_curvature, normal_curvature_theta, patch_principal,
                      principal_deviation_field, shape_operator,
                      umbilic_residuals)
 from umbilic.curvature import principal_arrays, residual_arrays
@@ -164,6 +165,41 @@ def _principal_tolerances(H, k1, k2, rel):
     s = 0.5 * (k2 - k1)
     tol_ki = tol_h + (min(math.sqrt(e), e / s) if s > 0.0 else math.sqrt(e))
     return tol_h, tol_k, tol_ki
+
+
+def _graph_patch(field):
+    """graph(f) as the parametric patch (u, v) -> (u, v, f(u, v))."""
+
+    def jet(u, v):
+        f, f1, f2, f11, f12, f22 = field.jet_arrays(u, v)
+        z, one = np.zeros_like(f), np.ones_like(f)
+        return tuple(np.stack(c, axis=-1) for c in (
+            (u, v, f), (one, z, f1), (z, one, f2), (z, z, f11), (z, z, f12), (z, z, f22)))
+
+    return Patch3(jet, label=f"graph({field.name})")
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in list_families()])
+def test_graph_curvature_matches_the_parametric_formula(name):
+    # the patch normal X_u x X_v = (-f1, -f2, 1) points up, so the patch
+    # curvatures are -k2 <= -k1 of the graph convention, and the patch's
+    # d1 projects onto the plane along the graph's e2
+    field = make_field(name)
+    lo, hi = field.sample_box
+    x, y = np.random.default_rng(11).uniform(lo, hi, size=(2, 100))
+    pp = patch_principal(_graph_patch(field), x, y)
+    H, _, k1, k2 = principal_arrays(*field.jet_arrays(x, y)[1:])
+    for i in range(len(x)):
+        tol_ki = _principal_tolerances(H[i], k1[i], k2[i], 1e-12)[2]
+        assert abs(pp.k1[i] + k2[i]) <= tol_ki and abs(pp.k2[i] + k1[i]) <= tol_ki
+        so = shape_operator(field, (x[i], y[i]))
+        if so.umbilic:
+            continue
+        # a direction is conditioned by the relative gap of the curvatures
+        gap = (so.k2 - so.k1) / max(1.0, abs(so.k1), abs(so.k2))
+        for d, e in ((pp.d1[i], so.e2), (pp.d2[i], so.e1)):
+            angle = math.atan2(abs(d[0] * e[1] - d[1] * e[0]), abs(d[0] * e[0] + d[1] * e[1]))
+            assert angle * gap <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)

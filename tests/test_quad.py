@@ -163,14 +163,39 @@ def test_deviation_decay_asym_bump():
     assert all(b < a for a, b in zip(flux, flux[1:]))
     assert flux[-1] < 1e-6
     assert abs(table.column("I_area")[-1]) < 1e-6
-    # stated column is reported alongside with its measured ratio
-    ratios = table.column("stated_ratio")
-    assert len(ratios) == 4
+    # the stated column is reported alongside, and no ratio of the two
+    assert table.columns == ("r", "I_area_stated", "I_area", "I_flux", "majorant")
+    assert len(table.column("I_area_stated")) == 4
 
 
 def test_decay_table_requires_increasing_radii():
     with pytest.raises(ValueError):
         curvature_difference_decay(make_field("asym_bump"), EX, EY, (4.0, 2.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -2.0, 0.0])
+@pytest.mark.parametrize("ladder", ["difference", "deviation"])
+def test_decay_ladders_check_their_radii(ladder, bad):
+    # checked before any quadrature, with the message of the other ladders
+    field = make_field("asym_bump")
+    with pytest.raises(ValueError, match="radii must be positive and finite"):
+        if ladder == "difference":
+            curvature_difference_decay(field, EX, EY, (2.0, bad))
+        else:
+            principal_deviation_decay(field, 0.0, (2.0, bad))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -2.0, 0.0])
+@pytest.mark.parametrize("rule", ["disk", "flux", "majorant"])
+def test_single_radius_rules_need_a_positive_finite_radius(rule, bad):
+    # a negative radius would give a negative majorant, and NaN or inf a
+    # failure inside numpy
+    V = curvature_difference_field(make_field("asym_bump"), EX, EY)
+    call = {"disk": lambda: disk_integral(V.div, bad),
+            "flux": lambda: boundary_flux(V, bad),
+            "majorant": lambda: boundary_majorant(V, bad)}[rule]
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        call()
 
 
 def test_pointwise_identity_at_quadrature_nodes():

@@ -361,7 +361,7 @@ def test_exterior_umbilic_discriminant_is_conformal(case, factor, theta):
 def test_parallel_sphere():
     sp = sphere_patch(radius=1.0)
     par = parallel_patch(sp, 1.0)
-    assert np.allclose(par.point(1.0, 2.0), 2.0 * sp.point(1.0, 2.0))
+    assert np.allclose(par.jet(1.0, 2.0)[0], 2.0 * sp.jet(1.0, 2.0)[0])
     pp = patch_principal(par, 1.0, 2.0)
     assert abs(pp.k1 - 0.5) < 1e-7 and abs(pp.k2 - 0.5) < 1e-7
 
@@ -369,8 +369,7 @@ def test_parallel_sphere():
 def test_parallel_plane():
     pl = plane_patch()
     par = parallel_patch(pl, 3.0)
-    assert np.allclose(par.point(0.2, 0.4) - pl.point(0.2, 0.4),
-                       3.0 * pl.normal(0.2, 0.4))
+    assert np.allclose(par.jet(0.2, 0.4)[0] - pl.jet(0.2, 0.4)[0], (0.0, 0.0, 3.0))
     pp = patch_principal(par, 0.2, 0.4)
     assert abs(pp.k1) < 1e-9 and abs(pp.k2) < 1e-9
 
@@ -386,29 +385,32 @@ def test_parallel_curvature_map():
 # --- preservation of principal directions -----------------------------------
 
 def test_preservation_identity_transform():
-    rep = principal_preservation_check(ellipsoid_patch(1.0, 1.3, 1.6),
-                                       ("parallel", 0.0), samples=100, seed=3)
+    P = ellipsoid_patch(1.0, 1.3, 1.6)
+    rep = principal_preservation_check(P, parallel_patch(P, 0.0), samples=100, seed=3)
     assert rep.usable == 100
     assert rep.max_angle_error < 1e-12
 
 
 def test_preservation_sphere_all_umbilic():
-    rep = principal_preservation_check(sphere_patch(center=(0.0, 0.0, 2.0)),
-                                       "inversion", samples=20, seed=1)
+    P = sphere_patch(center=(0.0, 0.0, 2.0))
+    rep = principal_preservation_check(P, invert_patch(P), samples=20, seed=1)
+    # every draw is skipped, up to the cap of 50 x samples
     assert rep.usable == 0
-    assert rep.skipped_umbilic > 0
+    assert rep.skipped_umbilic == 50 * 20
+    assert rep.max_angle_error == 0.0
 
 
 def test_preservation_under_inversion():
     patch = perturbed_sphere_patch(0.1, center=(0.0, 0.0, 2.0))
-    rep = principal_preservation_check(patch, "inversion", samples=200, seed=11)
+    rep = principal_preservation_check(patch, invert_patch(patch), samples=200, seed=11)
     assert rep.usable == 200
     assert rep.max_angle_error < 1e-6
 
 
 def test_preservation_under_parallel():
     patch = perturbed_sphere_patch(0.1)
-    rep = principal_preservation_check(patch, ("parallel", 1.0), samples=200, seed=11)
+    rep = principal_preservation_check(patch, parallel_patch(patch, 1.0), samples=200,
+                                       seed=11)
     assert rep.usable == 200
     assert rep.max_angle_error < 1e-6
 
@@ -441,7 +443,6 @@ def test_patch_jet_matches_central_differences(name):
     for _ in range(20):
         u, v = _interior_uv(P, rng)
         jet = P.jet(u, v)
-        assert np.array_equal(jet[0], P.point(u, v))
 
         def diff(k, du, dv):
             return (P.jet(u + du, v + dv)[k] - P.jet(u - du, v - dv)[k]) / (2.0 * h)
@@ -454,9 +455,27 @@ def test_patch_jet_matches_central_differences(name):
             assert np.max(np.abs(exact - fd)) <= tol
 
 
+@pytest.mark.parametrize("name", sorted(PATCHES))
+def test_patch_arrays_match_pointwise_calls(name):
+    # jets and principal data broadcast over (u, v) arrays, each point as a
+    # call at that point alone gives it
+    P = PATCHES[name]()
+    rng = np.random.default_rng(5)
+    u, v = np.array([_interior_uv(P, rng) for _ in range(12)]).reshape(3, 4, 2).T
+    jets, pp = P.jet(u, v), patch_principal(P, u, v)
+    assert all(j.shape == (4, 3, 3) for j in jets)
+    assert pp.k1.shape == pp.umbilic.shape == (4, 3) and pp.d2.shape == (4, 3, 3)
+    for i, j in np.ndindex(4, 3):
+        one = patch_principal(P, u[i, j], v[i, j])
+        for a, b in zip(jets + (pp.k1, pp.k2, pp.d1, pp.d2),
+                        P.jet(u[i, j], v[i, j]) + (one.k1, one.k2, one.d1, one.d2)):
+            assert np.allclose(a[i, j], b, rtol=1e-14, atol=1e-14)
+        assert pp.umbilic[i, j] == one.umbilic
+
+
 def test_inversion_preserves_principal_directions_to_rounding():
     patch = perturbed_sphere_patch(0.1, center=(0.0, 0.0, 2.0))
-    rep = principal_preservation_check(patch, "inversion", samples=200, seed=5)
+    rep = principal_preservation_check(patch, invert_patch(patch), samples=200, seed=5)
     assert rep.usable == 200
     assert rep.max_angle_error < 1e-11
 
@@ -464,7 +483,7 @@ def test_inversion_preserves_principal_directions_to_rounding():
 @pytest.mark.parametrize("P", [perturbed_sphere_patch(0.1), ellipsoid_patch(1.0, 2.0, 3.0)],
                          ids=["perturbed-sphere", "ellipsoid"])
 def test_parallel_offset_preserves_principal_directions_to_rounding(P):
-    rep = principal_preservation_check(P, ("parallel", 1.0), seed=5)
+    rep = principal_preservation_check(P, parallel_patch(P, 1.0), seed=5)
     assert rep.usable == 200
     assert rep.max_angle_error < 1e-11
 
@@ -479,8 +498,9 @@ def test_every_sphere_point_is_umbilic(P):
 
 
 def test_sphere_normal_at_pole_is_irregular():
-    with pytest.raises(RegularityError):
-        sphere_patch().normal(0.0, 1.0)
+    # the error names the first irregular point of the array
+    with pytest.raises(RegularityError, match=r"\(u, v\) = \(0.0, 1.0\)"):
+        patch_principal(sphere_patch(), np.array([1.0, 0.0, math.pi]), 1.0)
 
 
 # --- dilation of a field ----------------------------------------------------
