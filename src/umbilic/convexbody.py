@@ -115,18 +115,19 @@ def _tangent_basis(u):
 
 
 def _tangent_hessian(body: SupportBody, u):
-    """The ambient Hessian of h on the tangent basis: (a11, a12, a22)."""
+    """The ambient Hessian of h on the tangent basis (t1, t2) at u:
+    ((a11, a12, a22), t1, t2)."""
     t1, t2 = _tangent_basis(u)
     Hm = body.hess_ambient(u)
     return tuple(np.einsum("...i,...ij,...j->...", a, Hm, b)
-                 for a, b in ((t1, t1), (t1, t2), (t2, t2)))
+                 for a, b in ((t1, t1), (t1, t2), (t2, t2))), t1, t2
 
 
 def radii_of_curvature(body: SupportBody, u, check: bool = True):
     """Principal radii of curvature (rho1 <= rho2) at the normal u: the
     eigenvalues of m = a + (h - <grad h, u>) I, a the tangent Hessian."""
     u = _floating(u)
-    a11, m12, a22 = _tangent_hessian(body, u)
+    (a11, m12, a22), _, _ = _tangent_hessian(body, u)
     up = _planes(u)
     gdot = _dot3(body._grad(up), up)
     h = body._h(up)
@@ -165,11 +166,17 @@ class UmbilicSite:
     converged: bool
 
 
+def _framed_anisotropy(body: SupportBody, u):
+    """(m11 - m22, 2 m12) in the transported tangent frame (t1, t2), zero at
+    umbilics, and that frame. The shift h - <grad h, u> of m11 and m22
+    cancels, so h never enters."""
+    (a11, a12, a22), t1, t2 = _tangent_hessian(body, u)
+    return np.stack([a11 - a22, 2.0 * a12], axis=-1), t1, t2
+
+
 def _anisotropy(body: SupportBody, u):
-    """(m11 - m22, 2 m12) in the transported tangent frame; zero at umbilics.
-    The shift h - <grad h, u> of m11 and m22 cancels, so h never enters."""
-    a11, a12, a22 = _tangent_hessian(body, u)
-    return np.stack([a11 - a22, 2.0 * a12], axis=-1)
+    """The anisotropy alone, as the Jacobian's complex steps need it."""
+    return _framed_anisotropy(body, u)[0]
 
 
 def _polish_umbilics(body: SupportBody, u0, max_iter: int = 30):
@@ -178,40 +185,39 @@ def _polish_umbilics(body: SupportBody, u0, max_iter: int = 30):
     converges quadratically where that Jacobian is regular at the site
     (index +-1/2) and only linearly where it vanishes there (index +1, as at
     the zonal poles). Each row takes the steps it would take alone; the trial
-    residual of a step that descends is the next iteration's residual, so
-    each iterate is evaluated once. Returns the polished unit rows and their
-    converged flags."""
+    residual of a step that descends, with its tangent frame, is the next
+    iteration's residual and step basis, so each iterate is evaluated once.
+    Returns the polished unit rows and their converged flags."""
     u = unit3(np.asarray(u0, float).reshape(-1, 3))
     ok = np.zeros(len(u), bool)
     live = np.arange(len(u))  # rows still iterating
-    F = _anisotropy(body, u)  # the anisotropy at u[live]
+    F, t1, t2 = _framed_anisotropy(body, u)  # at u[live]
     for _ in range(max_iter):
         nF = _row_norms(F)
         conv = nF < 1e-13
         ok[live[conv]] = True
-        live, F, nF = live[~conv], F[~conv], nF[~conv]
+        live, F, nF, t1, t2 = (a[~conv] for a in (live, F, nF, t1, t2))
         if not live.size:
             break
         v = u[live]
-        t1, t2 = _tangent_basis(v)
         J = np.moveaxis(complex_step(lambda w: _anisotropy(body, unit3(w)), v,
                                      np.stack([t1, t2])), 0, -1)
         st, solved = _solve2(J, -F)
         # a singular Jacobian or a non-finite step stops the row unconverged
         # (its |F| is not below 1e-13 here)
         keep = solved & np.all(np.isfinite(st), axis=-1)
-        live, v, nF, st = live[keep], v[keep], nF[keep], st[keep]
-        step = st[:, :1] * t1[keep] + st[:, 1:] * t2[keep]
+        live, v, nF, st, t1, t2 = (a[keep] for a in (live, v, nF, st, t1, t2))
+        step = st[:, :1] * t1 + st[:, 1:] * t2
         ns = _row_norms(step)
         big = ns > 0.5
         step[big] *= (0.5 / ns[big])[:, None]
         un = unit3(v + step)
-        Fn = _anisotropy(body, un)
+        Fn, t1, t2 = _framed_anisotropy(body, un)
         # no descent (a NaN trial residual counts as descent) stops the row
         stall = _row_norms(Fn) >= nF
         ok[live[stall]] = nF[stall] < 1e-10
         u[live[~stall]] = un[~stall]
-        live, F = live[~stall], Fn[~stall]
+        live, F, t1, t2 = (a[~stall] for a in (live, Fn, t1, t2))
     else:
         ok[live] = _row_norms(F) < 1e-10
     return u, ok
@@ -329,36 +335,15 @@ def rotate_body(body: SupportBody, R) -> SupportBody:
 # pose and pipeline
 # ---------------------------------------------------------------------------
 
-def _rotation_taking(a, b) -> np.ndarray:
-    """Rotation matrix mapping unit vector a to unit vector b.
-
-    Near-antipodal pairs go through a half-turn first; the direct Rodrigues
-    formula divides by 1 + <a, b> and loses orthogonality there.
-    """
-    a = unit3(np.asarray(a, float))
-    b = unit3(np.asarray(b, float))
-    c = float(a @ b)
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -0.5:
-        seed = np.array([1.0, 0.0, 0.0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        axis = unit3(np.cross(a, seed))
-        half_turn = 2.0 * np.outer(axis, axis) - np.eye(3)
-        return _rotation_taking(-a, b) @ half_turn
-    v = np.cross(a, b)
-    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    return np.eye(3) + vx + vx @ vx / (1.0 + c)
-
-
 @dataclass(frozen=True)
 class PosedBody:
     """A body rigidly moved so the point with normal ustar sits at the
-    origin with outward normal pointing straight down: p -> R (p - X(ustar))
-    with R = ``rotation``."""
+    origin with outward normal pointing straight down: p -> F (p - X(ustar)),
+    F the frame with rows t2, t1, -ustar (``_pose``), (t1, t2) the tangent
+    basis at ustar."""
 
     body: SupportBody
     ustar: np.ndarray
-    rotation: np.ndarray
     t1: np.ndarray
     t2: np.ndarray
 
@@ -374,10 +359,12 @@ class PosedBody:
         du = [dstar * us[k] + sphi * (c * self.t1[k] + s * self.t2[k]) for k in range(3)]
         return du, [us[k] + du[k] for k in range(3)]
 
-    def _rotate(self, planes):
-        """The rotation applied to vectors given as component planes; the
-        result has the components on its last axis and is component-major."""
-        return np.moveaxis(np.stack([_dot3(row, planes) for row in self.rotation]), 0, -1)
+    def _pose(self, planes):
+        """The vectors d, given as component planes, in the posed frame:
+        (<d, t2>, <d, t1>, -<d, ustar>) on the last axis. t2 = ustar x t1, so
+        the rows t2, t1, -ustar are right-handed and the pose is a rotation."""
+        return np.stack([_dot3(self.t2, planes), _dot3(self.t1, planes),
+                         -_dot3(self.ustar, planes)], axis=-1)
 
     def cap_points(self, phis, thetas):
         """Posed boundary points on the polar cap grid.
@@ -398,12 +385,12 @@ class PosedBody:
         sg, sg_star = b._sphere_grad(u), b._sphere_grad(us)
         delta = [hu * du[k] + dh * us[k] + (sg[k] - sg_star[k]) for k in range(3)]
         del du, u, usum, dh, hu, sg  # a ladder-sized call holds fewer planes at once
-        return self._rotate(delta)
+        return self._pose(delta)
 
     def cap_normals(self, phis, thetas):
-        """Posed outward normals R u(phi, theta) on the polar cap grid, made
+        """Posed outward normals u(phi, theta) on the polar cap grid, made
         as ``cap_points`` makes its points."""
-        return self._rotate(self._cap_planes(phis, thetas)[1])
+        return self._pose(self._cap_planes(phis, thetas)[1])
 
 
 def pose_at_umbilic(body: SupportBody, ustar) -> PosedBody:
@@ -411,9 +398,7 @@ def pose_at_umbilic(body: SupportBody, ustar) -> PosedBody:
     origin, outward normal (0, 0, -1); the body then sits above the
     xy-plane, tangent to it at the origin."""
     ustar = unit3(np.asarray(ustar, float))
-    R = _rotation_taking(ustar, np.array([0.0, 0.0, -1.0]))
-    t1, t2 = _tangent_basis(ustar)
-    return PosedBody(body, ustar, R, t1, t2)
+    return PosedBody(body, ustar, *_tangent_basis(ustar))
 
 
 def _inverted_rbar(q):

@@ -272,11 +272,13 @@ def _dot(a, b):
 
 def _unit_normal(P: Patch3, Xu, Xv, u, v):
     """(unit normal, |X_u x X_v|, the latter on a length-1 last axis); a
-    vanishing cross product is irregular. The norm sqrt(w . w) is analytic,
-    so it carries a complex step."""
+    cross product at most 1e-12 |X_u| |X_v| (on the real parts) is
+    irregular. The norm sqrt(w . w) is analytic, so it carries a complex
+    step."""
     w = np.cross(Xu, Xv)
     nw = np.sqrt(_dot(w, w))
-    bad = nw[..., 0].real <= 1e-12
+    xu, xv = Xu.real, Xv.real
+    bad = (nw.real <= 1e-12 * np.sqrt(_dot(xu, xu) * _dot(xv, xv)))[..., 0]
     if np.any(bad):
         ub, vb = (np.broadcast_to(t, bad.shape)[bad][0] for t in (u, v))
         raise RegularityError(f"patch '{P.label}' degenerates at "
@@ -291,6 +293,8 @@ class PatchPrincipal:
     d1: np.ndarray  # unit tangent 3-vectors on the last axis
     d2: np.ndarray
     umbilic: np.ndarray
+    xu: np.ndarray  # the parameter tangents X_u, X_v the frame was taken from
+    xv: np.ndarray
 
 
 def patch_principal(P: Patch3, u, v) -> PatchPrincipal:
@@ -323,7 +327,7 @@ def patch_principal(P: Patch3, u, v) -> PatchPrincipal:
     umbilic = (k2 - k1) ** 2 <= 64.0 * _EPS * np.maximum(1.0, np.maximum(k1 * k1, k2 * k2))
     psi = np.where(umbilic, 0.0, 0.5 * np.arctan2(2.0 * b, a - c))[..., None]
     cp, sp = np.cos(psi), np.sin(psi)
-    return PatchPrincipal(k1, k2, cp * e1 + sp * e2, cp * e2 - sp * e1, umbilic)
+    return PatchPrincipal(k1, k2, cp * e1 + sp * e2, cp * e2 - sp * e1, umbilic, Pu, Pv)
 
 
 # --- patch families --------------------------------------------------------
@@ -492,13 +496,12 @@ def principal_preservation_check(P: Patch3, Q: Patch3, samples: int = 200,
         rows = np.flatnonzero(~(pp.umbilic | (pp.k2 - pp.k1 < 1e-6 * kappa)))
         qq = patch_principal(Q, u[rows], v[rows])
         ok = ~qq.umbilic
-        rows, q1, q2 = rows[ok], qq.d1[ok], qq.d2[ok]
+        rows, q1, q2, Qu, Qv = rows[ok], qq.d1[ok], qq.d2[ok], qq.xu[ok], qq.xv[ok]
         usable += len(rows)
         skipped += k - len(rows)
         if not len(rows):
             continue
-        _, Pu, Pv = P.jet(u[rows], v[rows])[:3]
-        _, Qu, Qv = Q.jet(u[rows], v[rows])[:3]
+        Pu, Pv = pp.xu[rows], pp.xv[rows]
         E, F, G = _dot(Pu, Pu), _dot(Pu, Pv), _dot(Pv, Pv)
         err = 0.0
         for d in (pp.d1[rows], pp.d2[rows]):

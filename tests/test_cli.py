@@ -375,11 +375,11 @@ README_GOLDEN = {
         "0215905ea3a3ebfa8d443e0fa8e5c9fcbbe0962e23808bc3a8eac27e9db6bdaf",
     "decay --field gaussian_bump --radii 2,4,8,16":
         "5ac74cbdcad9a138c595e0d92d6068028efd47712c282aea3d0e168f3f2bf7e0",
-    # taken before the pipeline's phi-solve became one solve over every radius
+    # taken once the body was posed in the tangent frame of its umbilic
     "pipeline thm1 --body zonal:eps=0.05 --offset 10":
-        "18a07578e76c70dd11a1c8fa9b95a0602f68a1f25b6abf55a9141f6445272bee",
+        "511124312d2384e9a7a666eb965c62e1a23728085dde886c7e7d1c5a43fee87b",
     "pipeline thm1 --body triaxial:ax=0.01,ay=0.05,az=0.09":
-        "3efe1d74fd39e25c1667873bf5dd113942b3fd9bbccfa761cb3c5ceb4205184d",
+        "eaaeee2e318bb1cff15586d10ae0eda8c2468794867a84cbb5464d93c584f730",
 }
 
 
@@ -392,17 +392,17 @@ def test_readme_example_golden_bytes(tmp_path, monkeypatch, command, threads):
     assert hashlib.sha256(read(out)).hexdigest() == README_GOLDEN[command]
 
 
-# sha256 of `pipeline thm1 --ntheta 64` CSVs of five bodies, taken before the
-# phi-solve became one solve over every radius
+# sha256 of `pipeline thm1 --ntheta 64` CSVs of five bodies, taken once the
+# body was posed in the tangent frame of its umbilic
 PIPELINE_GOLDEN = {
-    "sphere:R=1.3": "24cb831761cc4fa806d4c0ac8ff74f4926356c816b5cc9c5a3336461e16e7de2",
-    "zonal:eps=0.07": "e48a162542d6aeb98c7bcf77164339b9e11c306a23ee2fb0a55ee8a00ea0d0a5",
+    "sphere:R=1.3": "eb45651213282cf1e0c36312a017d0cf9d39595c3f6a6fa2b1cde09d7205894e",
+    "zonal:eps=0.07": "b224c040412699885bf7c7daab6cdcf9617ecee215286915b1a4360d0234e983",
     "triaxial:ax=0.01,ay=0.05,az=0.09":
-        "92b04f5278de400df99a17ea5f2007221bf4bf815f62354598de4721c34aeefb",
+        "782b209fd4aa4e5e842e4834e52f458e98e3bb7435e3656b7ab3da4799c84364",
     "shifted:cx=0.2,cy=-0.4,cz=0.1":
-        "975eb6b48cdf6004e3da00dda85936236c19046d515e36451691e68cb62c3259",
+        "b5447122f2f93f6a33970d2dbd7c3797fd69458d648a247ea73a174c2fe8f88c",
     "quartic:qx=0.03,qy=0.05,qz=0.07":
-        "ef75c58245a5dd47e835c5e22aa3c0e1c1dbba6125801d18f4b3f5c356dc403e",
+        "aefeb20444169a0e2efe420883aa98faae9e55e9607e474d2ecce825a25fa2de",
 }
 
 

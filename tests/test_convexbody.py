@@ -313,6 +313,27 @@ def test_polish_matches_the_loop_evaluating_twice(monkeypatch, spec):
             assert u.tobytes() == ref_u.tobytes() and ok.tobytes() == ref_ok.tobytes()
 
 
+def test_polish_builds_one_tangent_basis_per_hessian(monkeypatch):
+    # a trial residual's frame is the next iteration's step basis, so no
+    # basis is built apart from a tangent Hessian
+    counts = {"basis": 0, "hessian": 0}
+    basis, hessian = convexbody._tangent_basis, convexbody._tangent_hessian
+
+    def counted_basis(u):
+        counts["basis"] += 1
+        return basis(u)
+
+    def counted_hessian(body, u):
+        counts["hessian"] += 1
+        return hessian(body, u)
+
+    monkeypatch.setattr(convexbody, "_tangent_basis", counted_basis)
+    monkeypatch.setattr(convexbody, "_tangent_hessian", counted_hessian)
+    body = _parse_body(CLI_BODIES[2])
+    _polish_umbilics(body, np.random.default_rng(7).standard_normal((40, 3)))
+    assert counts["hessian"] > 3 and counts["basis"] == counts["hessian"]
+
+
 def test_tangent_basis_second_axis_is_np_cross():
     rng = np.random.default_rng(13)
     u = unit3(rng.standard_normal((400, 3)))
@@ -536,12 +557,26 @@ def test_pose_maps_umbilic_to_origin():
     q2, n2 = posed.cap_points(np.array(0.0), np.array(0.0)), posed.cap_normals(0.0, 0.0)
     assert np.linalg.norm(q2) < 1e-12
     assert np.allclose(n2, [0.0, 0.0, -1.0], atol=1e-12)
-    # the cap points are the rigid motion p -> R (p - X(ustar)) of boundary points
+    # the cap points are the rigid motion p -> R (p - X(ustar)) of boundary
+    # points, R the frame with rows t2, t1, -ustar
     phis, thetas = np.linspace(0.01, 2.0, 5)[:, None], np.linspace(0, 6, 7)
     q, n = posed.cap_points(phis, thetas), posed.cap_normals(phis, thetas)
-    R = posed.rotation
+    R = np.stack([posed.t2, posed.t1, -posed.ustar])
     ref = (body_point(b, n @ R) - body_point(b, site.u)) @ R.T
     assert np.allclose(q, ref, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("ustar", [EZ, -EZ, unit3([0.3, -0.5, 0.8]), unit3([0.95, 0.1, -0.2])],
+                         ids=["+e3", "-e3", "generic", "generic-y-seed"])
+def test_pose_frame_is_a_rotation(ustar):
+    # the frame (t2, t1, -ustar) is a rotation at every normal, +e3 included,
+    # and puts the point with normal ustar at the origin, normal straight down
+    posed = pose_at_umbilic(triaxial(0.01, 0.05, 0.09), ustar)
+    R = np.stack([posed.t2, posed.t1, -posed.ustar])
+    assert np.max(np.abs(R.T @ R - np.eye(3))) <= 1e-15
+    assert abs(np.linalg.det(R) - 1.0) <= 1e-15
+    assert np.all(posed.cap_points(np.array(0.0), np.array(0.0)) == 0.0)
+    assert np.max(np.abs(posed.cap_normals(0.0, 0.0) - [0.0, 0.0, -1.0])) <= 1e-15
 
 
 # --- pipeline ---------------------------------------------------------------

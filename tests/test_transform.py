@@ -12,7 +12,7 @@ from umbilic import (DomainError, GraphConditionError, decay_profile,
                      perturbed_sphere_patch, plane_patch,
                      principal_preservation_check, pushforward_inversion,
                      sphere_patch, uniform_field)
-from umbilic import RegularityError, invert_patch, list_families
+from umbilic import RegularityError, invert_patch, list_families, transform
 from umbilic.curvature import principal_arrays
 from umbilic.field import fd_jet
 from umbilic.transform import _rescaled_field
@@ -415,6 +415,31 @@ def test_preservation_under_parallel():
     assert rep.max_angle_error < 1e-6
 
 
+def test_preservation_evaluates_each_jet_once_per_round(monkeypatch):
+    # patch_principal hands the check the tangents X_u, X_v it used, so a
+    # round of samples makes one jet call on P and one on Q
+    calls = {"P": 0, "Q": 0, "rounds": 0}
+
+    def counted(name, patch):
+        def jet(u, v):
+            calls[name] += 1
+            return patch.jet(u, v)
+        return dataclasses.replace(patch, jet=jet)
+
+    base = perturbed_sphere_patch(0.1)
+    P, Q = counted("P", base), counted("Q", parallel_patch(base, 1.0))
+    principal = transform.patch_principal
+
+    def counted_principal(patch, u, v):
+        calls["rounds"] += patch is P
+        return principal(patch, u, v)
+
+    monkeypatch.setattr(transform, "patch_principal", counted_principal)
+    rep = principal_preservation_check(P, Q, samples=200, seed=5)
+    assert rep.usable == 200 and calls["rounds"] >= 1
+    assert calls["P"] == calls["Q"] == calls["rounds"]
+
+
 # --- patch jets -------------------------------------------------------------
 
 PATCHES = {
@@ -501,6 +526,18 @@ def test_sphere_normal_at_pole_is_irregular():
     # the error names the first irregular point of the array
     with pytest.raises(RegularityError, match=r"\(u, v\) = \(0.0, 1.0\)"):
         patch_principal(sphere_patch(), np.array([1.0, 0.0, math.pi]), 1.0)
+
+
+@pytest.mark.parametrize("radius", np.logspace(-9.0, 3.0, 13))
+def test_spheres_of_every_size_are_regular_and_umbilic(radius):
+    # regularity is judged against |X_u| |X_v|, so a small sphere is regular
+    P = sphere_patch(radius=radius)
+    rng = np.random.default_rng(4)
+    u, v = np.array([_interior_uv(P, rng) for _ in range(50)]).T
+    pp = patch_principal(P, u, v)
+    assert np.all(pp.umbilic)
+    for k in (pp.k1, pp.k2):
+        assert np.max(np.abs(k * radius - 1.0)) <= 1e-12
 
 
 # --- dilation of a field ----------------------------------------------------
