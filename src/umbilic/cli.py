@@ -23,7 +23,7 @@ from .convexbody import SupportBody
 from .curvature import curvature_difference_field, principal_deviation_field
 from .errors import (ConvexityError, DomainError, GraphConditionError,
                      NonConvergenceError, RegularityError)
-from .families import list_families, parse_field_spec
+from .families import _split_spec, list_families, parse_field_spec
 from .field import Direction, decay_profile
 from .output import (format_float, svg_contours, svg_heatmap, write_csv,
                      write_grid_csv, write_polyline_csv)
@@ -111,14 +111,8 @@ _BODIES = {
 
 def _parse_body(text):
     """Parse CLI syntax 'name' or 'name:key=value,...' into a support body."""
-    name, _, tail = text.partition(":")
-    params = {}
-    for item in tail.split(","):
-        if not item.strip():
-            continue
-        k, _, v = item.partition("=")
-        params[k.strip()] = _finite(v)
-    name = name.strip()
+    name, pairs = _split_spec(text, "body")
+    params = {k: _finite(v) for k, v in pairs}
     if name not in _BODIES:
         raise ValueError(f"unknown body '{name}' ({', '.join(_BODIES)})")
     defaults, build = _BODIES[name]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvexityError, DomainError, NonConvergenceError
 from .util import (_floating, _row_norms, _solve2, bracket_root, check_radii,
-                   complex_step, local_minima, sym_eigvals, unit3)
+                   complex_step, greedy_merge, local_minima, sym_eigvals, unit3)
 
 FIND_TOL = 1e-9    # rho2 - rho1 at which find_umbilic's search has converged
 SITES_TOL = 1e-8   # rho2 - rho1 below which umbilic_sites keeps a polished site
@@ -241,32 +241,17 @@ def find_umbilic(body: SupportBody, grid_n: int = 48) -> UmbilicSite:
 
 
 def _merge_close(us):
-    """Rows of us (K, 3) kept by a greedy merge in row order: a row is
-    dropped when an earlier kept row lies closer than 1e-3 rad to it, that is
-    arccos(min(1, |d|)) < 1e-3 with d = <u_i, u_j> > 0.
+    """Rows of us (K, 3) kept by ``greedy_merge`` in row order, two rows being
+    close when arccos(min(1, d)) < 1e-3 with d = <u_i, u_j>. Such rows differ
+    by less than 1e-3 in z and have d > cos(1e-3), so the arccos runs only on
+    the pairs within 1e-3 in z that have d > cos(2e-3)."""
+    x, y, z = us.T
 
-    Two unit rows that close differ by less than 1e-3 in z and have
-    d > cos(1e-3), so the test runs only on the pairs of a window of 1e-3 in
-    z over the rows sorted by z that have d > cos(2e-3)."""
-    x, y, z = us[:, 0], us[:, 1], us[:, 2]
-    order = np.argsort(z)
-    zs = z[order]
-    # every pair (first, later) of positions in zs at most 1e-3 apart
-    span = np.searchsorted(zs, zs + 1e-3, side="right") - np.arange(len(zs)) - 1
-    first = np.repeat(np.arange(len(zs)), span)
-    later = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(span) - span, span)
-    i, j = np.sort([order[first], order[later]], axis=0)
-    d = x[i] * x[j] + y[i] * y[j] + z[i] * z[j]
-    near = d > math.cos(2e-3)
-    i, j, d = i[near], j[near], d[near]
-    close = (np.arccos(np.minimum(1.0, np.abs(d))) < 1e-3) & (d > 0.0)
-    by_j = np.argsort(j[close])
-    keep = np.ones(len(us), bool)
-    # in increasing j, a row's fate is settled before any later row reads it
-    for a, b in zip(i[close][by_j].tolist(), j[close][by_j].tolist()):
-        if keep[a]:
-            keep[b] = False
-    return keep
+    def dot(i, j):
+        return x[i] * x[j] + y[i] * y[j] + z[i] * z[j]
+
+    return greedy_merge(z, 1e-3, lambda i, j: dot(i, j) > math.cos(2e-3),
+                        lambda i, j: np.arccos(np.minimum(1.0, dot(i, j))) < 1e-3)
 
 
 def umbilic_sites(body: SupportBody, grid_n: int = 48):

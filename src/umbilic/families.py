@@ -265,19 +265,20 @@ def list_families():
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
 
 
+def _split_spec(text: str, kind: str):
+    """The name and the (key, value) pairs of 'name' or 'name:key=value,...',
+    stripped; an item that is not key=value is a ValueError naming it."""
+    name, _, tail = text.partition(":")
+    pairs = []
+    for item in tail.split(",") if tail else ():
+        key, eq, val = item.partition("=")
+        if not eq:
+            raise ValueError(f"malformed {kind} parameter '{item}'")
+        pairs.append((key.strip(), val.strip()))
+    return name.strip(), pairs
+
+
 def parse_field_spec(text: str) -> ScalarField:
     """Parse CLI syntax 'name' or 'name:lam=0.1,g=exp' into a field."""
-    name, _, tail = text.partition(":")
-    params = {}
-    if tail:
-        for item in tail.split(","):
-            key, _, val = item.partition("=")
-            if not _:
-                raise ValueError(f"malformed field parameter '{item}'")
-            key = key.strip()
-            val = val.strip()
-            if key in ("g", "h"):
-                params[key] = val
-            else:
-                params[key] = float(val)
-    return make_field(name.strip(), **params)
+    name, pairs = _split_spec(text, "field")
+    return make_field(name, **{k: v if k in ("g", "h") else float(v) for k, v in pairs})

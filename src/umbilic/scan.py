@@ -17,7 +17,7 @@ from .curvature import (curvature_direction_arrays, dk_dtheta_arrays,
                         principal_arrays, residual_arrays)
 from .errors import DomainError
 from .field import Direction, ScalarField
-from .util import _libm, _row_norms, _solve2, local_minima, worker_count
+from .util import _libm, _row_norms, _solve2, greedy_merge, local_minima, worker_count
 
 RESIDUAL_NAMES = ("dk", "dkdtheta", "P1", "P2", "D")
 CURVATURE_NAMES = ("H", "K", "k1", "k2")
@@ -190,7 +190,7 @@ def contours(grid: Grid) -> ContourSet:
 
 def _segments(grid: Grid) -> np.ndarray:
     """(S, 2, 2) segment endpoints ``[segment, end, (x, y)]`` in row-major
-    cell order, each cell's in table order."""
+    cell order, each cell's in table order, without zero-length segments."""
     v = grid.values
     xs, ys = grid.xs, grid.ys
     up = (v >= 0.0).view(np.uint8)
@@ -213,7 +213,8 @@ def _segments(grid: Grid) -> np.ndarray:
     for k in range(0, cell.size, _BLOCK_SEGMENTS):
         block = slice(k, k + _BLOCK_SEGMENTS)
         ends[block] = _crossings(v, xs, ys, cell[block], edges[block])
-    return ends
+    # a segment whose ends coincide lies on one corner, where the grid is 0
+    return ends[np.any(ends[:, 0] != ends[:, 1], axis=1)]
 
 
 def _crossings(v, xs, ys, cell, edges):
@@ -420,22 +421,16 @@ def umbilic_search(field: ScalarField, region, n: int,
     refined = ok & (dn < tol)
     # Newton stalled or escaped: keep the coarse grid minimum if below tol
     keep = refined | below[i, j]
-    cols = (np.where(refined, rx, cx), np.where(refined, ry, cy),
-            np.where(refined, dn, Dn[i, j]), refined)
-    points = [UmbilicPoint(*p) for p in zip(*(c[keep].tolist() for c in cols))]
-    points.sort(key=lambda p: (p.x, p.y))
-    # greedy merge in sorted order against the points accepted so far; numpy's
-    # hypot only preselects, libm's decides, as scalar math.hypot did
-    merged = []
-    ax, ay = np.empty(len(points)), np.empty(len(points))
-    for p in points:
-        dx, dy = p.x - ax[:len(merged)], p.y - ay[:len(merged)]
-        near = np.hypot(dx, dy) < 2e-6
-        if np.any(_libm(math.hypot, dx[near], dy[near]) < 1e-6):
-            continue
-        ax[len(merged)], ay[len(merged)] = p.x, p.y
-        merged.append(p)
-    return UmbilicScan(merged, False)
+    cols = [c[keep] for c in (np.where(refined, rx, cx), np.where(refined, ry, cy),
+                              np.where(refined, dn, Dn[i, j]), refined)]
+    # in (x, y) order (a stable sort of the tuples), a point within 1e-6 of an
+    # earlier kept one merges into it; numpy's hypot preselects, libm's decides
+    order = np.lexsort((cols[1], cols[0]))
+    cols = [c[order] for c in cols]
+    x, y = cols[:2]
+    kept = greedy_merge(x, 2e-6, lambda a, b: np.hypot(x[b] - x[a], y[b] - y[a]) < 2e-6,
+                        lambda a, b: _libm(math.hypot, x[b] - x[a], y[b] - y[a]) < 1e-6)
+    return UmbilicScan([UmbilicPoint(*p) for p in zip(*(c[kept].tolist() for c in cols))], False)
 
 
 def umbilic_free_floor(field: ScalarField, region, n: int) -> FloorReport:

@@ -402,8 +402,8 @@ def parallel_patch(P: Patch3, r: float) -> Patch3:
     First derivatives differentiate the normal analytically from P's jet.
     Second derivatives would need P's third derivatives; they are complex
     steps of those first derivatives in u and in v, exact to rounding.
-    A coarse 5 x 5 sample verifies 1 + r k stays away from zero (offsetting
-    by a focal distance folds the patch).
+    A coarse 5 x 5 sample verifies 1 + r k is not zero to rounding
+    (offsetting by a focal distance folds the patch).
     """
     if r < 0.0:
         raise ValueError("offset distance must be nonnegative")
@@ -425,7 +425,7 @@ def parallel_patch(P: Patch3, r: float) -> Patch3:
     vs = np.linspace(P.v_range[0], P.v_range[1], 7)[1:-1]
     pp = patch_principal(P, us[:, None], vs[None, :])
     k = np.stack([pp.k1, pp.k2], axis=-1)
-    focal = np.abs(1.0 + r * k) < 1e-8
+    focal = np.abs(1.0 + r * k) <= 8.0 * _EPS * np.maximum(1.0, np.abs(r * k))
     if np.any(focal):
         raise RegularityError(f"offset {r} hits a focal distance (k = {k[focal][0]:.6g})")
     return Patch3(jet, P.u_range, P.v_range, f"{P.label}+parallel({r})")

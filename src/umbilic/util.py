@@ -1,7 +1,7 @@
 """Small numeric helpers: deterministic reductions, the radius-ladder check,
-thread budget, local minima, the one bracketed root solver (Chandrupatla's
-method on arrays), complex-step derivatives, the eigenvalues of symmetric
-2x2 matrices, and row-wise pieces of the batched Newton solves."""
+thread budget, local minima, the greedy merge, the one bracketed root solver
+(Chandrupatla's method on arrays), complex-step derivatives, the eigenvalues
+of symmetric 2x2 matrices, and row-wise pieces of the batched Newton solves."""
 
 import math
 import os
@@ -67,6 +67,31 @@ def local_minima(values, wrap_cols=False):
         for dj in range(3):
             low = np.minimum(low, p[di:di + n, dj:dj + m])
     return np.argwhere(v <= low)
+
+
+def greedy_merge(key, window, *tests):
+    """Rows kept by a greedy merge in row order: row j is dropped when an
+    earlier kept row i is close to it. Rows whose ``key`` values differ by
+    at most ``window`` are close when they pass every ``test(i, j)``, a
+    boolean array over the pairs i[k] < j[k] that passed the tests before
+    it (so cheap tests go first); rows farther apart in key must not be."""
+    order = np.argsort(key)
+    ks = key[order]
+    # every pair (first, later) of positions in ks at most window apart
+    span = np.searchsorted(ks, ks + window, side="right") - np.arange(len(ks)) - 1
+    first = np.repeat(np.arange(len(ks)), span)
+    later = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(span) - span, span)
+    i, j = np.sort([order[first], order[later]], axis=0)
+    for test in tests:
+        near = test(i, j)
+        i, j = i[near], j[near]
+    by_j = np.argsort(j)
+    keep = np.ones(len(key), bool)
+    # in increasing j, a row's fate is settled before any later row reads it
+    for a, b in zip(i[by_j].tolist(), j[by_j].tolist()):
+        if keep[a]:
+            keep[b] = False
+    return keep
 
 
 def bracket_root(g, lo, hi, glo, ghi):

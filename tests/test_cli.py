@@ -139,12 +139,17 @@ def test_usage_errors():
     (["contour", "--field", "bates_like:lam=nan"], "--field"),
     (["pipeline", "thm1", "--body", "zonal", "--offset", "nan"], "--offset"),
     (["pipeline", "thm1", "--body", "sphere:R=nan"], "--body"),
+    # one name:key=value grammar: every item must be key=value
+    (["contour", "--field", "ridge:lam=0.1,"], "--field"),
+    (["pipeline", "thm1", "--body", "zonal:eps=0.05,"], "--body"),
+    (["pipeline", "thm1", "--body", "zonal:eps"], "--body"),
 ], ids=["map-m", "contour-n", "invert-r0", "invert-radii", "invert-ntheta",
         "decay-ntheta", "decay-radii", "decay-empty-radii", "pipeline-radii",
         "pipeline-ntheta", "pipeline-body-key", "pipeline-body-name", "thm3-field",
         "scan-tol", "decay-radii-nan", "decay-radii-inf", "thm2-X-nan", "thm3-theta0-nan",
         "divergence-Y-inf", "scan-tol-nan", "invert-r0-nan", "floor-region-nan",
-        "map-region-inf", "contour-lam-nan", "pipeline-offset-nan", "pipeline-body-nan"])
+        "map-region-inf", "contour-lam-nan", "pipeline-offset-nan", "pipeline-body-nan",
+        "field-trailing-comma", "body-trailing-comma", "body-bare-key"])
 def test_bad_option_value_is_a_usage_error(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1
@@ -341,11 +346,12 @@ def test_repeat_heavy_map_golden_bytes(tmp_path, monkeypatch, spec, threads):
 
 
 # sha256 of contour SVGs as the per-vertex writer wrote them: the README
-# example (3 polylines, n = m = 101) and 7 polylines, 5 of them closed, on
-# a 61-by-101 grid
+# example (3 polylines, n = m = 101) and the 2 diagonals on a 61-by-101
+# grid, re-pinned when zero-length segments at exact-zero nodes were
+# dropped (5 two-vertex polylines and 14 repeated vertices went)
 CONTOUR_SVG_GOLDEN = {
     "asym_bump dk -3 3 101": "0253e4a42860cd2c69dedf03cf6b1e3b3d71aa76a1c688ca00d02d8761e7482a",
-    "gaussian_bump P2 -3 3 61": "74e9dd09e9387289b6c626faa80834746e5e32cad6e6e1155c64763848dfd8fc",
+    "gaussian_bump P2 -3 3 61": "f54151d0456d98b8d3d497ecda6db6005c4b2006ea464c9f0773301d7dbc84af",
 }
 
 

@@ -382,6 +382,21 @@ def test_parallel_curvature_map():
     assert abs(pp.k1 - 0.5) < 1e-7
 
 
+def test_parallel_focal_test_is_relative():
+    # the unit sphere with inward normals has k = -1: r = 1 is its focal
+    # distance, and r = 1 - 1e-9 leaves 1 + r k = 1e-9, far above rounding
+    P = ellipsoid_patch(-1.0, 1.0, 1.0)
+    with pytest.raises(RegularityError, match="focal distance"):
+        parallel_patch(P, 1.0)
+    for r, tol in ((1.0 - 1e-7, 1e-7), (1.0 - 1e-9, 1e-5)):
+        par = parallel_patch(P, r)
+        for u, v in ((0.8, 1.1), (1.5, 3.0), (2.5, 5.0)):
+            pp = patch_principal(par, u, v)
+            # k maps to k / (1 + r k) = -1 / (1 - r)
+            assert abs(pp.k1 * (1.0 - r) + 1.0) < tol
+            assert abs(pp.k2 * (1.0 - r) + 1.0) < tol
+
+
 # --- preservation of principal directions -----------------------------------
 
 def test_preservation_identity_transform():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from umbilic.util import _solve2, bracket_root, local_minima
+from umbilic.util import _solve2, bracket_root, greedy_merge, local_minima
 
 
 def brute_minima(values, wrap_cols=False):
@@ -224,3 +225,36 @@ def test_solve2_matches_per_row_solves(rng):
         assert solved[k] == ok, k
         assert np.array_equal(st[k], ref, equal_nan=True), k
     assert not solved[1:15].any() and solved[21:].all()
+
+
+def greedy_reference(pts):
+    """Reference merge: one point at a time, kept unless a point kept
+    before it is within 1 of it in both coordinates."""
+    kept = []
+    for p in pts:
+        kept.append(not any(k and abs(p[0] - q[0]) <= 1 and abs(p[1] - q[1]) <= 1
+                            for q, k in zip(pts, kept)))
+    return kept
+
+
+def _chebyshev_merge(pts):
+    # two tests: the second sees only the pairs the first passed
+    x, y = (np.array([p[c] for p in pts], dtype=float) for c in (0, 1))
+    return greedy_merge(x, 1.0, lambda i, j: np.abs(x[j] - x[i]) <= 1.0,
+                        lambda i, j: np.abs(y[j] - y[i]) <= 1.0).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=40))
+def test_greedy_merge_matches_the_loop(pts):
+    # a 7 x 7 lattice: tied keys, clusters and chains are common
+    assert _chebyshev_merge(pts) == greedy_reference(pts)
+
+
+def test_greedy_merge_chains_and_empty():
+    # b is close to a and drops; c is close only to b, so it stays; the
+    # merge runs in row order, whatever order the keys are in
+    assert _chebyshev_merge([(0, 0), (1, 0), (2, 0)]) == [True, False, True]
+    assert _chebyshev_merge([(2, 0), (1, 0), (0, 0)]) == [True, False, True]
+    assert _chebyshev_merge([(1, 0), (0, 0), (2, 0), (1, 5)]) == [True, False, False, True]
+    assert _chebyshev_merge([]) == []
