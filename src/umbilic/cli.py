@@ -322,14 +322,18 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(argv):
-    """Inject key=value pairs from --config as leading (overridable) flags."""
-    if "--config" not in argv:
+    """Inject key=value pairs from --config PATH or --config=PATH, before or
+    after the subcommand words, as leading (overridable) flags."""
+    i = next((k for k, a in enumerate(argv)
+              if a == "--config" or a.startswith("--config=")), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise UsageError("--config requires a path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2:]
+    _, eq, path = argv[i].partition("=")
+    if not eq:
+        if i + 1 >= len(argv):
+            raise UsageError("--config requires a path")
+        path = argv[i + 1]
+    rest = argv[:i] + argv[i + (1 if eq else 2):]
     injected = []
     try:
         with open(path) as fh:

@@ -57,10 +57,6 @@ class SupportBody:
         """Support function at the unit normals u (last axis)."""
         return self._h(_planes(u))
 
-    def grad_ambient(self, u):
-        """Euclidean gradient of the polynomial extension of h."""
-        return np.stack(self._grad(_planes(u)), axis=-1)
-
     def hess_ambient(self, u):
         u = _floating(u)
         out = np.broadcast_to(2.0 * np.asarray(self.quad, float),
@@ -68,10 +64,6 @@ class SupportBody:
         idx = np.arange(3)
         out[..., idx, idx] += 12.0 * np.asarray(self.quartic, float) * u ** 2
         return out
-
-    def sphere_grad(self, u):
-        """Tangential gradient of h on the sphere at the unit normal u."""
-        return np.stack(self._sphere_grad(_planes(u)), axis=-1)
 
 
 def _planes(u):
@@ -90,12 +82,6 @@ def _dot3(a, b):
 def _vecmat3(a, M):
     """The components of the row vector a times the 3x3 matrix M."""
     return tuple(_dot3(a, (M[0][j], M[1][j], M[2][j])) for j in range(3))
-
-
-def body_point(body: SupportBody, u) -> np.ndarray:
-    """Boundary point of the body whose outward normal is u."""
-    u = np.asarray(u, float)
-    return body.h(u)[..., None] * u + body.sphere_grad(u)
 
 
 def _tangent_basis(u):
@@ -303,17 +289,6 @@ def parallel_body(body: SupportBody, r: float, rescale: bool = False) -> Support
                        tuple(map(tuple, q)),
                        tuple(np.asarray(body.quartic, float) * scale),
                        name=f"{body.name}+r{r:g}" + ("/rescaled" if rescale else ""))
-
-
-def rotate_body(body: SupportBody, R) -> SupportBody:
-    """Rigid rotation of the body (only for quartic-free families)."""
-    R = np.asarray(R, float)
-    if np.any(np.asarray(body.quartic) != 0.0):
-        raise NotImplementedError("diagonal quartic terms are not rotation-covariant")
-    l = R @ np.asarray(body.linear, float)
-    Q = R @ np.asarray(body.quad, float) @ R.T
-    return SupportBody(body.c0, tuple(l), tuple(map(tuple, Q)),
-                       (0.0, 0.0, 0.0), name=f"{body.name}@rot")
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from .field import Direction, Jet2, ScalarField, directional_arrays, rotate_jet_arrays
+from .field import Direction, ScalarField, directional_arrays, rotate_jet_arrays
 
 __all__ = [
-    "PrincipalData", "UmbilicResiduals", "PlaneField",
-    "normal_curvature", "normal_curvature_theta", "dk_dtheta",
-    "shape_operator", "umbilic_residuals", "graph_mean_divergence",
-    "curvature_difference_field", "principal_deviation_field",
-    "residual_arrays", "principal_arrays", "curvature_theta_arrays",
+    "PlaneField", "normal_curvature", "dk_dtheta", "shape_operator",
+    "umbilic_residuals", "curvature_difference_field",
+    "principal_deviation_field", "residual_arrays", "principal_arrays",
     "dk_dtheta_arrays",
 ]
 
@@ -118,19 +116,6 @@ def curvature_direction_arrays(f1, f2, f11, f12, f22, cx, sx):
     return fXX / ((1.0 + fX * fX) * np.sqrt(1.0 + q))
 
 
-def curvature_theta_arrays(f1, f2, f11, f12, f22, theta):
-    """Normal curvature along (cos t, sin t) in its explicit angular form:
-
-        (f11 cos^2 t + f12 sin 2t + f22 sin^2 t)
-        / (1 + (f1 cos t + f2 sin t)^2) / sqrt(1 + q)
-    """
-    c, s = np.cos(theta), np.sin(theta)
-    num = f11 * c * c + f12 * np.sin(2.0 * np.asarray(theta, dtype=float)) + f22 * s * s
-    den = 1.0 + (f1 * c + f2 * s) ** 2
-    q = f1 * f1 + f2 * f2
-    return num / den / np.sqrt(1.0 + q)
-
-
 def dk_dtheta_arrays(f1, f2, f11, f12, f22, theta0):
     """Angular derivative of the normal curvature at theta0.
 
@@ -151,12 +136,6 @@ def normal_curvature(field: ScalarField, p, X: Direction) -> float:
     """Curvature of the normal slice of graph(f) above p along X."""
     j = field.jet(p)
     return float(curvature_direction_arrays(j.f1, j.f2, j.f11, j.f12, j.f22, X.x, X.y))
-
-
-def normal_curvature_theta(field: ScalarField, p, theta: float) -> float:
-    """Normal curvature along (cos theta, sin theta), explicit angular form."""
-    j = field.jet(p)
-    return float(curvature_theta_arrays(j.f1, j.f2, j.f11, j.f12, j.f22, theta))
 
 
 def dk_dtheta(field: ScalarField, p, theta0: float) -> float:
@@ -227,16 +206,6 @@ def umbilic_residuals(field: ScalarField, p) -> UmbilicResiduals:
     j = field.jet(p)
     P1, P2, D, _ = residual_arrays(j.f1, j.f2, j.f11, j.f12, j.f22)
     return UmbilicResiduals(float(P1), float(P2), float(D))
-
-
-def graph_mean_divergence(j: Jet2) -> float:
-    """div(grad f / sqrt(1 + |grad f|^2)) evaluated analytically from a jet.
-
-    Equals twice the mean curvature of the graph. The jet goes in as arrays:
-    numpy's scalar power can round unlike its array power, which the H grids use.
-    """
-    jet = np.array([[j.f1], [j.f2], [j.f11], [j.f12], [j.f22]])
-    return float(2.0 * principal_arrays(*jet)[0][0])
 
 
 # ---------------------------------------------------------------------------

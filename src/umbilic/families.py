@@ -22,8 +22,8 @@ E = math.e
 @dataclass(frozen=True)
 class FamilySpec:
     """A family: ``jets(**params)`` returns its jet function, and
-    ``make_field`` gives the field the spec's ``asymptotic_c``, ``domain``
-    and ``sample_box``."""
+    ``make_field`` gives the field the spec's ``asymptotic_c`` and
+    ``domain``."""
 
     name: str
     jets: Callable
@@ -35,7 +35,6 @@ class FamilySpec:
     notes: str
     asymptotic_c: float | None = None
     domain: Callable | None = None
-    sample_box: tuple = (-3.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +211,13 @@ _REGISTRY = {s.name: s for s in (
                "f = x^2 + y^2, single umbilic at the origin"),
     FamilySpec("sphere_cap", lambda: _sphere_cap_jets, (), {}, False, False, True,
                "f = 1 - sqrt(1 - r^2) on r < 1, totally umbilic",
-               domain=_unit_disk, sample_box=(-0.6, 0.6)),
+               domain=_unit_disk),
     FamilySpec("gaussian_bump", lambda: _gaussian_jets, (), {}, True, None, None,
                "f = exp(-r^2), c = 0", asymptotic_c=0.0),
     FamilySpec("inverse_quadratic", lambda: _inverse_quadratic_jets, (), {},
                True, None, None, "f = 1/(1 + r^2), c = 0", asymptotic_c=0.0),
     FamilySpec("loglog_tail", lambda: _loglog_jets, (), {}, False, None, None,
-               "log(log r) outside a compact set, unbounded but with fast gradient decay",
-               sample_box=(-6.0, 6.0)),
+               "log(log r) outside a compact set, unbounded but with fast gradient decay"),
     FamilySpec("bates_like", _bates_like_jets, ("lam",), {"lam": 0.1}, False, True, False,
                "bounded umbilic-free graph 1 + lam*(x+y^2)/sqrt(1+(x+y^2)^2)"),
     FamilySpec("ridge", _ridge_jets, ("lam",), {"lam": 0.1}, False, True, False,
@@ -255,9 +253,8 @@ def make_field(name: str, **params) -> ScalarField:
     for key in ("g", "h"):
         if key in merged and merged[key] not in _PROFILES:
             raise ValueError(f"unknown profile '{merged[key]}'; options: {sorted(_PROFILES)}")
-    return ScalarField(name, spec.jets(**merged), params=merged,
-                       asymptotic_c=spec.asymptotic_c, domain=spec.domain,
-                       sample_box=spec.sample_box)
+    return ScalarField(name, spec.jets(**merged), asymptotic_c=spec.asymptotic_c,
+                       domain=spec.domain)
 
 
 def list_families():

@@ -8,7 +8,7 @@ Closed-form fields carry analytic jets vectorized over numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -77,10 +77,8 @@ class ScalarField:
 
     name: str
     jets: Callable
-    params: dict = dc_field(default_factory=dict)
     asymptotic_c: float | None = None
     domain: Callable | None = None
-    sample_box: tuple = (-3.0, 3.0)
     grads: Callable | None = None
 
     def _check_domain(self, x, y):
@@ -119,31 +117,10 @@ class ScalarField:
         return self.value(r * np.cos(theta), r * np.sin(theta))
 
 
-def uniform_field(c: float, name: str | None = None) -> ScalarField:
-    """The constant field f == c."""
-
-    def jets(x, y):
-        z = np.zeros_like(x)
-        return (np.full_like(x, float(c)), z, z, z, z, z)
-
-    return ScalarField(name or f"constant({c})", jets, params={"c": float(c)},
-                       asymptotic_c=float(c))
-
-
 def directional_arrays(f1, f2, f11, f12, f22, c, s):
     """(f_X, f_XX) along the unit direction X = (c, s), from jet component
     arrays: f_X = <grad f, X> and f_XX = X^T H X."""
     return f1 * c + f2 * s, f11 * c * c + 2.0 * f12 * c * s + f22 * s * s
-
-
-def rotate_frame(j: Jet2, theta0: float) -> Jet2:
-    """Express a jet in axes rotated so the new first axis points along theta0.
-
-    The gradient rotates by -theta0 and the Hessian is conjugated by the
-    rotation; the value is unchanged.
-    """
-    g = rotate_jet_arrays(j.f1, j.f2, j.f11, j.f12, j.f22, theta0)
-    return Jet2(j.f, *(float(v) for v in g))
 
 
 def rotate_jet_arrays(f1, f2, f11, f12, f22, theta0):
@@ -158,29 +135,6 @@ def rotate_jet_arrays(f1, f2, f11, f12, f22, theta0):
     g12 = c * s * (f22 - f11) + (c * c - s * s) * f12
     g22 = s * s * f11 - 2.0 * c * s * f12 + c * c * f22
     return g1, g2, g11, g12, g22
-
-
-def fd_jet(value: Callable, p, grad_step: float | None = None,
-           hess_step: float | None = None) -> Jet2:
-    """Jet from central differences of a plain value callable.
-
-    Steps default to eps^(1/2)*max(1, |p|) for the gradient and
-    eps^(1/3)*max(1, |p|) for the Hessian, balancing truncation against
-    round-off. Used as an independent cross-check of analytic jets.
-    """
-    x, y = as_xy(p)
-    scale = max(1.0, math.hypot(x, y))
-    eps = float(np.finfo(float).eps)
-    hg = grad_step if grad_step is not None else math.sqrt(eps) * scale
-    hh = hess_step if hess_step is not None else eps ** (1.0 / 3.0) * scale
-    f = value(x, y)
-    f1 = (value(x + hg, y) - value(x - hg, y)) / (2.0 * hg)
-    f2 = (value(x, y + hg) - value(x, y - hg)) / (2.0 * hg)
-    f11 = (value(x + hh, y) - 2.0 * f + value(x - hh, y)) / (hh * hh)
-    f22 = (value(x, y + hh) - 2.0 * f + value(x, y - hh)) / (hh * hh)
-    f12 = (value(x + hh, y + hh) - value(x + hh, y - hh)
-           - value(x - hh, y + hh) + value(x - hh, y - hh)) / (4.0 * hh * hh)
-    return Jet2(float(f), float(f1), float(f2), float(f11), float(f12), float(f22))
 
 
 @dataclass(frozen=True)

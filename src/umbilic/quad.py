@@ -42,10 +42,6 @@ class DecayTable:
     columns: tuple
     rows: list
 
-    def column(self, name: str):
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
-
 
 def _check_radius(r):
     if not 0.0 < r < math.inf:
@@ -111,6 +107,16 @@ def divergence_consistency(V: PlaneField, r: float,
 DEFAULT_RADII = (2.0, 4.0, 8.0, 16.0)
 
 
+def _decay_table(V: PlaneField, areas, radii, scheme: QuadScheme) -> DecayTable:
+    """Per radius: the disk integral of each (column, density) of ``areas``
+    in turn, then the boundary flux of V and the majorant integral of |V|
+    over the circle."""
+    rows = [(r, *(disk_integral(g, r, scheme) for _, g in areas),
+             boundary_flux(V, r, scheme.n_theta), boundary_majorant(V, r, scheme.n_theta))
+            for r in check_radii(radii)]
+    return DecayTable(("r", *(name for name, _ in areas), "I_flux", "majorant"), rows)
+
+
 def curvature_difference_decay(field: ScalarField, X: Direction, Y: Direction,
                                radii=DEFAULT_RADII,
                                scheme: QuadScheme = QuadScheme()) -> DecayTable:
@@ -121,13 +127,7 @@ def curvature_difference_decay(field: ScalarField, X: Direction, Y: Direction,
     integral of |V| over the circle.
     """
     V = curvature_difference_field(field, X, Y)
-    rows = []
-    for r in check_radii(radii):
-        rows.append((r,
-                     disk_integral(V.div, r, scheme),
-                     boundary_flux(V, r, scheme.n_theta),
-                     boundary_majorant(V, r, scheme.n_theta)))
-    return DecayTable(("r", "I_area", "I_flux", "majorant"), rows)
+    return _decay_table(V, (("I_area", V.div),), radii, scheme)
 
 
 def principal_deviation_decay(field: ScalarField, theta0: float,
@@ -142,10 +142,5 @@ def principal_deviation_decay(field: ScalarField, theta0: float,
     asserted between the columns.
     """
     V = principal_deviation_field(field, theta0)
-    rows = []
-    for r in check_radii(radii):
-        rows.append((r, disk_integral(V.integrand, r, scheme),
-                     disk_integral(V.div, r, scheme),
-                     boundary_flux(V, r, scheme.n_theta),
-                     boundary_majorant(V, r, scheme.n_theta)))
-    return DecayTable(("r", "I_area_stated", "I_area", "I_flux", "majorant"), rows)
+    return _decay_table(V, (("I_area_stated", V.integrand), ("I_area", V.div)),
+                        radii, scheme)

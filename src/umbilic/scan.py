@@ -423,14 +423,20 @@ def umbilic_search(field: ScalarField, region, n: int,
     keep = refined | below[i, j]
     cols = [c[keep] for c in (np.where(refined, rx, cx), np.where(refined, ry, cy),
                               np.where(refined, dn, Dn[i, j]), refined)]
-    # in (x, y) order (a stable sort of the tuples), a point within 1e-6 of an
-    # earlier kept one merges into it; numpy's hypot preselects, libm's decides
+    # in (x, y) order, as a stable sort of the tuples gives it
     order = np.lexsort((cols[1], cols[0]))
     cols = [c[order] for c in cols]
-    x, y = cols[:2]
-    kept = greedy_merge(x, 2e-6, lambda a, b: np.hypot(x[b] - x[a], y[b] - y[a]) < 2e-6,
-                        lambda a, b: _libm(math.hypot, x[b] - x[a], y[b] - y[a]) < 1e-6)
+    kept = _merge_points(*cols[:2])
     return UmbilicScan([UmbilicPoint(*p) for p in zip(*(c[kept].tolist() for c in cols))], False)
+
+
+def _merge_points(x, y):
+    """Rows kept when a point within 1e-6 of an earlier kept one (by libm's
+    hypot) merges into it. Pairs are sought on the key x cos 1 + y sin 1, a
+    rotation, so |key difference| <= distance and a 2e-6 window holds every
+    close pair; on a key of x alone, a grid column of equal x is one window."""
+    return greedy_merge(x * math.cos(1.0) + y * math.sin(1.0), 2e-6,
+                        lambda a, b: _libm(math.hypot, x[b] - x[a], y[b] - y[a]) < 1e-6)
 
 
 def umbilic_free_floor(field: ScalarField, region, n: int) -> FloorReport:

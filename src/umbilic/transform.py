@@ -92,8 +92,7 @@ def _rescaled_field(field: ScalarField, s: float) -> ScalarField:
     domain = None
     if field.domain is not None:
         domain = lambda x, y: field.domain(x / s, y / s)
-    return ScalarField(f"{field.name}*scaled", jets, params=dict(field.params),
-                       domain=domain)
+    return ScalarField(f"{field.name}*scaled", jets, domain=domain)
 
 
 @dataclass(frozen=True)

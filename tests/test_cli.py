@@ -251,6 +251,20 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(out2.read_text().splitlines()) == 5  # flag overrides config
 
 
+@pytest.mark.parametrize("form", ["--config PATH", "--config=PATH"])
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_config_read_in_either_form_and_position(tmp_path, form, before):
+    # the subcommand's options may come before or after its words
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("radii = 2,4\nntheta = 16\n")
+    flag = ["--config", str(cfg)] if form == "--config PATH" else [f"--config={cfg}"]
+    out, ref = tmp_path / "d.csv", tmp_path / "ref.csv"
+    cmd = ["--field", "gaussian_bump", "--out", str(out)]
+    assert main((flag + ["decay"] if before else ["decay"] + flag) + cmd) == 0
+    assert main(["decay", "--field", "gaussian_bump", "--radii", "2,4", "--ntheta", "16",
+                 "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
 def test_config_multi_valued_option_matches_flags(tmp_path):
     cfg = tmp_path / "map.cfg"
     cfg.write_text("field = paraboloid\nregion = -1 -0.5 1 1.5\nn = 17\n")

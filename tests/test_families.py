@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sample_box
 from umbilic import decay_profile, list_families, make_field, parse_field_spec
 from umbilic.curvature import residual_arrays
 
@@ -16,7 +17,8 @@ def test_registry_contents():
 
 
 def test_registry_defaults_and_errors():
-    assert make_field("ridge").params["lam"] == 0.1
+    # ridge is 1 + lam*sqrt(1 + x^2): 1 + lam on the y axis
+    assert float(make_field("ridge").value(0.0, 2.0)) == 1.0 + 0.1
     with pytest.raises(ValueError):
         make_field("no_such_family")
     with pytest.raises(ValueError):
@@ -30,20 +32,20 @@ def test_registry_defaults_and_errors():
         make_field("separable", g="sin")
 
 
-# (asymptotic_c, has a domain, sample_box) of each family at its defaults
+# (asymptotic_c, has a domain) of each family at its defaults
 _FIELD_ATTRS = {
-    "asym_bump": (0.0, False, (-3.0, 3.0)),
-    "bates_like": (None, False, (-3.0, 3.0)),
-    "cone_type": (None, False, (-3.0, 3.0)),
-    "cylinder": (None, False, (-3.0, 3.0)),
-    "gaussian_bump": (0.0, False, (-3.0, 3.0)),
-    "inverse_quadratic": (0.0, False, (-3.0, 3.0)),
-    "loglog_tail": (None, False, (-6.0, 6.0)),
-    "paraboloid": (None, False, (-3.0, 3.0)),
-    "ridge": (None, False, (-3.0, 3.0)),
-    "saddle": (None, False, (-3.0, 3.0)),
-    "separable": (None, False, (-3.0, 3.0)),
-    "sphere_cap": (None, True, (-0.6, 0.6)),
+    "asym_bump": (0.0, False),
+    "bates_like": (None, False),
+    "cone_type": (None, False),
+    "cylinder": (None, False),
+    "gaussian_bump": (0.0, False),
+    "inverse_quadratic": (0.0, False),
+    "loglog_tail": (None, False),
+    "paraboloid": (None, False),
+    "ridge": (None, False),
+    "saddle": (None, False),
+    "separable": (None, False),
+    "sphere_cap": (None, True),
 }
 
 
@@ -51,16 +53,23 @@ _FIELD_ATTRS = {
 def test_registry_builds_each_spec(spec):
     f = make_field(spec.name)
     assert f.name == spec.name
-    assert f.params == spec.defaults
-    assert (f.asymptotic_c, f.domain is not None, f.sample_box) == _FIELD_ATTRS[spec.name]
+    # the defaults are the parameters a bare name builds with
+    lo, hi = sample_box(f)
+    x, y = np.meshgrid(np.linspace(lo, hi, 5), np.linspace(lo, hi, 5))
+    explicit = make_field(spec.name, **spec.defaults)
+    assert all(np.array_equal(a, b) for a, b in zip(f.jet_arrays(x, y),
+                                                     explicit.jet_arrays(x, y)))
+    assert (f.asymptotic_c, f.domain is not None) == _FIELD_ATTRS[spec.name]
     assert f.grads is None
 
 
 def test_parse_field_spec():
+    # bates_like is 1 + lam*s/sqrt(1 + s^2), s = x + y^2: 1 + lam/sqrt(2) at (1, 0)
     f = parse_field_spec("bates_like:lam=0.25")
-    assert f.params["lam"] == 0.25
+    assert float(f.value(1.0, 0.0)) == 1.0 + 0.25 * (1.0 / math.sqrt(2.0))
+    # separable is 1 + lam*(g(x) + h(y)), with sqrtlin(t) = sqrt(1 + t^2) + t
     g = parse_field_spec("separable:lam=0.2,g=sqrtlin,h=exp")
-    assert g.params == {"lam": 0.2, "g": "sqrtlin", "h": "exp"}
+    assert float(g.value(1.0, 1.0)) == 1.0 + 0.2 * ((math.sqrt(2.0) + 1.0) + float(np.exp(1.0)))
     with pytest.raises(ValueError):
         parse_field_spec("ridge:lam")
 

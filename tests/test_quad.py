@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import column
 from umbilic import (Direction, QuadScheme, boundary_flux, boundary_majorant,
                      curvature_difference_decay, curvature_difference_field,
                      disk_integral, divergence_consistency, make_field,
@@ -106,27 +107,27 @@ def test_majorant_eventually_decreasing():
 def test_difference_decay_radial_field_vanishes():
     table = curvature_difference_decay(make_field("gaussian_bump"), EX, EY,
                                        (2.0, 4.0, 6.0, 8.0))
-    for v in table.column("I_area"):
+    for v in column(table, "I_area"):
         assert abs(v) < 1e-12
-    for v in table.column("I_flux"):
+    for v in column(table, "I_flux"):
         assert abs(v) < 1e-12
 
 
 def test_difference_decay_saddle_axes_vanishes():
     table = curvature_difference_decay(make_field("saddle"), EX, EY,
                                        (1.0, 2.0, 3.0))
-    for v in table.column("I_area"):
+    for v in column(table, "I_area"):
         assert abs(v) < 1e-12
 
 
 def test_difference_decay_asym_bump():
     table = curvature_difference_decay(make_field("asym_bump"), EX, EY,
                                        (2.0, 4.0, 6.0, 8.0))
-    flux = [abs(v) for v in table.column("I_flux")]
+    flux = [abs(v) for v in column(table, "I_flux")]
     assert all(b < a for a, b in zip(flux, flux[1:]))
     assert flux[-1] < 1e-6
     # area and flux columns agree to quadrature accuracy
-    for a, f in zip(table.column("I_area"), table.column("I_flux")):
+    for a, f in zip(column(table, "I_area"), column(table, "I_flux")):
         assert abs(a - f) < 1e-8
 
 
@@ -143,29 +144,29 @@ def test_difference_decay_identity_at_nodes():
 def test_deviation_decay_radial_field():
     table = principal_deviation_decay(make_field("gaussian_bump"), 0.0,
                                       (2.0, 4.0, 8.0))
-    for v in table.column("I_area_stated"):
+    for v in column(table, "I_area_stated"):
         assert abs(v) < 1e-12
-    for v in table.column("I_area"):
+    for v in column(table, "I_area"):
         assert abs(v) < 1e-12
 
 
 def test_deviation_decay_cylinder_identically_zero():
     table = principal_deviation_decay(make_field("cylinder"), 0.0, (1.0, 2.0))
     for name in ("I_area_stated", "I_area", "I_flux", "majorant"):
-        for v in table.column(name):
+        for v in column(table, name):
             assert abs(v) < 1e-12
 
 
 def test_deviation_decay_asym_bump():
     table = principal_deviation_decay(make_field("asym_bump"), 0.0,
                                       (2.0, 4.0, 6.0, 8.0))
-    flux = [abs(v) for v in table.column("I_flux")]
+    flux = [abs(v) for v in column(table, "I_flux")]
     assert all(b < a for a, b in zip(flux, flux[1:]))
     assert flux[-1] < 1e-6
-    assert abs(table.column("I_area")[-1]) < 1e-6
+    assert abs(column(table, "I_area")[-1]) < 1e-6
     # the stated column is reported alongside, and no ratio of the two
     assert table.columns == ("r", "I_area_stated", "I_area", "I_flux", "majorant")
-    assert len(table.column("I_area_stated")) == 4
+    assert len(column(table, "I_area_stated")) == 4
 
 
 def test_decay_table_requires_increasing_radii():

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_fields
-from umbilic import (Direction, Jet2, contours, dk_dtheta, graph_mean_divergence,
-                     grid_field, make_field, normal_curvature, rotate_frame, scan,
-                     umbilic_free_floor, umbilic_residuals, umbilic_search)
+from conftest import all_fields, sample_box
+from oracles import column, graph_mean_divergence, rotate_frame
+from umbilic import (Direction, Jet2, contours, dk_dtheta, grid_field, make_field,
+                     normal_curvature, scan, umbilic_free_floor, umbilic_residuals,
+                     umbilic_search)
 from umbilic.cli import main
 from umbilic.curvature import principal_arrays
 from umbilic.field import rotate_jet_arrays
 from umbilic.scan import (CURVATURE_NAMES, RESIDUAL_NAMES, Grid, _chain_segments,
                           _max_abs, _newton_refine, _normalized_pair, _segments)
-from umbilic.util import local_minima
+from umbilic.util import _libm, greedy_merge, local_minima
 
 EX = Direction(0.0)
 EY = Direction(math.pi / 2)
@@ -64,7 +65,7 @@ def test_grid_quantities_equal_scalar_apis(field):
     # each quantity has one array formula; the grid and the scalar API
     # evaluate it on one jet, so every node agrees bitwise
     X, Y, theta0 = Direction(0.4), Direction(2.0), 0.9
-    lo, hi = field.sample_box
+    lo, hi = sample_box(field)
     grids = {q: grid_field(field, q, (lo, lo, hi, 0.8 * hi), 7, 6,
                            X=X, Y=Y, theta0=theta0)
              for q in CURVATURE_NAMES + RESIDUAL_NAMES}
@@ -268,6 +269,39 @@ def test_umbilic_search_matches_the_loop_reference(family, half, n, count):
         [(repr(p.x), repr(p.y), repr(p.residual), p.refined) for p in ref]
 
 
+def _x_keyed_merge(x, y):
+    """The merge as it was before its key became a rotation: pairs sought
+    on x alone, numpy's hypot preselecting them and libm's deciding."""
+    return greedy_merge(x, 2e-6, lambda a, b: np.hypot(x[b] - x[a], y[b] - y[a]) < 2e-6,
+                        lambda a, b: _libm(math.hypot, x[b] - x[a], y[b] - y[a]) < 1e-6)
+
+
+def test_merge_keeps_the_rows_of_the_x_keyed_merge(monkeypatch):
+    # on loglog_tail every unrefined point of the flat disk shares its grid
+    # column's x, so the x key paired each with the whole column
+    seen = []
+    merge = scan._merge_points
+    monkeypatch.setattr(scan, "_merge_points", lambda x, y: seen.append((x, y)) or merge(x, y))
+    umbilic_search(make_field("loglog_tail"), (-6, -6, 6, 6), 101)
+    (x, y), = seen
+    assert len(x) > 1000
+    assert np.array_equal(scan._merge_points(x, y), _x_keyed_merge(x, y))
+    # synthetic rows, sorted as the search sorts them: clusters within 1e-6
+    # keep one row each; chains of 0.9e-6 steps and equal-x columns of
+    # 0.8e-6 steps keep rows 0 and 2 (row 1 merges into 0, row 3 into 2)
+    rng = np.random.default_rng(5)
+    c = rng.uniform(-2, 2, size=(3, 40, 1, 2))
+    step = np.arange(4)[:, None]
+    groups = (c[0] + rng.uniform(-3e-7, 3e-7, size=(40, 4, 2)),
+              c[1] + 0.9e-6 * step * np.array([0.6, 0.8]),
+              c[2] + 0.8e-6 * step * np.array([0.0, 1.0]))
+    x, y = np.concatenate([g.reshape(-1, 2) for g in groups]).T
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    kept = scan._merge_points(x, y)
+    assert np.array_equal(kept, _x_keyed_merge(x, y))
+    assert kept.sum() == 40 + 80 + 80
+
 def test_refined_points_satisfy_residual_bound():
     res = umbilic_search(make_field("paraboloid"), (-2, -2, 2, 2), 31)
     for p in res.points:
@@ -316,7 +350,7 @@ def _newton_reference(field, x0, y0, box, max_iter=60, target=1e-12):
 def _newton_starts(field, rng):
     """The grid minima of the discriminant D on the field's sample box,
     then random points in it."""
-    lo, hi = field.sample_box
+    lo, hi = sample_box(field)
     g = grid_field(field, "D", (lo, lo, hi, hi), 15, 15)
     i, j = local_minima(g.values).T
     return (np.concatenate([g.xs[i], rng.uniform(lo, hi, 6)]),
@@ -338,7 +372,7 @@ def test_batched_newton_matches_reference(rng):
     # exit from the starts above
     cases = []
     for f in all_fields():
-        lo, hi = f.sample_box
+        lo, hi = sample_box(f)
         m = 0.05 * (hi - lo)
         starts = _newton_starts(f, rng)
         cases.append((f, (lo - m, lo - m, hi + m, hi + m), *starts))
@@ -492,7 +526,7 @@ def test_witness_coheres_with_vanishing_integrals():
     from umbilic import curvature_difference_decay
     field = make_field("asym_bump")
     table = curvature_difference_decay(field, EX, EY, (2.0, 4.0, 6.0, 8.0))
-    assert all(abs(v) < 1e-4 for v in table.column("I_flux"))
+    assert all(abs(v) < 1e-4 for v in column(table, "I_flux"))
     g = grid_field(field, "dk", (-3, -3, 3, 3), 41, 41, X=EX, Y=EY)
     assert np.max(np.abs(g.values)) > 1e-3
     assert g.values.max() > 0.0 > g.values.min()

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sample_box
+from oracles import fd_jet, uniform_field
 from umbilic import (DomainError, GraphConditionError, decay_profile,
                      ellipsoid_patch, exterior_eval, graph_condition,
                      invert_local_graph, invert_point, make_field,
                      parallel_patch, patch_principal,
                      perturbed_sphere_patch, plane_patch,
                      principal_preservation_check, pushforward_inversion,
-                     sphere_patch, uniform_field)
+                     sphere_patch)
 from umbilic import RegularityError, invert_patch, list_families, transform
 from umbilic.curvature import principal_arrays
-from umbilic.field import fd_jet
 from umbilic.transform import _rescaled_field
 
 unit_vecs = st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2)).filter(
@@ -563,7 +564,7 @@ def test_spheres_of_every_size_are_regular_and_umbilic(radius):
 def test_rescaled_field_scales_curvature(name, a, b, s):
     # graph(f_s) is graph(f) dilated by s: k1, k2, H scale by 1/s, K by 1/s^2
     field = make_field(name)
-    lo, hi = field.sample_box
+    lo, hi = sample_box(field)
     x, y = lo + a * (hi - lo), lo + b * (hi - lo)
     H, K, k1, k2 = principal_arrays(*field.jet((x, y))[1:])
     Hs, Ks, k1s, k2s = principal_arrays(*_rescaled_field(field, s).jet((s * x, s * y))[1:])
