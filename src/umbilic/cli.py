@@ -307,7 +307,8 @@ _COMMANDS = (
 def build_parser() -> _Parser:
     """The argument parser, built once: parsing leaves it unchanged."""
     # the docstring's last paragraph is about the code, not the commands
-    p = _Parser(prog="umbilic", description=__doc__.rpartition("\n\n")[0])
+    p = _Parser(prog="umbilic", description=__doc__.rpartition("\n\n")[0],
+                allow_abbrev=False)
     p.add_argument("--config", help="key=value defaults file; flags override")
     groups = {(): p.add_subparsers(dest="command", required=True)}
     for words, summary, handler, options in _COMMANDS:
@@ -324,11 +325,15 @@ def build_parser() -> _Parser:
 def _apply_config(argv):
     """Inject key=value pairs from --config PATH or --config=PATH, before or
     after the subcommand words, as leading (overridable) flags."""
-    i = next((k for k, a in enumerate(argv)
-              if a == "--config" or a.startswith("--config=")), None)
+    spellings = ["--config"[:k] for k in range(3, 9)]  # --c, --co, ..., --config
+    i = next((k for k, a in enumerate(argv) if a.partition("=")[0] in spellings), None)
     if i is None:
         return argv
-    _, eq, path = argv[i].partition("=")
+    flag, eq, path = argv[i].partition("=")
+    if flag != "--config":
+        # before the command words argparse would take it for the top-level
+        # --config, which nothing reads; no command has an option like it
+        raise UsageError(f"unrecognized option '{argv[i]}': write --config in full")
     if not eq:
         if i + 1 >= len(argv):
             raise UsageError("--config requires a path")

@@ -395,12 +395,14 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
     azimuth ray) guards the graph reading; failure is reported, with the
     metric rows left empty. A most umbilic normal that misses ``FIND_TOL``
     raises ``NonConvergenceError``: only an umbilic is posed. The radii must
-    be positive, finite and strictly increasing, and ``n_theta`` at least 1
-    (``ValueError``, checked before any search).
+    be positive, finite and strictly increasing, ``offset_r`` nonnegative,
+    and ``n_theta`` at least 1 (``ValueError``, checked before any search).
     """
     radii = check_radii(radii)
     if n_theta < 1:
         raise ValueError("n_theta must be at least 1")
+    if offset_r is not None and not offset_r >= 0.0:
+        raise ValueError("offset distance must be nonnegative")
     check_convexity(body)
     site = find_umbilic(body)
     if not site.converged:

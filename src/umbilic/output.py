@@ -156,8 +156,6 @@ def svg_contours(contour_set, region, path) -> None:
     sy = _SVG_SIZE / (y1 - y0)
     parts = [_SVG_OPEN, f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>']
     for poly in contour_set.polylines:
-        if len(poly) < 2:
-            continue
         px = ((poly[:, 0] - x0) * sx).tolist()
         py = ((y1 - poly[:, 1]) * sy).tolist()
         d = "M " + " L ".join([f"{x:.3f} {y:.3f}" for x, y in zip(px, py)])

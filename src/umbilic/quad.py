@@ -56,18 +56,13 @@ def disk_nodes(r: float, scheme: QuadScheme):
     # strictly increase, so every annulus has positive width
     edges = np.arange(0.0, np.ceil(r) + 1.0)
     edges[-1] = r
-    rs, wr = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        rs.append(mid + half * t)
-        wr.append(half * w)
-    rs = np.concatenate(rs)
-    wr = np.concatenate(wr)
+    half = 0.5 * (edges[1:, None] - edges[:-1, None])
+    rs = (0.5 * (edges[:-1, None] + edges[1:, None]) + half * t).ravel()
+    wr = (half * w).ravel()
     thetas = np.arange(scheme.n_theta) * (math.tau / scheme.n_theta)
-    dtheta = math.tau / scheme.n_theta
     x = rs[:, None] * np.cos(thetas)[None, :]
     y = rs[:, None] * np.sin(thetas)[None, :]
-    weights = (wr * rs)[:, None] * np.full_like(thetas, dtheta)[None, :]
+    weights = (wr * rs)[:, None] * np.full_like(thetas, math.tau / scheme.n_theta)[None, :]
     return x, y, weights
 
 
@@ -77,20 +72,23 @@ def disk_integral(g, r: float, scheme: QuadScheme = QuadScheme()) -> float:
     return pairwise_sum(np.asarray(g(x, y), dtype=float) * w)
 
 
-def boundary_flux(V: PlaneField, r: float, n_theta: int = 256) -> float:
-    """Outward flux of V through the circle of radius r (uniform rule)."""
+def _ring(V: PlaneField, r: float, n_theta: int):
+    """(vx, vy, cos, sin) at n_theta uniform angles on the circle of radius r."""
     _check_radius(r)
     thetas = np.arange(n_theta) * (math.tau / n_theta)
     c, s = np.cos(thetas), np.sin(thetas)
-    vx, vy = V.vector(r * c, r * s)
+    return (*V.vector(r * c, r * s), c, s)
+
+
+def boundary_flux(V: PlaneField, r: float, n_theta: int = 256) -> float:
+    """Outward flux of V through the circle of radius r (uniform rule)."""
+    vx, vy, c, s = _ring(V, r, n_theta)
     return pairwise_sum((vx * c + vy * s) * r * (math.tau / n_theta))
 
 
 def boundary_majorant(V: PlaneField, r: float, n_theta: int = 256) -> float:
     """Integral of |V| over the circle of radius r; bounds |flux| from above."""
-    _check_radius(r)
-    thetas = np.arange(n_theta) * (math.tau / n_theta)
-    vx, vy = V.vector(r * np.cos(thetas), r * np.sin(thetas))
+    vx, vy, _, _ = _ring(V, r, n_theta)
     return pairwise_sum(np.hypot(vx, vy) * r * (math.tau / n_theta))
 
 

@@ -237,65 +237,36 @@ def _chain_segments(ends) -> ContourSet:
     """Join shared-endpoint segments into polylines, deterministically.
 
     Endpoints that are equal as points (-0.0 == 0.0; several meet where a
-    grid value is exactly the level) form one node. Open chains come
-    first, each started from the first unused segment, in segment order,
-    with an end at a node of one unused segment; then the closed loops.
-    A walk leaves each node along its first unused segment.
+    grid value is exactly the level) form one node. A node of exactly two
+    endpoints joins their segments; every other node ends each polyline
+    that reaches it. Open polylines come first, each started from an end
+    at such a node, in endpoint order; then the closed loops, each from
+    endpoint 2s of its lowest segment s.
     """
-    if not len(ends):
-        return ContourSet([])
     pts = ends.reshape(-1, 2)  # endpoint e is an end of segment e >> 1
-    # a stable sort of the points lists each node's endpoints in order
+    # sorted, a node's endpoints are adjacent; only a node of two gives partners
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    new = np.ones(len(order), bool)
-    new[1:] = np.any(pts[order[1:]] != pts[order[:-1]], axis=1)
-    node_of = np.empty(len(order), np.intp)
-    node_of[order] = np.cumsum(new) - 1
+    new = np.ones(len(order) + 1, bool)
+    new[1:-1] = np.any(pts[order[1:]] != pts[order[:-1]], axis=1)
     first = np.flatnonzero(new)
-    degree = np.diff(first, append=len(order))
-    node = node_of.tolist()
-    seg_at = (order >> 1).tolist()  # the segment of each entry, node by node
-    cursor = first.tolist()  # per node: every entry before it is used
-    stop = cursor[1:] + [len(order)]
+    pair = first[:-1][np.diff(first) == 2]
+    partner = np.full(len(order), -1)
+    partner[order[pair]] = order[pair + 1]
+    partner[order[pair + 1]] = order[pair]
+    link = partner.tolist()
     used = [False] * len(ends)
-
-    def unused(v):
-        return sum(not used[s] for s in seg_at[cursor[v]:stop[v]])
-
-    def walk(e):
-        """Append the chain from endpoint e to ``flat``; mark its segments."""
-        flat.append(e)
-        s, cur = e >> 1, node[e]
-        while True:
-            used[s] = True
-            e = 2 * s + 1 if node[2 * s] == cur else 2 * s
-            flat.append(e)
-            cur = node[e]
-            c, end = cursor[cur], stop[cur]
-            while c < end and used[seg_at[c]]:
-                c += 1
-            cursor[cur] = c
-            if c == end:
-                starts.append(len(flat))
-                return
-            s = seg_at[c]
-
     flat, starts = [], [0]  # the endpoints of all chains; where each starts
-    # open chains first, from a node of one unused segment. A walk uses an
-    # even number of a node's segments unless it starts or ends there, and
-    # then it leaves none, so only nodes of odd degree can start one.
-    odd = (degree % 2 == 1)[node_of].reshape(-1, 2).any(axis=1)
-    for s in np.flatnonzero(odd).tolist():
-        if used[s]:
+    for e in np.flatnonzero(partner < 0).tolist() + list(range(0, len(pts), 2)):
+        if used[e >> 1]:
             continue
-        if unused(node[2 * s]) == 1:
-            walk(2 * s)
-        elif unused(node[2 * s + 1]) == 1:
-            walk(2 * s + 1)
-    for s in range(len(ends)):
-        if not used[s]:
-            walk(2 * s)
-    return ContourSet(np.split(pts[flat], starts[1:-1]))
+        flat.append(e)
+        while e >= 0 and not used[e >> 1]:
+            used[e >> 1] = True
+            flat.append(e ^ 1)
+            e = link[e ^ 1]
+        starts.append(len(flat))
+    chained = pts[flat]
+    return ContourSet([chained[a:b] for a, b in zip(starts, starts[1:])])
 
 
 # ---------------------------------------------------------------------------

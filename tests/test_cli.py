@@ -54,6 +54,16 @@ def test_pipeline_graph_check_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_pipeline_radius_outside_the_ladder_exit_code(tmp_path, capsys):
+    # the inverted cap's rbar stays above 0.01 out to the ladder's last angle
+    out = tmp_path / "p.csv"
+    assert main(["pipeline", "thm1", "--body", "zonal", "--radii", "0.01,10",
+                 "--ntheta", "16", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "check failed: target radius 0.01 outside sampled ladder\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("radii", ["0,10", "0,100,1000"])
 def test_pipeline_nonpositive_radius_is_a_usage_error(tmp_path, capsys, radii):
     # checked before the umbilic search, like the radii of decay and verify
@@ -283,6 +293,48 @@ def test_config_multi_valued_option_matches_flags(tmp_path):
         "wide", "--field", "paraboloid", *wide, "--n", "17") != flags
 
 
+def test_config_skips_blank_and_comment_lines(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("# ring radii\n\n   \nradii = 2,4\n  # angles\nntheta = 16\n")
+    out, ref = tmp_path / "d.csv", tmp_path / "ref.csv"
+    assert main(["decay", "--config", str(cfg), "--field", "gaussian_bump",
+                 "--out", str(out)]) == 0
+    assert main(["decay", "--field", "gaussian_bump", "--radii", "2,4", "--ntheta", "16",
+                 "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ("radii = 2,4\nntheta 16\n", "decay --field gaussian_bump --out {out} --config {cfg}",
+     "malformed config line 'ntheta 16'"),
+    ("radii = 2,4\n", "decay --field gaussian_bump --out {out} --config",
+     "--config requires a path"),
+    (None, "decay --config {cfg} --field gaussian_bump --out {out}",
+     "cannot read config file: "),
+    # argparse would take an abbreviation before the command words as the
+    # top-level --config, which nothing reads, and run on the defaults
+    ("radii = 2,4\n", "--conf {cfg} decay --field gaussian_bump --out {out}",
+     "unrecognized option '--conf'"),
+    ("radii = 2,4\n", "--conf={cfg} decay --field gaussian_bump --out {out}",
+     "unrecognized option '--conf="),
+], ids=["malformed-line", "no-path", "missing-file", "abbreviated", "abbreviated-equals"])
+def test_config_errors_are_usage_errors(tmp_path, capsys, text, argv, message):
+    cfg, out = tmp_path / "c.cfg", tmp_path / "d.csv"
+    if text is not None:
+        cfg.write_text(text)
+    assert main([a.format(cfg=cfg, out=out) for a in argv.split()]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {message}")
+    assert not out.exists()
+
+
+def test_option_abbreviations_after_the_command_words(tmp_path):
+    out, ref = tmp_path / "d.csv", tmp_path / "ref.csv"
+    assert main(["decay", "--fi", "gaussian_bump", "--rad", "2,4", "--out", str(out)]) == 0
+    assert main(["decay", "--field", "gaussian_bump", "--radii", "2,4",
+                 "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
 @pytest.mark.parametrize("threads", ["1", "4"])
 def test_csv_determinism_across_threads(tmp_path, monkeypatch, threads):
     monkeypatch.setenv("UMBILIC_THREADS", threads)
@@ -362,10 +414,12 @@ def test_repeat_heavy_map_golden_bytes(tmp_path, monkeypatch, spec, threads):
 # sha256 of contour SVGs as the per-vertex writer wrote them: the README
 # example (3 polylines, n = m = 101) and the 2 diagonals on a 61-by-101
 # grid, re-pinned when zero-length segments at exact-zero nodes were
-# dropped (5 two-vertex polylines and 14 repeated vertices went)
+# dropped (5 two-vertex polylines and 14 repeated vertices went), and again
+# when a node of other than two segments began to end polylines (the
+# diagonals cross at the origin node, so they are 4 half-diagonals)
 CONTOUR_SVG_GOLDEN = {
     "asym_bump dk -3 3 101": "0253e4a42860cd2c69dedf03cf6b1e3b3d71aa76a1c688ca00d02d8761e7482a",
-    "gaussian_bump P2 -3 3 61": "f54151d0456d98b8d3d497ecda6db6005c4b2006ea464c9f0773301d7dbc84af",
+    "gaussian_bump P2 -3 3 61": "63796ecbd311928ff2e098e802f5aba77d438db4add9589a661c80394b242a51",
 }
 
 

@@ -638,19 +638,35 @@ def test_pipeline_refuses_an_unconverged_umbilic(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    *[({"radii": radii}, "^radii must be") for radii in
-      [(0.0, 10.0), (-1.0, 10.0), (10.0, math.inf), (10.0, math.nan), (), (10.0, 10.0)]],
-    ({"n_theta": 0}, "^n_theta must be at least 1"),
-    ({"n_theta": -4}, "^n_theta must be at least 1")])
-def test_pipeline_checks_its_arguments_before_any_search(monkeypatch, kwargs, message):
+def _never_search(monkeypatch):
     def never(body):
         raise AssertionError("the body was searched before its arguments were checked")
 
     monkeypatch.setattr(convexbody, "check_convexity", never)
     monkeypatch.setattr(convexbody, "find_umbilic", never)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    *[({"radii": radii}, "^radii must be") for radii in
+      [(0.0, 10.0), (-1.0, 10.0), (10.0, math.inf), (10.0, math.nan), (), (10.0, 10.0)]],
+    ({"n_theta": 0}, "^n_theta must be at least 1"),
+    ({"n_theta": -4}, "^n_theta must be at least 1"),
+    ({"offset_r": -1.0}, "^offset distance must be nonnegative"),
+    ({"offset_r": math.nan}, "^offset distance must be nonnegative")])
+def test_pipeline_checks_its_arguments_before_any_search(monkeypatch, kwargs, message):
+    _never_search(monkeypatch)
     with pytest.raises(ValueError, match=message):
-        theorem1_pipeline(zonal(0.05), offset_r=10.0, **kwargs)
+        theorem1_pipeline(zonal(0.05), **{"offset_r": 10.0, **kwargs})
+
+
+def test_pipeline_negative_offset_is_a_usage_error_before_any_search(tmp_path, monkeypatch,
+                                                                     capsys):
+    _never_search(monkeypatch)
+    out = tmp_path / "p.csv"
+    assert main(["pipeline", "thm1", "--body", "zonal", "--offset", "-1",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: offset distance must be nonnegative\n"
+    assert not out.exists()
 
 
 def _phi_bisection(posed, theta, target, lo, hi):

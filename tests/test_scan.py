@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -158,27 +159,100 @@ def _chain_reference(segments):
     return polylines, closed
 
 
+def _chain_rule_reference(segments):
+    """The chaining rule on point tuples: a node of exactly two segment ends
+    joins them, any other node ends a polyline; open polylines start from
+    such ends in endpoint order, then loops from their lowest segment."""
+    adjacency = {}
+    for si, (a, b) in enumerate(segments):
+        adjacency.setdefault(a, []).append(si)
+        adjacency.setdefault(b, []).append(si)
+    used = [False] * len(segments)
+    polylines = []
+
+    def walk(pt, si):
+        pts = [pt]
+        while not used[si]:
+            used[si] = True
+            a, b = segments[si]
+            pt = b if pt == a else a
+            pts.append(pt)
+            if len(adjacency[pt]) != 2:
+                break
+            si = sum(adjacency[pt]) - si  # the node's other segment
+        polylines.append(np.array(pts))
+
+    for si, (a, b) in enumerate(segments):
+        for pt in (a, b):
+            if not used[si] and len(adjacency[pt]) != 2:
+                walk(pt, si)
+    for si in range(len(segments)):
+        if not used[si]:
+            walk(segments[si][0], si)
+    return polylines
+
+
+def _chain_grid(values):
+    n, m = values.shape
+    xs = np.linspace(-1.0, 1.0, n)
+    ys = np.concatenate([[-0.0], np.linspace(0.0, 2.0, m)[1:]])
+    # the chaining is checked, not the saddle rule: every center reads 0
+    return Grid(xs, ys, values, (-1.0, -0.0, 1.0, 2.0), lambda x, y: np.zeros(np.shape(x)))
+
+
+def _same_polylines(polylines, ref_polylines):
+    assert len(polylines) == len(ref_polylines)
+    for p, q in zip(polylines, ref_polylines):
+        assert p.shape == q.shape and p.tobytes() == q.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_chain_segments_matches_reference(seed):
+    # values with no exact zero: every crossing lies inside a cell edge and
+    # no node holds more than two segments, so the old walk had no choice
+    # to make and both references give the chaining's bytes
+    r = np.random.default_rng(seed)
+    ends = _segments(_chain_grid(r.standard_normal(r.integers(2, 40, 2))))
+    points = [tuple(map(tuple, e)) for e in ends.tolist()]
+    assert max(Counter(p for e in points for p in e).values(), default=0) <= 2
+    polylines = _chain_segments(ends).polylines
+    ref_polylines, ref_closed = _chain_reference(points)
+    _same_polylines(polylines, ref_polylines)
+    assert [np.array_equal(p[0], p[-1]) for p in polylines] == ref_closed
+    _same_polylines(polylines, _chain_rule_reference(points))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chain_segments_matches_rule_reference(seed):
     # small integers put many contour vertices exactly on grid nodes, where
     # several segments meet; signed zeros join as equal points
     r = np.random.default_rng(seed)
     n, m = r.integers(2, 40, 2)
     values = r.integers(-2, 3, (n, m)).astype(float)
     values[r.random((n, m)) < 0.2] = -0.0
-    xs = np.linspace(-1.0, 1.0, n)
-    ys = np.concatenate([[-0.0], np.linspace(0.0, 2.0, m)[1:]])
-    # the chaining is checked, not the saddle rule: every center reads 0
-    grid = Grid(xs, ys, values, (-1.0, -0.0, 1.0, 2.0), lambda x, y: np.zeros(np.shape(x)))
-    ends = _segments(grid)
-    cs = _chain_segments(ends)
-    polylines = cs.polylines
-    closed = [np.array_equal(p[0], p[-1]) for p in polylines]
-    ref_polylines, ref_closed = _chain_reference(
-        [tuple(map(tuple, e)) for e in ends.tolist()])
-    assert closed == ref_closed and len(polylines) == len(ref_polylines)
-    for p, q in zip(polylines, ref_polylines):
-        assert p.shape == q.shape and p.tobytes() == q.tobytes()
+    ends = _segments(_chain_grid(values))
+    points = [tuple(map(tuple, e)) for e in ends.tolist()]
+    _same_polylines(_chain_segments(ends).polylines, _chain_rule_reference(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.integers(2, 8), st.data())
+def test_chain_segments_ends_where_other_than_two_meet(n, m, data):
+    """Every segment is used once; every interior vertex is a node of
+    exactly two segment ends; a polyline is closed or both its ends lie at
+    nodes of other than two."""
+    value = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+    values = np.array(data.draw(st.lists(value, min_size=n * m, max_size=n * m)))
+    ends = _segments(_chain_grid(values.reshape(n, m)))
+    degree = Counter(p for e in ends.tolist() for p in map(tuple, e))
+    steps = Counter()
+    for poly in _chain_segments(ends).polylines:
+        pts = list(map(tuple, poly.tolist()))
+        assert len(pts) >= 2
+        steps.update(frozenset(step) for step in zip(pts, pts[1:]))
+        assert all(degree[p] == 2 for p in pts[1:-1])
+        assert pts[0] == pts[-1] or (degree[pts[0]] != 2 and degree[pts[-1]] != 2)
+    assert steps == Counter(frozenset(map(tuple, e)) for e in ends.tolist())
 
 
 def test_contour_vertices_near_zero_level(rng):
