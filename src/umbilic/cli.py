@@ -24,9 +24,10 @@ from .curvature import curvature_difference_field, principal_deviation_field
 from .errors import (ConvexityError, DomainError, GraphConditionError,
                      NonConvergenceError, RegularityError)
 from .families import _split_spec, list_families, parse_field_spec
-from .field import Direction, decay_profile
+from .field import Direction, _check_ring, decay_profile
 from .output import (format_float, svg_contours, svg_heatmap, write_csv,
                      write_grid_csv, write_polyline_csv)
+from .util import check_radii
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,10 +43,12 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse takes a token for a negative number only in plain decimal
-        # notation (-1, -.5), so -1e-3 or -inf would start an option; any
-        # negative float() spelling is a value here (no option looks like one)
+        # notation (-1, -.5), so -1e-3, -inf or the list -1,2 would start an
+        # option; a comma list of float() spellings, the first negative, is a
+        # value here (no option looks like one)
+        number = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)"
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+            rf"^-{number}(?:,[+-]?{number})*$", re.IGNORECASE)
 
     def error(self, message):
         raise UsageError(message)
@@ -84,16 +87,6 @@ def _positive(convert):
     return positive
 
 
-@_argument
-def _radii(text):
-    vals = [_finite(v) for v in text.split(",") if v.strip()]
-    if not vals:
-        raise ValueError(f"empty list '{text}'")
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ValueError("must be strictly increasing")
-    return vals
-
-
 # body name -> (parameter defaults, builder called with every parameter)
 _BODIES = {
     "sphere": ({"R": 1.0}, lambda R: SupportBody(c0=R, name="sphere")),
@@ -124,7 +117,7 @@ def _parse_body(text):
 
 
 def _fields_list(args):
-    rows = [(s.name, ";".join(s.params) or "-", s.asymptotically_constant,
+    rows = [(s.name, ";".join(s.defaults) or "-", s.asymptotically_constant,
              s.umbilic_free, s.positively_curved, s.notes)
             for s in list_families()]
     header = ("name", "params", "asymptotically_constant", "umbilic_free",
@@ -241,6 +234,8 @@ def _decay(args):
 
 
 _COUNT = _positive(int)
+_RADII = _argument(lambda text: check_radii(_finite(v) for v in text.split(",") if v.strip()))
+_RING = _argument(lambda text: _check_ring(int(text)))  # angles on a decay_profile ring
 # parse_field_spec is looked up per call, so a wrapper patched into this
 # module (as bench/tracing.py does) sees the call
 _FIELD = ("--field", {"type": _argument(lambda text: parse_field_spec(text)),
@@ -279,27 +274,27 @@ _COMMANDS = (
     (("invert", "graph"), "invert a local graph, profile decay", _invert_graph,
      (_FIELD, ("--r0", {"type": _positive(_finite), "required": True}),
       ("--normalize", {"action": "store_true"}),
-      ("--radii", {"type": _radii, "default": "10,100,1000"}),
-      ("--ntheta", {"type": _COUNT, "default": 128}), _OUT)),
+      ("--radii", {"type": _RADII, "default": "10,100,1000"}),
+      ("--ntheta", {"type": _RING, "default": 128}), _OUT)),
     (("verify",), "flux-decay and consistency checks", None, ()),
     (("verify", "thm2"), "curvature-difference flux decay", _verify_thm2,
-     (_FIELD, _X, _Y, ("--radii", {"type": _radii, "default": "2,4,8,16"}), *_QUAD)),
+     (_FIELD, _X, _Y, ("--radii", {"type": _RADII, "default": "2,4,8,16"}), *_QUAD)),
     (("verify", "thm3"), "principal-deviation flux decay", _verify_thm3,
-     (_FIELD, _THETA0, ("--radii", {"type": _radii, "default": "2,4,8,16"}), *_QUAD)),
+     (_FIELD, _THETA0, ("--radii", {"type": _RADII, "default": "2,4,8,16"}), *_QUAD)),
     (("verify", "divergence"), "disk-vs-boundary consistency", _verify_divergence,
      (_FIELD, ("--which", {"choices": ("v2", "v3"), "default": "v2"}), _X, _Y, _THETA0,
-      ("--radii", {"type": _radii, "default": "2,4,8"}), *_QUAD)),
+      ("--radii", {"type": _RADII, "default": "2,4,8"}), *_QUAD)),
     (("pipeline",), "convex-body pipelines", None, ()),
     (("pipeline", "thm1"), "umbilic -> offset -> pose -> invert -> profile", _pipeline_thm1,
      (("--body", {"type": _argument(_parse_body), "required": True}),
       ("--offset", {"type": _finite}),
-      ("--radii", {"type": _radii, "default": "10,100,1000"}),
+      ("--radii", {"type": _RADII, "default": "10,100,1000"}),
       ("--ntheta", {"type": _COUNT, "default": 512}), _OUT)),
     (("contour",), "zero contours of a residual", _contour,
      (_FIELD, ("--residual", {"default": "D", "choices": scan.RESIDUAL_NAMES}), *_GRID)),
     (("decay",), "ring decay profile of a field", _decay,
-     (_FIELD, ("--radii", {"type": _radii, "default": "2,4,8,16"}),
-      ("--ntheta", {"type": _COUNT, "default": 256}), _OUT)),
+     (_FIELD, ("--radii", {"type": _RADII, "default": "2,4,8,16"}),
+      ("--ntheta", {"type": _RING, "default": 256}), _OUT)),
 )
 
 
@@ -323,10 +318,12 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(argv):
-    """Inject key=value pairs from --config PATH or --config=PATH, before or
-    after the subcommand words, as leading (overridable) flags."""
+    """Inject key=value pairs from --config PATH or --config=PATH, given once
+    before or after the subcommand words, as leading (overridable) flags."""
     spellings = ["--config"[:k] for k in range(3, 9)]  # --c, --co, ..., --config
-    i = next((k for k, a in enumerate(argv) if a.partition("=")[0] in spellings), None)
+    i, *again = [k for k, a in enumerate(argv) if a.partition("=")[0] in spellings] or [None]
+    if again:  # refused before either file is read
+        raise UsageError(f"--config given twice: '{argv[again[0]].partition('=')[0]}'")
     if i is None:
         return argv
     flag, eq, path = argv[i].partition("=")

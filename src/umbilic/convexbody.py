@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvexityError, DomainError, NonConvergenceError
-from .util import (_floating, _row_norms, _solve2, bracket_root, check_radii,
-                   complex_step, greedy_merge, local_minima, sym_eigvals, unit3)
+from .util import (_check_offset, _floating, _row_norms, _solve2, bracket_root,
+                   check_radii, complex_step, greedy_merge, local_minima, sym_eigvals, unit3)
 
 FIND_TOL = 1e-9    # rho2 - rho1 at which find_umbilic's search has converged
 SITES_TOL = 1e-8   # rho2 - rho1 below which umbilic_sites keeps a polished site
@@ -280,8 +280,7 @@ def parallel_body(body: SupportBody, r: float, rescale: bool = False) -> Support
     With ``rescale`` the result is dilated by 1/(1 + r), which fixes the
     unit sphere and flattens perturbations by the same factor.
     """
-    if r < 0.0:
-        raise ValueError("offset distance must be nonnegative")
+    _check_offset(r)
     scale = 1.0 / (1.0 + r) if rescale else 1.0
     q = np.asarray(body.quad, float) * scale
     return SupportBody((body.c0 + r) * scale,
@@ -395,24 +394,22 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
     azimuth ray) guards the graph reading; failure is reported, with the
     metric rows left empty. A most umbilic normal that misses ``FIND_TOL``
     raises ``NonConvergenceError``: only an umbilic is posed. The radii must
-    be positive, finite and strictly increasing, ``offset_r`` nonnegative,
-    and ``n_theta`` at least 1 (``ValueError``, checked before any search).
+    be positive, finite and strictly increasing, ``offset_r`` finite and
+    nonnegative, and ``n_theta`` at least 1 (``ValueError``, checked before
+    any search).
     """
     radii = check_radii(radii)
     if n_theta < 1:
         raise ValueError("n_theta must be at least 1")
-    if offset_r is not None and not offset_r >= 0.0:
-        raise ValueError("offset distance must be nonnegative")
+    if offset_r is None:
+        offset_r = 10.0 * float(np.max(body.h(fibonacci_sphere(512))))
+    bp = parallel_body(body, offset_r, rescale=True)
     check_convexity(body)
     site = find_umbilic(body)
     if not site.converged:
         raise NonConvergenceError(
             f"umbilic search stopped at rho2 - rho1 = {site.residual:.3e}, "
             f"above {FIND_TOL:g}")
-    if offset_r is None:
-        hmax = float(np.max(body.h(fibonacci_sphere(512))))
-        offset_r = 10.0 * hmax
-    bp = parallel_body(body, offset_r, rescale=True)
     posed = pose_at_umbilic(bp, site.u)
     rho1, rho2 = radii_of_curvature(bp, site.u)
     rho_star = 0.5 * float(rho1 + rho2)

@@ -1,6 +1,6 @@
 """Registry of named test fields with hand-written analytic jets.
 
-Each family is one ``FamilySpec``: its jets, parameters and defaults,
+Each family is one ``FamilySpec``: its jets, its parameters' defaults,
 and what is expected of it (asymptotically constant, umbilic free,
 positively curved). ``umbilic fields list`` prints these flags, and the
 benchmark checks read ``umbilic_free``.
@@ -21,13 +21,12 @@ E = math.e
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family: ``jets(**params)`` returns its jet function, and
-    ``make_field`` gives the field the spec's ``asymptotic_c`` and
-    ``domain``."""
+    """A family: ``jets(**params)`` returns its jet function, the keys of
+    ``defaults`` are its parameters, and ``make_field`` gives the field the
+    spec's ``asymptotic_c`` and ``domain``."""
 
     name: str
     jets: Callable
-    params: tuple
     defaults: dict
     asymptotically_constant: bool
     umbilic_free: bool | None
@@ -203,32 +202,32 @@ def _unit_disk(x, y):
 
 
 _REGISTRY = {s.name: s for s in (
-    FamilySpec("saddle", lambda: _saddle_jets, (), {}, False, True, False,
+    FamilySpec("saddle", lambda: _saddle_jets, {}, False, True, False,
                "f = x*y, negatively curved"),
-    FamilySpec("cylinder", lambda: _cylinder_jets, (), {}, False, True, False,
+    FamilySpec("cylinder", lambda: _cylinder_jets, {}, False, True, False,
                "f = x^2, parabolic cylinder ruled along y"),
-    FamilySpec("paraboloid", lambda: _paraboloid_jets, (), {}, False, False, True,
+    FamilySpec("paraboloid", lambda: _paraboloid_jets, {}, False, False, True,
                "f = x^2 + y^2, single umbilic at the origin"),
-    FamilySpec("sphere_cap", lambda: _sphere_cap_jets, (), {}, False, False, True,
+    FamilySpec("sphere_cap", lambda: _sphere_cap_jets, {}, False, False, True,
                "f = 1 - sqrt(1 - r^2) on r < 1, totally umbilic",
                domain=_unit_disk),
-    FamilySpec("gaussian_bump", lambda: _gaussian_jets, (), {}, True, None, None,
+    FamilySpec("gaussian_bump", lambda: _gaussian_jets, {}, True, None, None,
                "f = exp(-r^2), c = 0", asymptotic_c=0.0),
-    FamilySpec("inverse_quadratic", lambda: _inverse_quadratic_jets, (), {},
+    FamilySpec("inverse_quadratic", lambda: _inverse_quadratic_jets, {},
                True, None, None, "f = 1/(1 + r^2), c = 0", asymptotic_c=0.0),
-    FamilySpec("loglog_tail", lambda: _loglog_jets, (), {}, False, None, None,
+    FamilySpec("loglog_tail", lambda: _loglog_jets, {}, False, None, None,
                "log(log r) outside a compact set, unbounded but with fast gradient decay"),
-    FamilySpec("bates_like", _bates_like_jets, ("lam",), {"lam": 0.1}, False, True, False,
+    FamilySpec("bates_like", _bates_like_jets, {"lam": 0.1}, False, True, False,
                "bounded umbilic-free graph 1 + lam*(x+y^2)/sqrt(1+(x+y^2)^2)"),
-    FamilySpec("ridge", _ridge_jets, ("lam",), {"lam": 0.1}, False, True, False,
+    FamilySpec("ridge", _ridge_jets, {"lam": 0.1}, False, True, False,
                "1 + lam*sqrt(1+x^2); inversion has a ridge-type singular point"),
     FamilySpec("cone_type", lambda lam: _separable_jets(lam, "sqrtlin", "sqrtlin"),
-               ("lam",), {"lam": 0.1}, False, True, True,
+               {"lam": 0.1}, False, True, True,
                "1 + lam*(sqrt(1+x^2)+x+sqrt(1+y^2)+y), positively curved"),
-    FamilySpec("separable", _separable_jets, ("lam", "g", "h"),
-               {"lam": 0.1, "g": "exp", "h": "exp"}, False, True, True,
+    FamilySpec("separable", _separable_jets, {"lam": 0.1, "g": "exp", "h": "exp"},
+               False, True, True,
                "1 + lam*(g(x)+h(y)) with monotone convex profiles"),
-    FamilySpec("asym_bump", lambda: _asym_bump_jets, (), {}, True, None, None,
+    FamilySpec("asym_bump", lambda: _asym_bump_jets, {}, True, None, None,
                "synthetic asymmetric decaying field for flux decay runs",
                asymptotic_c=0.0),
 )}
@@ -239,20 +238,21 @@ def make_field(name: str, **params) -> ScalarField:
     if name not in _REGISTRY:
         raise ValueError(f"unknown field '{name}'; known: {', '.join(sorted(_REGISTRY))}")
     spec = _REGISTRY[name]
-    unknown = set(params) - set(spec.params)
+    unknown = set(params) - set(spec.defaults)
     if unknown:
-        raise ValueError(f"field '{name}' takes parameters {spec.params}, "
+        raise ValueError(f"field '{name}' takes parameters {tuple(spec.defaults)}, "
                          f"got unknown {sorted(unknown)}")
-    merged = dict(spec.defaults)
-    merged.update(params)
-    if "lam" in merged:
-        merged["lam"] = float(merged["lam"])
-        if not 0.0 < merged["lam"] < math.inf:
-            raise ValueError(f"parameter lam must be positive and finite, "
-                             f"got {merged['lam']}")
-    for key in ("g", "h"):
-        if key in merged and merged[key] not in _PROFILES:
-            raise ValueError(f"unknown profile '{merged[key]}'; options: {sorted(_PROFILES)}")
+    merged = {**spec.defaults, **params}
+    # a parameter is checked by its default's type: a profile name or a float
+    for key, default in spec.defaults.items():
+        value = merged[key]
+        if isinstance(default, str):
+            if value not in _PROFILES:
+                raise ValueError(f"unknown profile '{value}'; options: {sorted(_PROFILES)}")
+        else:
+            value = merged[key] = float(value)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"parameter {key} must be positive and finite, got {value}")
     return ScalarField(name, spec.jets(**merged), asymptotic_c=spec.asymptotic_c,
                        domain=spec.domain)
 
@@ -278,4 +278,4 @@ def _split_spec(text: str, kind: str):
 def parse_field_spec(text: str) -> ScalarField:
     """Parse CLI syntax 'name' or 'name:lam=0.1,g=exp' into a field."""
     name, pairs = _split_spec(text, "field")
-    return make_field(name, **{k: v if k in ("g", "h") else float(v) for k, v in pairs})
+    return make_field(name, **dict(pairs))

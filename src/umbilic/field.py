@@ -157,6 +157,13 @@ class DecayProfile:
         return list(zip(self.radii, self.sup_dev, self.sup_rgrad))
 
 
+def _check_ring(n_theta: int) -> int:
+    """n_theta, checked to be at least 8 angles per ring (``ValueError``)."""
+    if n_theta < 8:
+        raise ValueError("n_theta must be at least 8")
+    return n_theta
+
+
 def decay_profile(field: ScalarField, radii, n_theta: int = 256) -> DecayProfile:
     """Ring suprema of |f - c| and r*|grad f| over a theta grid.
 
@@ -165,8 +172,7 @@ def decay_profile(field: ScalarField, radii, n_theta: int = 256) -> DecayProfile
     estimate's variance is reported).
     """
     radii = check_radii(radii)
-    if n_theta < 8:
-        raise ValueError("n_theta must be at least 8")
+    _check_ring(n_theta)
 
     thetas = np.arange(n_theta) * (math.tau / n_theta)
     ct, st = np.cos(thetas), np.sin(thetas)

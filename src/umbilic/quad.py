@@ -43,14 +43,9 @@ class DecayTable:
     rows: list
 
 
-def _check_radius(r):
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {r}")
-
-
 def disk_nodes(r: float, scheme: QuadScheme):
     """Quadrature nodes (x, y) and weights for the disk of radius r."""
-    _check_radius(r)
+    check_radii((r,))
     t, w = np.polynomial.legendre.leggauss(scheme.n_r)
     # for r > 0 the edges 0, 1, ..., ceil(r) - 1, r number at least 2 and
     # strictly increase, so every annulus has positive width
@@ -74,7 +69,7 @@ def disk_integral(g, r: float, scheme: QuadScheme = QuadScheme()) -> float:
 
 def _ring(V: PlaneField, r: float, n_theta: int):
     """(vx, vy, cos, sin) at n_theta uniform angles on the circle of radius r."""
-    _check_radius(r)
+    check_radii((r,))
     thetas = np.arange(n_theta) * (math.tau / n_theta)
     c, s = np.cos(thetas), np.sin(thetas)
     return (*V.vector(r * c, r * s), c, s)

@@ -77,28 +77,21 @@ class FloorReport:
     argmin: tuple
 
 
-# quantity name -> its array formula on (f1, f2, f11, f12, f22) and the grid
-# params; the formulas are looked up by module attribute at call time
+# quantity name -> its array formula on the jets (f1, f2, f11, f12, f22), the
+# directions X, Y and the angle theta0; the formulas are looked up by module
+# attribute at call time
 _FORMULAS = {
-    "dk": lambda j, p: (curvature_direction_arrays(*j, p["X"].x, p["X"].y)
-                        - curvature_direction_arrays(*j, p["Y"].x, p["Y"].y)),
-    "dkdtheta": lambda j, p: dk_dtheta_arrays(*j, p["theta0"]),
-    "P1": lambda j, p: residual_arrays(*j)[0],
-    "P2": lambda j, p: residual_arrays(*j)[1],
-    "D": lambda j, p: residual_arrays(*j)[2],
-    "H": lambda j, p: principal_arrays(*j)[0],
-    "K": lambda j, p: principal_arrays(*j)[1],
-    "k1": lambda j, p: principal_arrays(*j)[2],
-    "k2": lambda j, p: principal_arrays(*j)[3],
+    "dk": lambda j, X, Y, t: (curvature_direction_arrays(*j, X.x, X.y)
+                              - curvature_direction_arrays(*j, Y.x, Y.y)),
+    "dkdtheta": lambda j, X, Y, t: dk_dtheta_arrays(*j, float(t)),
+    "P1": lambda j, X, Y, t: residual_arrays(*j)[0],
+    "P2": lambda j, X, Y, t: residual_arrays(*j)[1],
+    "D": lambda j, X, Y, t: residual_arrays(*j)[2],
+    "H": lambda j, X, Y, t: principal_arrays(*j)[0],
+    "K": lambda j, X, Y, t: principal_arrays(*j)[1],
+    "k1": lambda j, X, Y, t: principal_arrays(*j)[2],
+    "k2": lambda j, X, Y, t: principal_arrays(*j)[3],
 }
-
-
-def _residual_evaluator(field: ScalarField, name: str, params: dict):
-    formula = _FORMULAS.get(name)
-    if formula is None:
-        raise ValueError(f"unknown residual '{name}'; "
-                         f"options: {RESIDUAL_NAMES + CURVATURE_NAMES}")
-    return lambda x, y: formula(field.jet_arrays(x, y)[1:], params)
 
 
 def _check_region(region):
@@ -109,14 +102,14 @@ def _check_region(region):
 
 
 def _sample(ev, region, n: int, m: int):
-    """(xs, ys, values) of ``ev`` on an n-by-m grid over the region.
+    """(xs, ys, values) of ``ev`` on an n-by-m grid over the checked region.
 
     Fixed blocks of rows are filled by up to UMBILIC_THREADS workers. The
     blocks do not depend on the thread count and each node is written
     once, so every setting gives the same values bitwise. Non-finite
     samples raise DomainError.
     """
-    x0, y0, x1, y1 = _check_region(region)
+    x0, y0, x1, y1 = region
     if n < 2 or m < 2:
         raise ValueError("grid needs at least 2 samples per axis")
     xs = np.linspace(x0, x1, n)
@@ -141,16 +134,18 @@ def grid_field(field: ScalarField, residual: str, region, n: int, m: int,
                theta0: float | None = None) -> Grid:
     """Sample a named residual on an n-by-m grid over the region."""
     region = _check_region(region)
-    params = {}
-    if residual == "dk":
-        if X is None or Y is None:
-            raise ValueError("residual 'dk' requires directions X and Y")
-        params = {"X": X, "Y": Y}
-    elif residual == "dkdtheta":
-        if theta0 is None:
-            raise ValueError("residual 'dkdtheta' requires theta0")
-        params = {"theta0": float(theta0)}
-    ev = _residual_evaluator(field, residual, params)
+    formula = _FORMULAS.get(residual)
+    if formula is None:
+        raise ValueError(f"unknown residual '{residual}'; "
+                         f"options: {RESIDUAL_NAMES + CURVATURE_NAMES}")
+    if residual == "dk" and (X is None or Y is None):
+        raise ValueError("residual 'dk' requires directions X and Y")
+    if residual == "dkdtheta" and theta0 is None:
+        raise ValueError("residual 'dkdtheta' requires theta0")
+
+    def ev(x, y):
+        return formula(field.jet_arrays(x, y)[1:], X, Y, theta0)
+
     xs, ys, values = _sample(ev, region, n, m)
     return Grid(xs, ys, values, region, ev)
 
@@ -376,7 +371,7 @@ def umbilic_search(field: ScalarField, region, n: int,
     kept as coarse minima; duplicates within 1e-6 are merged. All minima are refined together as arrays, so a
     refined point's residuals round exactly as a grid sample there would.
     """
-    x0, y0, x1, y1 = _check_region(region)
+    region = x0, y0, x1, y1 = _check_region(region)
     xs, ys, Dn = _sample(lambda x, y: _normalized_discriminant(field, x, y),
                          region, n, n)
     below = Dn < tol
@@ -417,7 +412,7 @@ def umbilic_free_floor(field: ScalarField, region, n: int) -> FloorReport:
         P1n, P2n = _normalized_pair(field, x, y)
         return np.maximum(np.abs(P1n), np.abs(P2n))
 
-    xs, ys, floor_map = _sample(ev, region, n, n)
+    xs, ys, floor_map = _sample(ev, _check_region(region), n, n)
     idx = np.unravel_index(np.argmin(floor_map), floor_map.shape)
     return FloorReport(float(floor_map[idx]),
                        (float(xs[idx[0]]), float(ys[idx[1]])))

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError, GraphConditionError, NonConvergenceError, RegularityError
 from .field import ScalarField
-from .util import (_EPS, _floating, _libm, bracket_root, complex_step, sym_eigvals,
-                   unit3)
+from .util import (_EPS, _check_offset, _floating, _libm, bracket_root, complex_step,
+                   sym_eigvals, unit3)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +404,7 @@ def parallel_patch(P: Patch3, r: float) -> Patch3:
     A coarse 5 x 5 sample verifies 1 + r k is not zero to rounding
     (offsetting by a focal distance folds the patch).
     """
-    if r < 0.0:
-        raise ValueError("offset distance must be nonnegative")
+    _check_offset(r)
 
     def first(u, v):
         X, Xu, Xv, Xuu, Xuv, Xvv = P.jet(u, v)

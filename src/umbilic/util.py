@@ -1,7 +1,8 @@
-"""Small numeric helpers: deterministic reductions, the radius-ladder check,
-thread budget, local minima, the greedy merge, the one bracketed root solver
-(Chandrupatla's method on arrays), complex-step derivatives, the eigenvalues
-of symmetric 2x2 matrices, and row-wise pieces of the batched Newton solves."""
+"""Small numeric helpers: deterministic reductions, the radius-ladder and
+offset checks, thread budget, local minima, the greedy merge, the one
+bracketed root solver (Chandrupatla's method on arrays), complex-step
+derivatives, the eigenvalues of symmetric 2x2 matrices, and row-wise pieces
+of the batched Newton solves."""
 
 import math
 import os
@@ -13,10 +14,10 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def pairwise_sum(values):
-    """Sum in a fixed pairwise tree so the result is independent of chunking.
+    """Sum in a fixed pairwise tree: adjacent pairs, level by level.
 
-    Parallel and serial runs reduce in the same order, which keeps CSV
-    output byte-identical across thread counts.
+    The order depends on the length alone, where ``np.sum``'s depends on
+    numpy's reduction blocking, so flux and disk-integral bytes do not.
     """
     a = np.asarray(values, dtype=float).ravel()
     if a.size == 0:
@@ -37,6 +38,12 @@ def check_radii(radii):
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     return radii
+
+
+def _check_offset(r):
+    """Check an offset distance is finite and nonnegative (``ValueError``)."""
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"offset distance must be {'finite' if r > 0 else 'nonnegative'}")
 
 
 def worker_count():

@@ -66,11 +66,12 @@ def test_pipeline_radius_outside_the_ladder_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("radii", ["0,10", "0,100,1000"])
 def test_pipeline_nonpositive_radius_is_a_usage_error(tmp_path, capsys, radii):
-    # checked before the umbilic search, like the radii of decay and verify
+    # refused where --radii is parsed, before the umbilic search
     out = tmp_path / "p.csv"
     assert main(["pipeline", "thm1", "--body", "zonal", "--radii", radii,
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "usage error: radii must be positive and finite\n"
+    assert capsys.readouterr().err == (
+        "usage error: argument --radii: radii must be positive and finite\n")
     assert not out.exists()
 
 
@@ -153,17 +154,52 @@ def test_usage_errors():
     (["contour", "--field", "ridge:lam=0.1,"], "--field"),
     (["pipeline", "thm1", "--body", "zonal:eps=0.05,"], "--body"),
     (["pipeline", "thm1", "--body", "zonal:eps"], "--body"),
+    # a nonpositive ladder is refused where --radii is parsed, on every command
+    # that takes one; invert graph would otherwise fail its graph check (exit 3)
+    (["invert", "graph", "--field", "paraboloid", "--r0", "5", "--radii", "0,10"],
+     "--radii"),
+    (["verify", "thm2", "--field", "asym_bump", "--radii", "0,10"], "--radii"),
+    (["verify", "thm3", "--field", "asym_bump", "--radii", "0,10"], "--radii"),
+    (["verify", "divergence", "--field", "asym_bump", "--radii", "0,10"], "--radii"),
+    (["pipeline", "thm1", "--body", "zonal", "--radii", "0,10"], "--radii"),
+    (["decay", "--field", "gaussian_bump", "--radii", "0,10"], "--radii"),
+    (["decay", "--field", "gaussian_bump", "--radii", "-1,2"], "--radii"),
+    # a ring of decay_profile needs 8 angles, checked before the inversion
+    (["invert", "graph", "--field", "paraboloid", "--r0", "5", "--ntheta", "4"],
+     "--ntheta"),
+    (["decay", "--field", "gaussian_bump", "--ntheta", "4"], "--ntheta"),
 ], ids=["map-m", "contour-n", "invert-r0", "invert-radii", "invert-ntheta",
         "decay-ntheta", "decay-radii", "decay-empty-radii", "pipeline-radii",
         "pipeline-ntheta", "pipeline-body-key", "pipeline-body-name", "thm3-field",
         "scan-tol", "decay-radii-nan", "decay-radii-inf", "thm2-X-nan", "thm3-theta0-nan",
         "divergence-Y-inf", "scan-tol-nan", "invert-r0-nan", "floor-region-nan",
         "map-region-inf", "contour-lam-nan", "pipeline-offset-nan", "pipeline-body-nan",
-        "field-trailing-comma", "body-trailing-comma", "body-bare-key"])
+        "field-trailing-comma", "body-trailing-comma", "body-bare-key",
+        "invert-radii-zero", "thm2-radii-zero", "thm3-radii-zero", "divergence-radii-zero",
+        "pipeline-radii-zero", "decay-radii-zero", "decay-radii-negative",
+        "invert-ntheta-ring", "decay-ntheta-ring"])
 def test_bad_option_value_is_a_usage_error(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radii, code", [("0,10", 1), ("10,100", 3)])
+def test_invert_graph_refuses_its_ladder_before_evaluating_the_field(tmp_path, monkeypatch,
+                                                                     radii, code):
+    # a good ladder reaches the inversion, which evaluates the field and
+    # fails the graph check at r0 = 5; a bad one stops at the parser
+    calls = []
+    for name in ("jet_arrays", "values_and_grads"):
+        def spy(self, x, y, evaluate=getattr(umbilic.ScalarField, name)):
+            calls.append(self.name)
+            return evaluate(self, x, y)
+        monkeypatch.setattr(umbilic.ScalarField, name, spy)
+    out = tmp_path / "x.csv"
+    assert main(["invert", "graph", "--field", "paraboloid", "--r0", "5", "--radii", radii,
+                 "--out", str(out)]) == code
+    assert bool(calls) == (code == 3)
     assert not out.exists()
 
 
@@ -187,7 +223,9 @@ def test_negative_scientific_notation_is_a_value(tmp_path, argv, sci, plain):
     (["contour", "--field", "saddle", "--region", "-1e-1", "-1", "1", "-Infinity"],
      "--region"),
     (["verify", "thm3", "--field", "asym_bump", "--theta0", "-NaN"], "--theta0"),
-], ids=["thm2-X", "contour-region", "thm3-theta0"])
+    # a comma list whose first value is negative is a value too
+    (["decay", "--field", "gaussian_bump", "--radii", "-1e-3,-Infinity"], "--radii"),
+], ids=["thm2-X", "contour-region", "thm3-theta0", "decay-radii-list"])
 def test_negative_nonfinite_value_is_a_usage_error(tmp_path, capsys, argv, flag):
     # read as a value, not as an option flag, it meets the finite check
     out = tmp_path / "x.csv"
@@ -317,7 +355,16 @@ def test_config_skips_blank_and_comment_lines(tmp_path):
      "unrecognized option '--conf'"),
     ("radii = 2,4\n", "--conf={cfg} decay --field gaussian_bump --out {out}",
      "unrecognized option '--conf="),
-], ids=["malformed-line", "no-path", "missing-file", "abbreviated", "abbreviated-equals"])
+    # a second --config, in any spelling or place, is refused before either
+    # file is read (the file here does not exist)
+    (None, "--config {cfg} --conf {cfg} decay --field gaussian_bump --out {out}",
+     "--config given twice: '--conf'"),
+    (None, "--config {cfg} --config {cfg} decay --field gaussian_bump --out {out}",
+     "--config given twice: '--config'"),
+    (None, "--config {cfg} decay --field gaussian_bump --config={cfg} --out {out}",
+     "--config given twice: '--config'"),
+], ids=["malformed-line", "no-path", "missing-file", "abbreviated", "abbreviated-equals",
+        "twice-abbreviated", "twice", "twice-after-the-words"])
 def test_config_errors_are_usage_errors(tmp_path, capsys, text, argv, message):
     cfg, out = tmp_path / "c.cfg", tmp_path / "d.csv"
     if text is not None:

@@ -113,6 +113,14 @@ def test_parallel_rescale_flattens_perturbation():
         assert dev <= eps * 2.0 / (1.0 + r) + 1e-12
 
 
+@pytest.mark.parametrize("r, message", [(-1.0, "nonnegative"), (math.nan, "nonnegative"),
+                                        (math.inf, "finite")])
+@pytest.mark.parametrize("rescale", [False, True])
+def test_parallel_body_needs_a_finite_nonnegative_offset(r, message, rescale):
+    with pytest.raises(ValueError, match=f"^offset distance must be {message}$"):
+        parallel_body(zonal(0.05), r, rescale=rescale)
+
+
 def test_mean_width_monotone_under_parallel():
     b = zonal(0.05)
     u = fibonacci_sphere(64)
@@ -652,7 +660,8 @@ def _never_search(monkeypatch):
     ({"n_theta": 0}, "^n_theta must be at least 1"),
     ({"n_theta": -4}, "^n_theta must be at least 1"),
     ({"offset_r": -1.0}, "^offset distance must be nonnegative"),
-    ({"offset_r": math.nan}, "^offset distance must be nonnegative")])
+    ({"offset_r": math.nan}, "^offset distance must be nonnegative"),
+    ({"offset_r": math.inf}, "^offset distance must be finite")])
 def test_pipeline_checks_its_arguments_before_any_search(monkeypatch, kwargs, message):
     _never_search(monkeypatch)
     with pytest.raises(ValueError, match=message):

@@ -72,6 +72,9 @@ def test_parse_field_spec():
     assert float(g.value(1.0, 1.0)) == 1.0 + 0.2 * ((math.sqrt(2.0) + 1.0) + float(np.exp(1.0)))
     with pytest.raises(ValueError):
         parse_field_spec("ridge:lam")
+    # a parameter's name is checked before its value is converted
+    with pytest.raises(ValueError, match=r"got unknown \['foo'\]"):
+        parse_field_spec("bates_like:foo=abc")
 
 
 def test_bates_bounded_and_umbilic_free(rng):

@@ -195,7 +195,7 @@ def test_single_radius_rules_need_a_positive_finite_radius(rule, bad):
     call = {"disk": lambda: disk_integral(V.div, bad),
             "flux": lambda: boundary_flux(V, bad),
             "majorant": lambda: boundary_majorant(V, bad)}[rule]
-    with pytest.raises(ValueError, match="radius must be positive and finite"):
+    with pytest.raises(ValueError, match="radii must be positive and finite"):
         call()
 
 

@@ -383,6 +383,13 @@ def test_parallel_curvature_map():
     assert abs(pp.k1 - 0.5) < 1e-7
 
 
+@pytest.mark.parametrize("r, message", [(-1.0, "nonnegative"), (math.nan, "nonnegative"),
+                                        (math.inf, "finite")])
+def test_parallel_patch_needs_a_finite_nonnegative_offset(r, message):
+    with pytest.raises(ValueError, match=f"^offset distance must be {message}$"):
+        parallel_patch(sphere_patch(), r)
+
+
 def test_parallel_focal_test_is_relative():
     # the unit sphere with inward normals has k = -1: r = 1 is its focal
     # distance, and r = 1 - 1e-9 leaves 1 + r k = 1e-9, far above rounding
