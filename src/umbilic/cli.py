@@ -234,7 +234,7 @@ def _decay(args):
 
 
 _COUNT = _positive(int)
-_RADII = _argument(lambda text: check_radii(_finite(v) for v in text.split(",") if v.strip()))
+_RADII = _argument(lambda text: check_radii(_finite(v) for v in text.split(",")))
 _RING = _argument(lambda text: _check_ring(int(text)))  # angles on a decay_profile ring
 # parse_field_spec is looked up per call, so a wrapper patched into this
 # module (as bench/tracing.py does) sees the call
@@ -248,7 +248,9 @@ _OUT = ("--out", {"required": True})
 _GRID = (("--region", {"default": (-2.0, -2.0, 2.0, 2.0), **_REGION}),
          ("--n", {"type": _COUNT, "default": 101}), ("--m", {"type": _COUNT, "default": 101}),
          _X, _Y, _THETA0, _OUT, ("--svg", {}))
-_QUAD = (("--nr", {"type": int, "default": 16}), ("--ntheta", {"type": int, "default": 64}),
+_NR = _argument(lambda text: quad.QuadScheme(n_r=int(text)).n_r)  # by QuadScheme's rule
+_NTHETA = _argument(lambda text: quad.QuadScheme(n_theta=int(text)).n_theta)
+_QUAD = (("--nr", {"type": _NR, "default": 16}), ("--ntheta", {"type": _NTHETA, "default": 64}),
          _OUT)
 
 # (words, help, handler, (flag, kwargs) options); an entry without a

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvexityError, DomainError, NonConvergenceError
-from .util import (_check_offset, _floating, _row_norms, _solve2, bracket_root,
-                   check_radii, complex_step, greedy_merge, local_minima, sym_eigvals, unit3)
+from .util import (_check_offset, _floating, _row_norms, bracket_root, check_radii,
+                   complex_step, greedy_merge, local_minima, newton2, sym_eigvals, unit3)
 
 FIND_TOL = 1e-9    # rho2 - rho1 at which find_umbilic's search has converged
 SITES_TOL = 1e-8   # rho2 - rho1 below which umbilic_sites keeps a polished site
@@ -166,47 +166,27 @@ def _anisotropy(body: SupportBody, u):
 
 
 def _polish_umbilics(body: SupportBody, u0, max_iter: int = 30):
-    """Newton iteration on the tangent anisotropy on every row of u0 (N, 3)
-    at once; the Jacobian is a complex step along each tangent axis. It
-    converges quadratically where that Jacobian is regular at the site
-    (index +-1/2) and only linearly where it vanishes there (index +1, as at
-    the zonal poles). Each row takes the steps it would take alone; the trial
-    residual of a step that descends, with its tangent frame, is the next
-    iteration's residual and step basis, so each iterate is evaluated once.
-    Returns the polished unit rows and their converged flags."""
-    u = unit3(np.asarray(u0, float).reshape(-1, 3))
-    ok = np.zeros(len(u), bool)
-    live = np.arange(len(u))  # rows still iterating
-    F, t1, t2 = _framed_anisotropy(body, u)  # at u[live]
-    for _ in range(max_iter):
-        nF = _row_norms(F)
-        conv = nF < 1e-13
-        ok[live[conv]] = True
-        live, F, nF, t1, t2 = (a[~conv] for a in (live, F, nF, t1, t2))
-        if not live.size:
-            break
-        v = u[live]
-        J = np.moveaxis(complex_step(lambda w: _anisotropy(body, unit3(w)), v,
-                                     np.stack([t1, t2])), 0, -1)
-        st, solved = _solve2(J, -F)
-        # a singular Jacobian or a non-finite step stops the row unconverged
-        # (its |F| is not below 1e-13 here)
-        keep = solved & np.all(np.isfinite(st), axis=-1)
-        live, v, nF, st, t1, t2 = (a[keep] for a in (live, v, nF, st, t1, t2))
+    """Newton iteration (``util.newton2``) on the tangent anisotropy F on
+    every row of u0 (N, 3) at once, with a complex-step Jacobian along each
+    tangent axis: quadratic where that Jacobian is regular at the site (index
+    +-1/2), linear where it vanishes there (index +1, as at the zonal poles).
+    Steps are cut to length 0.5, and a trial's tangent frame is the next
+    step's basis. Rows converge at |F| < 1e-13, or at |F| < 1e-10 where they
+    stall or run out of steps. Returns the unit rows and their flags."""
+    def jacobian(v, F, t1, t2):
+        return np.moveaxis(complex_step(lambda w: _anisotropy(body, unit3(w)), v,
+                                        np.stack([t1, t2])), 0, -1)
+
+    def retract(v, st, lam, t1, t2):
         step = st[:, :1] * t1 + st[:, 1:] * t2
         ns = _row_norms(step)
         big = ns > 0.5
         step[big] *= (0.5 / ns[big])[:, None]
-        un = unit3(v + step)
-        Fn, t1, t2 = _framed_anisotropy(body, un)
-        # no descent (a NaN trial residual counts as descent) stops the row
-        stall = _row_norms(Fn) >= nF
-        ok[live[stall]] = nF[stall] < 1e-10
-        u[live[~stall]] = un[~stall]
-        live, F, t1, t2 = (a[~stall] for a in (live, Fn, t1, t2))
-    else:
-        ok[live] = _row_norms(F) < 1e-10
-    return u, ok
+        return unit3(v + lam * step), np.ones(len(v), bool)
+
+    return newton2(lambda u: _framed_anisotropy(body, u), jacobian, retract,
+                   unit3(np.asarray(u0, float).reshape(-1, 3)), (), _row_norms, 1e-13, 1e-10,
+                   max_iter)
 
 
 def find_umbilic(body: SupportBody, grid_n: int = 48) -> UmbilicSite:

@@ -17,7 +17,7 @@ from .curvature import (curvature_direction_arrays, dk_dtheta_arrays,
                         principal_arrays, residual_arrays)
 from .errors import DomainError
 from .field import Direction, ScalarField
-from .util import _libm, _row_norms, _solve2, greedy_merge, local_minima, worker_count
+from .util import _libm, greedy_merge, local_minima, newton2, worker_count
 
 RESIDUAL_NAMES = ("dk", "dkdtheta", "P1", "P2", "D")
 CURVATURE_NAMES = ("H", "K", "k1", "k2")
@@ -293,71 +293,37 @@ def _max_abs(r):
     return np.where(b > a, b, a)
 
 
-# line-search step lengths: 1, then 1/2, ..., 2^-19 (halving stops below 1e-6)
-_STEPS = (np.ones(1), 0.5 ** np.arange(1, 20))
-
-
 def _newton_refine(field: ScalarField, x0, y0, box, max_iter: int = 60,
                    target: float = 1e-12):
-    """Damped Newton on the normalized (P1, P2) system with an FD Jacobian,
-    from every start (x0[k], y0[k]) at once.
-
-    Each row takes the steps it would take alone. It stops when
-    max(|P1n|, |P2n|) < target, when its Jacobian is singular, when none
-    of the line-search steps 1, 1/2, ..., 2^-19 lowers |(P1n, P2n)|, or
-    when a step escapes ``box`` = (x0, y0, x1, y1), bounds inclusive and
-    NaN outside. Returns the final x, y and whether each row ends below
-    target without escaping.
+    """Damped Newton (``util.newton2``) on the normalized (P1, P2) system
+    from every start (x0[k], y0[k]) at once, with a central-difference
+    Jacobian and the line-search steps 1, 1/2, ..., 2^-19. Besides newton2's
+    stops, a row stops at max(|P1n|, |P2n|) < target and at its first step
+    outside ``box`` = (x0, y0, x1, y1), bounds inclusive and NaN outside.
+    Returns the final x, y and whether each row ends below target without
+    escaping.
     """
-    def res(px, py):
-        return np.stack(_normalized_pair(field, px, py), axis=-1)
+    def res(x, y):
+        return np.stack(_normalized_pair(field, x, y), axis=-1)
 
-    x = np.array(x0, dtype=float)
-    y = np.array(y0, dtype=float)
-    r = res(x, y)
-    live = np.arange(x.size)  # rows still iterating
-    bx0, by0, bx1, by1 = box
-    escaped = np.zeros(x.size, dtype=bool)
-    for _ in range(max_iter):
-        live = live[~(_max_abs(r[live]) < target)]
-        if not live.size:
-            break
-        lx, ly = x[live], y[live]
-        hyp = _libm(math.hypot, lx, ly)
+    def jacobian(p, r):
+        x, y = p.T
+        hyp = _libm(math.hypot, x, y)
         h = 1e-7 * np.where(hyp > 1.0, hyp, 1.0)
-        rp = res(np.concatenate([lx + h, lx - h, lx, lx]),
-                 np.concatenate([ly, ly, ly + h, ly - h]))
-        dx_p, dx_m, dy_p, dy_m = rp.reshape(4, -1, 2)
-        h2 = (2 * h)[:, None]
-        J = np.stack([(dx_p - dx_m) / h2, (dy_p - dy_m) / h2], axis=-1)
-        step, solved = _solve2(J, -r[live])
-        # a singular Jacobian stops the row
-        live, lx, ly, step = live[solved], lx[solved], ly[solved], step[solved]
-        norm0 = _row_norms(r[live])
-        # the full step for every row, then all shorter steps at once for the
-        # rows it does not take down: each row takes the first that does. The
-        # shorter steps lie between the point and its full step, so a convex
-        # domain (sphere_cap's disk) holds them when it holds the full step.
-        search = np.arange(live.size)  # positions in live still line-searching
-        for lam in _STEPS:
-            if not search.size:
-                break
-            xn = lx[search] + lam[:, None] * step[search, 0]
-            yn = ly[search] + lam[:, None] * step[search, 1]
-            rn = res(xn.ravel(), yn.ravel()).reshape(*xn.shape, 2)
-            down = _row_norms(rn) < norm0[search]
-            k = np.flatnonzero(down.any(axis=0))
-            first = down[:, k].argmax(axis=0)
-            rows = live[search[k]]
-            x[rows], y[rows], r[rows] = xn[first, k], yn[first, k], rn[first, k]
-            search = np.delete(search, k)
-        # a row whose line search ran out of steps has stalled
-        live = np.delete(live, search)
-        lx, ly = x[live], y[live]
-        inside = (bx0 <= lx) & (lx <= bx1) & (by0 <= ly) & (ly <= by1)
-        escaped[live[~inside]] = True
-        live = live[inside]
-    return x, y, (_max_abs(r) < target) & ~escaped
+        dx_p, dx_m, dy_p, dy_m = res(np.concatenate([x + h, x - h, x, x]),
+                                     np.concatenate([y, y, y + h, y - h])).reshape(4, -1, 2)
+        return np.stack([dx_p - dx_m, dy_p - dy_m], axis=-1) / (2 * h)[:, None, None]
+
+    def retract(p, s, lam):
+        p = p + lam * s
+        return p, np.all((lo <= p) & (p <= hi), axis=-1)
+
+    lo, hi = np.reshape(box, (2, 2))
+    # the shorter steps lie between a point and its full step, so a convex
+    # domain (sphere_cap's disk) holds them when it holds the full step
+    p, ok = newton2(lambda p: (res(*p.T),), jacobian, retract, np.column_stack([x0, y0]),
+                    0.5 ** np.arange(1, 20), _max_abs, target, target, max_iter)
+    return p[:, 0], p[:, 1], ok
 
 
 def umbilic_search(field: ScalarField, region, n: int,

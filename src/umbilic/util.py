@@ -1,8 +1,8 @@
 """Small numeric helpers: deterministic reductions, the radius-ladder and
 offset checks, thread budget, local minima, the greedy merge, the one
-bracketed root solver (Chandrupatla's method on arrays), complex-step
-derivatives, the eigenvalues of symmetric 2x2 matrices, and row-wise pieces
-of the batched Newton solves."""
+bracketed root solver (Chandrupatla's method on arrays), the one damped
+Newton solver (``newton2``, on arrays of rows that step independently),
+complex-step derivatives and the eigenvalues of symmetric 2x2 matrices."""
 
 import math
 import os
@@ -182,6 +182,58 @@ def _solve2(J, rhs):
             except np.linalg.LinAlgError:
                 solved[k] = False
         return st, solved
+
+
+def newton2(residual, jacobian, retract, x0, shorter, size, target, accept, max_iter):
+    """Damped Newton on a two-component residual from every row of x0 at once,
+    each row stepping as it would alone. residual(x) gives (r, *data); the
+    per-row data reach jacobian(v, r, *data) and retract(v, s, lam, *data)
+    on the rows v still iterating. retract gives the trial points of steps s
+    at length lam (1, or ``shorter`` on a leading axis) and which may go on.
+    A row takes the full step where it lowers the 2-norm |r|, else the first
+    of ``shorter`` that does. It stops converged at size(r) < target;
+    unconverged at a singular Jacobian, a step not finite or a trial that
+    may not go on; and, where no length lowers |r| or after max_iter steps,
+    converged at size(r) < accept. Returns the rows and converged flags."""
+    x, ok = np.array(x0, dtype=float), np.zeros(len(x0), bool)
+    live, (r, *data) = np.arange(len(x)), residual(x)  # r and data at x[live]
+    for _ in range(max_iter):
+        conv = size(r) < target
+        if conv.any():
+            ok[live[conv]] = True
+            live, r, *data = (a[~conv] for a in (live, r, *data))
+        if not live.size:
+            break
+        v = x[live]
+        s, go = _solve2(jacobian(v, r, *data), -r)
+        go &= np.all(np.isfinite(s), axis=-1)
+        if not go.all():
+            live, v, r, s, *data = (a[go] for a in (live, v, r, s, *data))
+            if not live.size:
+                break
+        xn, keep = retract(v, s, 1.0, *data)
+        rn, *dn = residual(xn)
+        nr = _row_norms(r)
+        down = _row_norms(rn) < nr
+        at = np.flatnonzero(~down)  # rows the full step does not take down
+        if at.size:
+            if len(shorter):
+                xs, fits = retract(v[at], s[at], shorter[:, None, None], *(a[at] for a in data))
+                rs, *ds = residual(xs.reshape(-1, xs.shape[-1]))
+                drop = _row_norms(rs).reshape(len(shorter), -1) < nr[at]
+                hit = drop.any(axis=0)
+                pick = drop[:, hit].argmax(axis=0) * at.size + np.flatnonzero(hit)
+                at, took = at[~hit], at[hit]
+                for a, b in zip((xn, rn, keep, *dn), (xs, rs, fits, *ds)):
+                    a[took] = b.reshape(-1, *a.shape[1:])[pick]
+                down[took] = True
+            ok[live[at]] = size(r[at]) < accept
+            keep &= down
+        x[live[down]] = xn[down]
+        live, r, *data = (a[keep] for a in (live, rn, *dn))
+    else:
+        ok[live] = size(r) < accept
+    return x, ok
 
 
 def _floating(x):

@@ -168,6 +168,12 @@ def test_usage_errors():
     (["invert", "graph", "--field", "paraboloid", "--r0", "5", "--ntheta", "4"],
      "--ntheta"),
     (["decay", "--field", "gaussian_bump", "--ntheta", "4"], "--ntheta"),
+    # the quadrature counts are checked by QuadScheme's rule where they are parsed
+    (["verify", "thm2", "--field", "gaussian_bump", "--ntheta", "4"], "--ntheta"),
+    (["verify", "divergence", "--field", "gaussian_bump", "--nr", "2"], "--nr"),
+    # an empty item of a radius list is refused, as a trailing comma of --field is
+    (["decay", "--field", "gaussian_bump", "--radii", "2,,4"], "--radii"),
+    (["decay", "--field", "gaussian_bump", "--radii", "2,4,"], "--radii"),
 ], ids=["map-m", "contour-n", "invert-r0", "invert-radii", "invert-ntheta",
         "decay-ntheta", "decay-radii", "decay-empty-radii", "pipeline-radii",
         "pipeline-ntheta", "pipeline-body-key", "pipeline-body-name", "thm3-field",
@@ -177,7 +183,8 @@ def test_usage_errors():
         "field-trailing-comma", "body-trailing-comma", "body-bare-key",
         "invert-radii-zero", "thm2-radii-zero", "thm3-radii-zero", "divergence-radii-zero",
         "pipeline-radii-zero", "decay-radii-zero", "decay-radii-negative",
-        "invert-ntheta-ring", "decay-ntheta-ring"])
+        "invert-ntheta-ring", "decay-ntheta-ring", "thm2-ntheta", "divergence-nr",
+        "decay-radii-empty-item", "decay-radii-trailing-comma"])
 def test_bad_option_value_is_a_usage_error(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1

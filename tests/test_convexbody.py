@@ -10,9 +10,10 @@ from umbilic import (ConvexityError, NonConvergenceError, SupportBody,
                      check_convexity, find_umbilic, parallel_body, pose_at_umbilic,
                      radii_of_curvature, theorem1_pipeline, umbilic_sites)
 from umbilic.cli import _parse_body, main
-from umbilic.convexbody import (PosedBody, _anisotropy, _polish_umbilics, _solve2,
-                                _tangent_basis, fibonacci_sphere)
-from umbilic.util import _floating, _row_norms, bracket_root, complex_step, local_minima, unit3
+from umbilic.convexbody import (PosedBody, _anisotropy, _polish_umbilics, _tangent_basis,
+                                fibonacci_sphere)
+from umbilic.util import (_floating, _row_norms, _solve2, bracket_root, complex_step,
+                          local_minima, unit3)
 
 EZ = np.array([0.0, 0.0, 1.0])
 

@@ -547,6 +547,24 @@ def test_escaping_refinements_stop_at_the_box(monkeypatch):
     assert res.points == [] and not res.totally_umbilic
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # libm's hypot of NaN
+def test_nan_start_costs_no_trial_evaluations(monkeypatch):
+    # its Newton step is not finite, so the row stops after its residual and
+    # the four points of its difference Jacobian, with no line search
+    points = []
+    pair = scan._normalized_pair
+
+    def counted_pair(field, x, y):
+        points.append(np.size(x))
+        return pair(field, x, y)
+
+    monkeypatch.setattr(scan, "_normalized_pair", counted_pair)
+    x, y, ok = _newton_refine(make_field("asym_bump"), [np.nan], [np.nan],
+                              (-3.3, -3.3, 3.3, 3.3))
+    assert np.isnan(x).all() and np.isnan(y).all() and not ok.any()
+    assert sum(points) == 5
+
+
 def test_umbilic_scan_asym_bump_rows(tmp_path):
     # x, y and refined as the scalar loop wrote them; D_normalized of the
     # second row moved in its last digit when Dn came to be taken on arrays
