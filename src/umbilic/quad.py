@@ -67,24 +67,26 @@ def disk_integral(g, r: float, scheme: QuadScheme = QuadScheme()) -> float:
     return pairwise_sum(np.asarray(g(x, y), dtype=float) * w)
 
 
-def _ring(V: PlaneField, r: float, n_theta: int):
-    """(vx, vy, cos, sin) at n_theta uniform angles on the circle of radius r."""
-    check_radii((r,))
+def _ring_densities(V: PlaneField, radii, n_theta: int):
+    """The outward flux density of V and |V| on the circle of each checked
+    radius, times the arc weight r dtheta: one row per radius of n_theta
+    uniform angles, from one ``V.vector`` call."""
+    r = np.array(check_radii(radii))[:, None]
     thetas = np.arange(n_theta) * (math.tau / n_theta)
     c, s = np.cos(thetas), np.sin(thetas)
-    return (*V.vector(r * c, r * s), c, s)
+    vx, vy = V.vector(r * c, r * s)
+    dtheta = math.tau / n_theta
+    return (vx * c + vy * s) * r * dtheta, np.hypot(vx, vy) * r * dtheta
 
 
 def boundary_flux(V: PlaneField, r: float, n_theta: int = 256) -> float:
     """Outward flux of V through the circle of radius r (uniform rule)."""
-    vx, vy, c, s = _ring(V, r, n_theta)
-    return pairwise_sum((vx * c + vy * s) * r * (math.tau / n_theta))
+    return pairwise_sum(_ring_densities(V, (r,), n_theta)[0])
 
 
 def boundary_majorant(V: PlaneField, r: float, n_theta: int = 256) -> float:
     """Integral of |V| over the circle of radius r; bounds |flux| from above."""
-    vx, vy, _, _ = _ring(V, r, n_theta)
-    return pairwise_sum(np.hypot(vx, vy) * r * (math.tau / n_theta))
+    return pairwise_sum(_ring_densities(V, (r,), n_theta)[1])
 
 
 def divergence_consistency(V: PlaneField, r: float,
@@ -103,10 +105,13 @@ DEFAULT_RADII = (2.0, 4.0, 8.0, 16.0)
 def _decay_table(V: PlaneField, areas, radii, scheme: QuadScheme) -> DecayTable:
     """Per radius: the disk integral of each (column, density) of ``areas``
     in turn, then the boundary flux of V and the majorant integral of |V|
-    over the circle."""
+    over the circle, both summed from the rows of one evaluation of every
+    boundary ring."""
+    radii = check_radii(radii)
+    flux, majorant = _ring_densities(V, radii, scheme.n_theta)
     rows = [(r, *(disk_integral(g, r, scheme) for _, g in areas),
-             boundary_flux(V, r, scheme.n_theta), boundary_majorant(V, r, scheme.n_theta))
-            for r in check_radii(radii)]
+             pairwise_sum(fl), pairwise_sum(mj))
+            for r, fl, mj in zip(radii, flux, majorant)]
     return DecayTable(("r", *(name for name, _ in areas), "I_flux", "majorant"), rows)
 
 

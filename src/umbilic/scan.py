@@ -17,12 +17,10 @@ from .curvature import (curvature_direction_arrays, dk_dtheta_arrays,
                         principal_arrays, residual_arrays)
 from .errors import DomainError
 from .field import Direction, ScalarField
-from .util import _libm, greedy_merge, local_minima, newton2, worker_count
+from .util import _BLOCK_POINTS, _libm, greedy_merge, local_minima, newton2, worker_count
 
 RESIDUAL_NAMES = ("dk", "dkdtheta", "P1", "P2", "D")
 CURVATURE_NAMES = ("H", "K", "k1", "k2")
-# grid nodes per sampling block: bounds the jet temporaries of large grids
-_BLOCK_POINTS = 1 << 16
 # contour segments per vertex block: bounds the index and vertex temporaries
 _BLOCK_SEGMENTS = 1 << 12
 

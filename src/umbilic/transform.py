@@ -186,7 +186,9 @@ class ExteriorGraph:
         return fbar, c * gx + s * gy, np.asarray(rbar, dtype=float) * (c * gy - s * gx)
 
     def as_field(self) -> ScalarField:
-        """Adapter exposing the exterior graph as a ScalarField."""
+        """Adapter exposing the exterior graph as a ScalarField. Its domain
+        is the one of ``solve_r``, tested on the libm rbar at which the jets
+        are solved; a point outside raises ``solve_r``'s DomainError."""
 
         def jets(xa, ya):
             return self._graph_jet(_libm(math.hypot, xa, ya), _libm(math.atan2, ya, xa))
@@ -194,11 +196,7 @@ class ExteriorGraph:
         def grads(xa, ya):
             return jets(xa, ya)[:3]
 
-        def domain(x, y):
-            return np.hypot(x, y) >= self.rbar_min
-
-        return ScalarField(f"inverted({self.source.name})", jets,
-                           domain=domain, grads=grads)
+        return ScalarField(f"inverted({self.source.name})", jets, grads=grads)
 
 
 def _mT(v):

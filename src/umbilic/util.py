@@ -11,6 +11,8 @@ import numpy as np
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+# points per evaluation block: bounds the jet temporaries of grids and ring ladders
+_BLOCK_POINTS = 1 << 16
 
 
 def pairwise_sum(values):

@@ -10,7 +10,9 @@ import numpy as np
 
 from umbilic.convexbody import SupportBody, _planes
 from umbilic.curvature import principal_arrays
-from umbilic.field import Jet2, ScalarField, as_xy, rotate_jet_arrays
+from umbilic.field import (DecayProfile, Jet2, ScalarField, _check_ring, as_xy,
+                           rotate_jet_arrays)
+from umbilic.util import check_radii
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +60,29 @@ def fd_jet(value: Callable, p, grad_step: float | None = None,
     f12 = (value(x + hh, y + hh) - value(x + hh, y - hh)
            - value(x - hh, y + hh) + value(x - hh, y - hh)) / (4.0 * hh * hh)
     return Jet2(float(f), float(f1), float(f2), float(f11), float(f12), float(f22))
+
+
+def decay_profile_per_ring(field: ScalarField, radii, n_theta: int = 256) -> DecayProfile:
+    """``decay_profile`` one ring at a time: one field call per radius."""
+    radii = check_radii(radii)
+    _check_ring(n_theta)
+
+    thetas = np.arange(n_theta) * (math.tau / n_theta)
+    ct, st = np.cos(thetas), np.sin(thetas)
+
+    rings = [field.values_and_grads(r * ct, r * st) for r in radii]
+    if field.asymptotic_c is not None:
+        c, c_source, c_var = float(field.asymptotic_c), "metadata", 0.0
+    else:
+        f_big = rings[-1][0]
+        c = float(np.mean(f_big))
+        c_var = float(np.var(f_big))
+        c_source = "ring-mean"
+
+    sup_dev = tuple(float(np.max(np.abs(f - c))) for f, _, _ in rings)
+    sup_rgrad = tuple(float(r * np.max(np.hypot(f1, f2)))
+                      for r, (_, f1, f2) in zip(radii, rings))
+    return DecayProfile(tuple(radii), sup_dev, sup_rgrad, c, c_source, c_var)
 
 
 # ---------------------------------------------------------------------------

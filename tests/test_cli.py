@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import umbilic
@@ -503,6 +504,9 @@ README_GOLDEN = {
         "0215905ea3a3ebfa8d443e0fa8e5c9fcbbe0962e23808bc3a8eac27e9db6bdaf",
     "decay --field gaussian_bump --radii 2,4,8,16":
         "5ac74cbdcad9a138c595e0d92d6068028efd47712c282aea3d0e168f3f2bf7e0",
+    # taken before the decay profile evaluated its rings in one call
+    "invert graph --field sphere_cap --r0 0.7":
+        "9fdc06c176e5c09fac0d49f0d57b9bdabd15bebf05087539aabdf2dc5bd94b26",
     # taken once the body was posed in the tangent frame of its umbilic
     "pipeline thm1 --body zonal:eps=0.05 --offset 10":
         "511124312d2384e9a7a666eb965c62e1a23728085dde886c7e7d1c5a43fee87b",
@@ -518,6 +522,41 @@ def test_readme_example_golden_bytes(tmp_path, monkeypatch, command, threads):
     out = tmp_path / "out.csv"
     assert main(command.split() + ["--out", str(out)]) == 0
     assert hashlib.sha256(read(out)).hexdigest() == README_GOLDEN[command]
+
+
+# sha256 of `invert graph` CSVs of exterior fields, taken before the decay
+# profile evaluated its rings in one call
+INVERT_GOLDEN = {
+    "invert graph --field paraboloid --r0 0.3 --radii 4,40,400 --normalize":
+        "c627dff426f4add19baaf7ed5a01018119947370028c16d93d5b371217faea90",
+    "invert graph --field cylinder --r0 0.3 --radii 4,40,400":
+        "97e7b7c07e55858e3eef982b5672e29a8c89a295186ba363fa9f563a88562cbc",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(INVERT_GOLDEN))
+def test_invert_graph_golden_bytes(tmp_path, monkeypatch, command, threads):
+    monkeypatch.setenv("UMBILIC_THREADS", threads)
+    out = tmp_path / "inv.csv"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == INVERT_GOLDEN[command]
+
+
+def test_invert_graph_solves_its_ladder_once(tmp_path, monkeypatch):
+    # every ring of the ladder goes through one exterior radius solve
+    calls = []
+    solve_r = umbilic.transform.ExteriorGraph.solve_r
+
+    def counted(self, rbar, theta):
+        calls.append(np.shape(rbar))
+        return solve_r(self, rbar, theta)
+
+    monkeypatch.setattr(umbilic.transform.ExteriorGraph, "solve_r", counted)
+    assert main(["invert", "graph", "--field", "paraboloid", "--r0", "0.3",
+                 "--radii", "4,40,400", "--ntheta", "64",
+                 "--out", str(tmp_path / "inv.csv")]) == 0
+    assert calls == [(3, 64)]
 
 
 # sha256 of `pipeline thm1 --ntheta 64` CSVs of five bodies, taken once the

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_fields, sample_points
-from oracles import fd_jet, rotate_frame, uniform_field
-from umbilic import Direction, DomainError, Jet2, decay_profile, make_field
+from oracles import decay_profile_per_ring, fd_jet, rotate_frame, uniform_field
+from umbilic import (Direction, DomainError, Jet2, decay_profile, invert_local_graph,
+                     make_field)
 from umbilic.field import directional_arrays
 
 
@@ -130,6 +131,48 @@ def test_decay_profile_nonnegative_and_validates():
     for radii in ([2.0, math.nan], [math.nan], [2.0, math.inf]):
         with pytest.raises(ValueError, match="finite"):
             decay_profile(make_field("gaussian_bump"), radii)
+
+
+def _exterior(family, r0, normalize=False):
+    return invert_local_graph(make_field(family), r0, normalize=normalize).as_field()
+
+
+# (field, radii, n_theta): c from metadata, the ring mean, a field with a
+# domain, exterior fields, and a ladder of two ring groups (3 + 2 rings of
+# 20,000 points against the 2^16-point block)
+BATCHED_CASES = {
+    "gaussian_bump": (lambda: make_field("gaussian_bump"), [0.5, 1.0, 2.0, 4.0, 8.0], 256),
+    "loglog_tail": (lambda: make_field("loglog_tail"), [3.0, 10.0, 100.0, 1e4], 256),
+    "sphere_cap": (lambda: make_field("sphere_cap"), [0.1, 0.5, 0.9, 0.999], 128),
+    "paraboloid-normalized": (lambda: _exterior("paraboloid", 0.3, True),
+                              [4.0, 40.0, 400.0], 256),
+    "saddle": (lambda: _exterior("saddle", 0.7), [2.0, 10.0, 1e3, 1e5], 64),
+    "cylinder": (lambda: _exterior("cylinder", 0.3), [4.0, 40.0, 400.0], 100),
+    "two-groups": (lambda: make_field("loglog_tail"), [3.0, 5.0, 10.0, 100.0, 1e4], 20000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCHED_CASES))
+def test_decay_profile_batched_matches_per_ring(case):
+    make, radii, n_theta = BATCHED_CASES[case]
+    field = make()
+    got = decay_profile(field, radii, n_theta)
+    want = decay_profile_per_ring(field, radii, n_theta)
+    # repr round-trips every float, so equal reprs are equal bits
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("make, radii", [
+    (lambda: make_field("sphere_cap"), [1.5, 2.0]),
+    (lambda: _exterior("paraboloid", 0.3), [2.0, 40.0]),
+], ids=["sphere_cap", "exterior"])
+def test_decay_profile_outside_the_domain_raises_as_per_ring(make, radii):
+    field = make()
+    with pytest.raises(DomainError) as want:
+        decay_profile_per_ring(field, radii, 64)
+    with pytest.raises(DomainError) as got:
+        decay_profile(field, radii, 64)
+    assert str(got.value) == str(want.value)
 
 
 def test_sphere_cap_domain_error():

@@ -169,6 +169,23 @@ def test_deviation_decay_asym_bump():
     assert len(column(table, "I_area_stated")) == 4
 
 
+@pytest.mark.parametrize("ladder", ["thm2", "thm3"])
+def test_decay_ladder_rings_match_the_single_ring_rules(ladder):
+    # the ladder evaluates all its rings at once; each row's flux and
+    # majorant carry the bits of the one-ring rules at that radius
+    field, radii, scheme = make_field("asym_bump"), (0.5, 2.0, 3.5, 8.0), QuadScheme(8, 48)
+    if ladder == "thm2":
+        V = curvature_difference_field(field, EX, EY)
+        table = curvature_difference_decay(field, EX, EY, radii, scheme)
+    else:
+        V = principal_deviation_field(field, 0.3)
+        table = principal_deviation_decay(field, 0.3, radii, scheme)
+    assert [repr(v) for v in column(table, "I_flux")] == \
+        [repr(boundary_flux(V, r, scheme.n_theta)) for r in radii]
+    assert [repr(v) for v in column(table, "majorant")] == \
+        [repr(boundary_majorant(V, r, scheme.n_theta)) for r in radii]
+
+
 def test_decay_table_requires_increasing_radii():
     with pytest.raises(ValueError):
         curvature_difference_decay(make_field("asym_bump"), EX, EY, (4.0, 2.0))

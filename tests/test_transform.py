@@ -170,6 +170,19 @@ def test_exterior_gradient_decay_profile():
     assert rg[2] < 1e-4
 
 
+def test_exterior_field_domain_is_the_solve_domain():
+    # numpy's hypot puts this point 1 ulp below rbar_min, libm's hypot, at
+    # which the jet is solved, on it: the field evaluates there
+    graph = invert_local_graph(make_field("paraboloid"), 0.3)
+    p = (2.1721220766538454, 2.152646187671579)
+    rbar, theta = math.hypot(*p), math.atan2(p[1], p[0])
+    assert np.hypot(*p) < graph.rbar_min == rbar
+    assert graph.solve_r(rbar, theta) == 0.3
+    assert graph.as_field().jet(p).f == float(graph._graph_jet(rbar, theta)[0])
+    with pytest.raises(DomainError, match="below exterior domain"):
+        graph.as_field().jet((1.0, 2.0))
+
+
 def test_exterior_field_jets_consistent():
     # chain-rule gradient against central differences of the value, and the
     # chain-rule Hessian against central differences of that gradient; the
