@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvexityError, DomainError, NonConvergenceError
-from .util import (_check_offset, _floating, _row_norms, bracket_root, check_radii,
-                   complex_step, greedy_merge, local_minima, newton2, sym_eigvals, unit3)
+from .util import (_LADDER_POINTS, _check_offset, _floating, _row_norms, bracket_root,
+                   check_radii, complex_step, greedy_merge, local_minima, newton2, row_blocks,
+                   sym_eigvals, unit3)
 
 FIND_TOL = 1e-9    # rho2 - rho1 at which find_umbilic's search has converged
 SITES_TOL = 1e-8   # rho2 - rho1 below which umbilic_sites keeps a polished site
@@ -346,6 +347,14 @@ def _inverted_rbar(q):
     return np.hypot(x, y) / _dot3((x, y, z), (x, y, z))
 
 
+def _ladder_rbar(posed: PosedBody, phis, thetas):
+    """rbar of the posed points on the (phi, theta) ladder, one row per phi,
+    made in blocks of whole rows of at most ``util._LADDER_POINTS`` points.
+    ``cap_points`` is elementwise, so the bytes are those of one call."""
+    return np.concatenate([_inverted_rbar(posed.cap_points(phis[b, None], thetas[None, :]))
+                           for b in row_blocks(len(phis), len(thetas), _LADDER_POINTS)])
+
+
 @dataclass(frozen=True)
 class PipelineReport:
     """Outcome of the flatten-by-inversion pipeline on a convex body."""
@@ -371,8 +380,10 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
     posed umbilic, the height the inverted graph approaches at infinity.
 
     A sampled single-valuedness check (rbar strictly decreasing along each
-    azimuth ray) guards the graph reading; failure is reported, with the
-    metric rows left empty. A most umbilic normal that misses ``FIND_TOL``
+    azimuth ray of a 220-angle phi ladder) guards the graph reading; failure
+    is reported, with the metric rows left empty. The ladder is evaluated in
+    blocks of whole rows of at most 2^13 points (``_ladder_rbar``), whose
+    bytes are those of one call. A most umbilic normal that misses ``FIND_TOL``
     raises ``NonConvergenceError``: only an umbilic is posed. The radii must
     be positive, finite and strictly increasing, ``offset_r`` finite and
     nonnegative, and ``n_theta`` at least 1 (``ValueError``, checked before
@@ -400,7 +411,7 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
     # monotonicity ladder: phi from well inside the largest bin out to the cap
     phi_lo = min(0.01 / max(radii), 1e-4)
     phis = np.geomspace(phi_lo, 2.8, 220)
-    rbar = _inverted_rbar(posed.cap_points(phis[:, None], thetas[None, :]))
+    rbar = _ladder_rbar(posed, phis, thetas)
     monotone = bool(np.all(np.diff(rbar, axis=0) < 0.0))
     if not monotone:
         return PipelineReport(site.u, offset_r, c, [], False)

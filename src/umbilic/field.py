@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .util import _BLOCK_POINTS, check_radii
+from .util import check_radii, row_blocks
 
 #: (f, f1, f2, f11, f12, f22) broadcast over input arrays
 JetArrays = tuple
@@ -170,8 +170,8 @@ def decay_profile(field: ScalarField, radii, n_theta: int = 256) -> DecayProfile
     The constant c comes from field metadata when the family defines it and
     is otherwise estimated as the mean of f on the largest ring (the
     estimate's variance is reported). The rings are evaluated as rows of one
-    array, in whole-ring groups of at most ``_BLOCK_POINTS`` points, one
-    field call per group.
+    array, in whole-ring groups of at most ``util._BLOCK_POINTS`` points
+    (``util.row_blocks``), one field call per group.
     """
     radii = check_radii(radii)
     _check_ring(n_theta)
@@ -179,9 +179,7 @@ def decay_profile(field: ScalarField, radii, n_theta: int = 256) -> DecayProfile
     thetas = np.arange(n_theta) * (math.tau / n_theta)
     ct, st = np.cos(thetas), np.sin(thetas)
     r = np.array(radii)[:, None]
-    per = max(1, _BLOCK_POINTS // n_theta)
-    groups = [field.values_and_grads(r[i:i + per] * ct, r[i:i + per] * st)
-              for i in range(0, len(radii), per)]
+    groups = [field.values_and_grads(r[b] * ct, r[b] * st) for b in row_blocks(len(r), n_theta)]
     f, f1, f2 = (np.concatenate(rows) for rows in zip(*groups))
     if field.asymptotic_c is not None:
         c, c_source, c_var = float(field.asymptotic_c), "metadata", 0.0

@@ -17,7 +17,7 @@ from .curvature import (curvature_direction_arrays, dk_dtheta_arrays,
                         principal_arrays, residual_arrays)
 from .errors import DomainError
 from .field import Direction, ScalarField
-from .util import _BLOCK_POINTS, _libm, greedy_merge, local_minima, newton2, worker_count
+from .util import _libm, greedy_merge, local_minima, newton2, row_blocks, worker_count
 
 RESIDUAL_NAMES = ("dk", "dkdtheta", "P1", "P2", "D")
 CURVATURE_NAMES = ("H", "K", "k1", "k2")
@@ -113,14 +113,12 @@ def _sample(ev, region, n: int, m: int):
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, m)
     values = np.empty((n, m), dtype=float)
-    rows = max(1, _BLOCK_POINTS // m)
 
-    def fill(i0):
-        XX, YY = np.meshgrid(xs[i0:i0 + rows], ys, indexing="ij")
-        values[i0:i0 + rows] = ev(XX, YY)
+    def fill(rows):
+        values[rows] = ev(*np.meshgrid(xs[rows], ys, indexing="ij"))
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        list(pool.map(fill, range(0, n, rows)))
+        list(pool.map(fill, row_blocks(n, m)))
     bad = values.size - int(np.count_nonzero(np.isfinite(values)))
     if bad:
         raise DomainError(f"{bad} of {values.size} grid samples are not finite")
@@ -203,8 +201,7 @@ def _segments(grid: Grid) -> np.ndarray:
     second[1:] = cell[1:] == cell[:-1]
     edges = _SEGMENT_EDGES[case[cell], second]
     ends = np.empty((cell.size, 2, 2))
-    for k in range(0, cell.size, _BLOCK_SEGMENTS):
-        block = slice(k, k + _BLOCK_SEGMENTS)
+    for block in row_blocks(cell.size, 1, _BLOCK_SEGMENTS):
         ends[block] = _crossings(v, xs, ys, cell[block], edges[block])
     # a segment whose ends coincide lies on one corner, where the grid is 0
     return ends[np.any(ends[:, 0] != ends[:, 1], axis=1)]

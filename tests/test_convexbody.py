@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from umbilic import (ConvexityError, NonConvergenceError, SupportBody,
                      check_convexity, find_umbilic, parallel_body, pose_at_umbilic,
                      radii_of_curvature, theorem1_pipeline, umbilic_sites)
 from umbilic.cli import _parse_body, main
-from umbilic.convexbody import (PosedBody, _anisotropy, _polish_umbilics, _tangent_basis,
-                                fibonacci_sphere)
+from umbilic.convexbody import (PosedBody, _anisotropy, _inverted_rbar, _ladder_rbar,
+                                _polish_umbilics, _tangent_basis, fibonacci_sphere)
 from umbilic.util import (_floating, _row_norms, _solve2, bracket_root, complex_step,
                           local_minima, unit3)
 
@@ -725,3 +726,57 @@ def test_pipeline_phi_solve(monkeypatch, body):
         for k, theta in enumerate(thetas):
             ref = _phi_bisection(posed[0], theta, target, lo[i, k], hi[i, k])
             assert abs(phi[i, k] - ref) <= 16.0 * np.spacing(ref)
+
+
+@pytest.mark.parametrize("spec", CLI_BODIES)
+def test_ladder_blocks_match_one_call(spec):
+    # the ladder is made in row blocks; cap_points is elementwise, so its
+    # bytes are those of one call over the whole (phi, theta) ladder
+    body = _parse_body(spec)
+    posed = pose_at_umbilic(parallel_body(body, 10.0, rescale=True), find_umbilic(body).u)
+    phis = np.geomspace(1e-5, 2.8, 220)
+    for n_theta in (24, 128, 359, 1024):
+        thetas = np.arange(n_theta) * (math.tau / n_theta)
+        rbar = _ladder_rbar(posed, phis, thetas)
+        ref = _inverted_rbar(posed.cap_points(phis[:, None], thetas[None, :]))
+        assert rbar.shape == ref.shape == (220, n_theta)
+        assert rbar.tobytes() == ref.tobytes()
+
+
+def test_pipeline_ladder_blocks(monkeypatch):
+    cap_points, shapes, solve = PosedBody.cap_points, [], []
+
+    def counted(self, phis, thetas):
+        shapes.append(np.broadcast_shapes(np.shape(phis), np.shape(thetas)))
+        return cap_points(self, phis, thetas)
+
+    def counted_solve(g, lo, hi, glo, ghi):
+        start = len(shapes)
+        phi = bracket_root(g, lo, hi, glo, ghi)
+        solve.append((start, len(shapes)))
+        return phi
+
+    monkeypatch.setattr(PosedBody, "cap_points", counted)
+    monkeypatch.setattr(convexbody, "bracket_root", counted_solve)
+    rep = theorem1_pipeline(zonal(0.05), offset_r=10.0, n_theta=512)
+    assert rep.graph_check_passed and len(solve) == 1
+    (start, end), = solve
+    # the ladder: 220 rows of 512 points in blocks of 8192 // 512 = 16 rows
+    ladder = shapes[:start]
+    assert len(ladder) == math.ceil(220 / (8192 // 512)) == 14
+    assert all(shape[1] == 512 and shape[0] * 512 <= 1 << 13 for shape in ladder)
+    assert sum(shape[0] for shape in ladder) == 220
+    # then the solve's steps and one evaluation at its roots
+    assert len(shapes) == end + 1
+
+
+def test_pipeline_ladder_memory():
+    # one (220, 1024) ladder held about 25 planes of 1.7 MiB at once (a
+    # 32.7 MiB peak); in blocks of at most 2^13 points the peak is 3.7 MiB
+    tracemalloc.start()
+    try:
+        theorem1_pipeline(zonal(0.05), offset_r=10.0, n_theta=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
