@@ -20,13 +20,6 @@ import numpy as np
 
 from .field import Direction, ScalarField, directional_arrays, rotate_jet_arrays
 
-__all__ = [
-    "PlaneField", "normal_curvature", "dk_dtheta", "shape_operator",
-    "umbilic_residuals", "curvature_difference_field",
-    "principal_deviation_field", "residual_arrays", "principal_arrays",
-    "dk_dtheta_arrays",
-]
-
 #: a point below this normalized discriminant counts as umbilic
 UMBILIC_TOL = 1e-10
 

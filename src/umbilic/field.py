@@ -16,9 +16,6 @@ import numpy as np
 from .errors import DomainError
 from .util import check_radii, row_blocks
 
-#: (f, f1, f2, f11, f12, f22) broadcast over input arrays
-JetArrays = tuple
-
 
 @dataclass(frozen=True)
 class Direction:
@@ -85,7 +82,7 @@ class ScalarField:
         if self.domain is not None and not np.all(self.domain(x, y)):
             raise DomainError(f"point outside domain of field '{self.name}'")
 
-    def jet_arrays(self, x, y) -> JetArrays:
+    def jet_arrays(self, x, y) -> tuple:
         xa, ya = broadcast_xy(x, y)
         self._check_domain(xa, ya)
         return self.jets(xa, ya)

@@ -329,8 +329,9 @@ def umbilic_search(field: ScalarField, region, n: int,
     When more than half of the grid sits below tolerance the region is
     reported as totally umbilic instead of enumerating points. Candidates
     whose refinement stalls or leaves the region grown by 5% per side are
-    kept as coarse minima; duplicates within 1e-6 are merged. All minima are refined together as arrays, so a
-    refined point's residuals round exactly as a grid sample there would.
+    kept as coarse minima; duplicates within 1e-6 are merged. All minima
+    are refined together as arrays, so a refined point's residuals round
+    exactly as a grid sample there would.
     """
     region = x0, y0, x1, y1 = _check_region(region)
     xs, ys, Dn = _sample(lambda x, y: _normalized_discriminant(field, x, y),

@@ -131,7 +131,7 @@ class ExteriorGraph:
         if np.any(outside):
             raise DomainError(f"rbar = {rbar[outside][0]:.6g} below exterior domain "
                               f"(min {self.rbar_min:.6g})")
-        c, s = _libm(math.cos, theta), _libm(math.sin, theta)
+        c, s = np.cos(theta), np.sin(theta)
 
         def g(r):
             f = self.source.values_and_grads(r * c, r * s)[0]
@@ -160,7 +160,7 @@ class ExteriorGraph:
         u = f - grad fbar . p with grad fbar held fixed.
         """
         r = self.solve_r(rbar, theta)
-        x, y = r * _libm(math.cos, theta), r * _libm(math.sin, theta)
+        x, y = r * np.cos(theta), r * np.sin(theta)
         f, f1, f2, f11, f12, f22 = self.source.jet_arrays(x, y)
         w = r * r + f * f
         # column vectors (..., 2, 1), matrices (..., 2, 2), scalars (..., 1, 1)
@@ -182,7 +182,7 @@ class ExteriorGraph:
     def evaluate(self, rbar, theta) -> tuple:
         """(fbar, d fbar / d rbar, d fbar / d theta) at the query points."""
         fbar, gx, gy = self._graph_jet(rbar, theta)[:3]
-        c, s = _libm(math.cos, theta), _libm(math.sin, theta)
+        c, s = np.cos(theta), np.sin(theta)
         return fbar, c * gx + s * gy, np.asarray(rbar, dtype=float) * (c * gy - s * gx)
 
     def as_field(self) -> ScalarField:

@@ -14,12 +14,6 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 # points per evaluation block: bounds the jet temporaries of grids and ring ladders
 _BLOCK_POINTS = 1 << 16
-# points per block of the body pipeline's phi ladder: ``PosedBody.cap_points``
-# holds about 25 planes at once, 1.6 MiB at 2^13 points, so its ~186 elementwise
-# passes run from a 2 MiB L2. On a 2-core Xeon with 2 MiB L2 per core, the five
-# ladders of a body-pipeline op set took 48.7 ms as one call each and 33.4 ms in
-# 2^13-point blocks (2^12: 42.1, 2^14: 32.6, 2^15: 45.5; median of 9 rounds)
-_LADDER_POINTS = 1 << 13
 
 
 def row_blocks(n_rows: int, row_points: int, block_points: int = _BLOCK_POINTS):
@@ -163,11 +157,14 @@ def bracket_root(g, lo, hi, glo, ghi):
 
 
 def _libm(fn, *args):
-    """A math-module function applied elementwise, as a float array.
+    """A math-module function applied elementwise, as a float array; it
+    serves hypot and atan2 only.
 
     numpy's hypot and arctan2 can differ from the math module's in the last
     bit (0.6% and 7.4% of random inputs with numpy 2.4 on x86-64); callers
     that must decide as scalar math-module code does use this instead.
+    numpy's cos and sin equal libm's bit for bit (1.1M random angles, same
+    numpy and platform), so angles take numpy's.
     """
     return np.asarray(np.frompyfunc(fn, len(args), 1)(*args), dtype=float)
 

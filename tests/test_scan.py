@@ -16,6 +16,7 @@ from umbilic.curvature import principal_arrays
 from umbilic.field import rotate_jet_arrays
 from umbilic.scan import (CURVATURE_NAMES, RESIDUAL_NAMES, Grid, _chain_segments,
                           _max_abs, _newton_refine, _normalized_pair, _segments)
+from umbilic.transform import _rescaled_field
 from umbilic.util import _libm, greedy_merge, local_minima
 
 EX = Direction(0.0)
@@ -622,6 +623,35 @@ def test_witness_coheres_with_vanishing_integrals():
     g = grid_field(field, "dk", (-3, -3, 3, 3), 41, 41, X=EX, Y=EY)
     assert np.max(np.abs(g.values)) > 1e-3
     assert g.values.max() > 0.0 > g.values.min()
+
+
+# --- dilation covariance ----------------------------------------------------
+
+# a dilation p -> s p maps graph(f) onto graph(s f(p / s)); for s a power of 2
+# the grid nodes of the dilated region are the dilated nodes, bit for bit, and
+# each curvature quantity scales by an exact power of 2: 1/s or, for K and D,
+# 1/s^2
+DILATION_POWERS = {"H": 1, "K": 2, "k1": 1, "k2": 1, "P1": 1, "P2": 1, "D": 2,
+                   "dk": 1, "dkdtheta": 1}
+
+
+@pytest.mark.parametrize("s", [0.25, 2.0, 4.0])
+@pytest.mark.parametrize("field", all_fields(), ids=lambda f: f.name)
+def test_dilation_scales_floor_and_maps(field, s):
+    lo, hi = sample_box(field)
+    region = (lo, lo, hi, hi)
+    dilated = _rescaled_field(field, s)
+    big = tuple(s * v for v in region)
+    base, rep = umbilic_free_floor(field, region, 101), umbilic_free_floor(dilated, big, 101)
+    assert rep.floor == base.floor / s
+    assert rep.argmin == (s * base.argmin[0], s * base.argmin[1])
+    kw = {"X": Direction(0.3), "Y": Direction(1.9), "theta0": 0.7}
+    for name, power in DILATION_POWERS.items():
+        g = grid_field(field, name, region, 41, 37, **kw)
+        gs = grid_field(dilated, name, big, 41, 37, **kw)
+        np.testing.assert_array_equal(gs.xs, s * g.xs)
+        np.testing.assert_array_equal(gs.ys, s * g.ys)
+        np.testing.assert_array_equal(gs.values, g.values / s ** power, err_msg=name)
 
 
 # --- marching-squares cases -------------------------------------------------
