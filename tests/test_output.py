@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from umbilic import output
-from umbilic.output import (svg_heatmap, write_csv, write_grid_csv,
+from umbilic.output import (repr_texts, svg_heatmap, write_csv, write_grid_csv,
                             write_polyline_csv)
 from umbilic.scan import Grid, contours
 
@@ -141,25 +142,111 @@ def drawn(draw, shape, values=st.sampled_from(POOL + NANS)):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), block=st.integers(1, 7))
 def test_writers_match_row_writer_across_blocks(data, block):
-    # a block this small cuts every grid, so values repeat within and across blocks
+    # a block this small cuts every grid, so values repeat within and across
+    # blocks; each grid is written twice, with blocks under the crossover to
+    # repr and with every block through the kernel
     n, m = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
     g = grid_of(data.draw(drawn((n, m))), xs=data.draw(drawn((n,))),
                 ys=data.draw(drawn((m,))))
     sizes = data.draw(st.lists(st.integers(0, 6), max_size=4))
     polylines = [data.draw(drawn((k, 2))) for k in sizes]
+    finite = grid_of(data.draw(drawn((n, m), st.sampled_from(POOL))))
     grid_rows = [(x, y, g.values[i, j]) for i, x in enumerate(g.xs)
                  for j, y in enumerate(g.ys)]
     poly_rows = [(pid, x, y) for pid, poly in enumerate(polylines) for x, y in poly]
-    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-        mp.setattr(output, "_FORMAT_BLOCK", block)
-        tmp = Path(tmp)
-        write_csv(tmp / "rows.csv", ("x", "y", "K"), grid_rows, "K")
-        write_grid_csv(tmp / "grid.csv", "K", g, "K")
-        assert read(tmp / "grid.csv") == read(tmp / "rows.csv")
-        write_csv(tmp / "rows.csv", ("polyline", "x", "y"), poly_rows)
-        write_polyline_csv(tmp / "poly.csv", polylines)
-        assert read(tmp / "poly.csv") == read(tmp / "rows.csv")
-        finite = grid_of(data.draw(drawn((n, m), st.sampled_from(POOL))))
-        reference_heatmap(finite, tmp / "old.svg")
-        svg_heatmap(finite, tmp / "new.svg")
-        assert read(tmp / "new.svg") == read(tmp / "old.svg")
+    for kernel_min in (output._KERNEL_MIN, 0):
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            for name in ("_FORMAT_BLOCK", "_KERNEL_BLOCK", "_LINE_BLOCK"):
+                mp.setattr(output, name, block)
+            mp.setattr(output, "_KERNEL_MIN", kernel_min)
+            tmp = Path(tmp)
+            write_csv(tmp / "rows.csv", ("x", "y", "K"), grid_rows, "K")
+            write_grid_csv(tmp / "grid.csv", "K", g, "K")
+            assert read(tmp / "grid.csv") == read(tmp / "rows.csv")
+            write_csv(tmp / "rows.csv", ("polyline", "x", "y"), poly_rows)
+            write_polyline_csv(tmp / "poly.csv", polylines)
+            assert read(tmp / "poly.csv") == read(tmp / "rows.csv")
+            reference_heatmap(finite, tmp / "old.svg")
+            svg_heatmap(finite, tmp / "new.svg")
+            assert read(tmp / "new.svg") == read(tmp / "old.svg")
+
+
+def reprs(values):
+    return [repr(v).encode() for v in np.ravel(values).tolist()]
+
+
+# sign, biased exponent and mantissa drawn apart, so that zeros, subnormals,
+# powers of two, values of 2^53 and above, infinities, NaN payloads and
+# 3-digit exponents all come up, beside raw 64-bit patterns
+PATTERNS = st.integers(0, 2**64 - 1) | st.builds(
+    lambda sign, biased, mant: sign << 63 | biased << 52 | mant,
+    st.integers(0, 1),
+    st.sampled_from([0, 1, 2, 1022, 1023, 1072, 1073, 1075, 1076, 2046, 2047])
+    | st.integers(0, 2047),
+    st.sampled_from([0, 1, 2, (1 << 52) - 1]) | st.integers(0, (1 << 52) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PATTERNS, min_size=1, max_size=40))
+def test_repr_texts_match_repr_on_bit_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert repr_texts(values).tolist() == reprs(values)
+
+
+def _boundary_values():
+    values = []
+    # repr's switches to exponent form at 1e-4 and 1e16, and 2^53, where
+    # the kernel hands over to repr, with 40 neighbours on each side
+    for center in (1e-4, 1e-5, 1e16, 2.0**53):
+        below = above = center
+        values.append(center)
+        for _ in range(40):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            values += [below, above]
+    values += [2.0**k for k in range(-1074, 1024)]
+    values += [float(f"1e{k}") for k in range(-323, 309)]
+    values += [float(k) for k in range(-1000, 1001)]
+    values += [float(2**53 - k) for k in range(1, 100)] + [2.0**52 + 0.5, 2.0**51 + 0.25]
+    # 1- to 17-digit values at every decimal point position repr prints,
+    # and in exponent form on both sides
+    for digits in ("1", "12", "123", "9" * 4, "31415", "271828", "1234567", "98765432",
+                   "123456789", "1" * 10, "9" * 11, "123456789012", "7" * 13,
+                   "12345678901234", "999999999999999", "1234567890123456",
+                   "12345678901234567", "9" * 17):
+        for k in range(-30, 25):
+            values.append(float(f"{digits}e{k}"))
+        values += [float(f"0.{digits}e{k}") for k in (-310, -300, -100, 100, 300)]
+    return values + [-v for v in values]
+
+
+def test_repr_texts_match_repr_on_boundary_values():
+    values = np.array(_boundary_values())
+    assert repr_texts(values).tolist() == reprs(values)
+
+
+def test_repr_texts_match_repr_on_a_random_sweep():
+    # 2^20 patterns; three in four get an exponent within 2^+-60, where
+    # repr prints most values positionally
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64, 1 << 20, dtype=np.uint64)
+    near = rng.integers(1023 - 60, 1023 + 60, 3 << 18).astype(np.uint64)
+    bits[:3 << 18] = bits[:3 << 18] & np.uint64(0x800FFFFFFFFFFFFF) | near << np.uint64(52)
+    values = bits.view(np.float64)
+    assert repr_texts(values).tolist() == reprs(values)
+    strided = values.reshape(1024, 1024)[::-7, ::3]
+    assert repr_texts(strided).tolist() == reprs(strided)
+
+
+def test_grid_csv_memory(tmp_path):
+    # like test_pipeline_ladder_memory: a 501 x 501 map of distinct values
+    # peaks at 2.0 MiB; with the lines of a whole 2^14-value block in one
+    # byte matrix it peaked at 5.8 MiB, with one kernel call per block at
+    # 5.1 MiB, and with both at 2^16 values at 22.6 and 19.0 MiB
+    g = grid_of(np.random.default_rng(3).standard_normal((501, 501)))
+    tracemalloc.start()
+    try:
+        write_grid_csv(tmp_path / "map.csv", "K", g, "K")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
