@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -21,19 +22,22 @@ E = math.e
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family: ``jets(**params)`` returns its jet function, the keys of
-    ``defaults`` are its parameters, and ``make_field`` gives the field the
-    spec's ``asymptotic_c`` and ``domain``."""
+    """A family: ``jets(x, y, **params)`` is its jet function, the keys of
+    ``defaults`` are its parameters, and ``make_field`` binds them and gives
+    the field the spec's ``asymptotic_c`` and ``domain``."""
 
     name: str
     jets: Callable
     defaults: dict
-    asymptotically_constant: bool
     umbilic_free: bool | None
     positively_curved: bool | None
     notes: str
     asymptotic_c: float | None = None
     domain: Callable | None = None
+
+    @property
+    def asymptotically_constant(self) -> bool:
+        return self.asymptotic_c is not None
 
 
 # ---------------------------------------------------------------------------
@@ -79,30 +83,6 @@ def _inverse_quadratic_jets(x, y):
             -2.0 * u2 + 8.0 * y * y * u3)
 
 
-def _radial_jets_from_profile(profile):
-    """Jets of f(x, y) = F(r) from ``profile(r) -> (F, F', F'')``.
-
-    F' must vanish at r = 0 for the Cartesian Hessian to stay finite there.
-    """
-
-    def jets(x, y):
-        r = np.hypot(x, y)
-        f, df, ddf = profile(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cx, cy = np.where(r > 0.0, x / np.maximum(r, 1e-300), 0.0), \
-                     np.where(r > 0.0, y / np.maximum(r, 1e-300), 0.0)
-            inv_r = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
-        f1 = df * cx
-        f2 = df * cy
-        # limit r -> 0 (requires F1(0) = 0): Hessian = F2(0) * identity
-        f11 = np.where(r > 0.0, ddf * cx * cx + df * cy * cy * inv_r, ddf)
-        f12 = np.where(r > 0.0, (ddf - df * inv_r) * cx * cy, 0.0)
-        f22 = np.where(r > 0.0, ddf * cy * cy + df * cx * cx * inv_r, ddf)
-        return f, f1, f2, f11, f12, f22
-
-    return jets
-
-
 def _smoothstep5(t):
     """Quintic smoothstep with vanishing first and second derivatives at 0, 1."""
     t = np.clip(t, 0.0, 1.0)
@@ -113,7 +93,6 @@ def _smoothstep5(t):
 
 
 def _loglog_profile(r):
-    r = np.asarray(r, dtype=float)
     safe = np.maximum(r, E)  # the cutoff kills everything below r = e
     lg = np.log(safe)
     L = np.log(lg)
@@ -127,34 +106,43 @@ def _loglog_profile(r):
     return (np.where(low, 0.0, F), np.where(low, 0.0, F1), np.where(low, 0.0, F2))
 
 
-_loglog_jets = _radial_jets_from_profile(_loglog_profile)
+def _loglog_jets(x, y):
+    """Jets of f(x, y) = F(r) from ``_loglog_profile(r) -> (F, F', F'')``, a
+    function of its own so that its temporaries are freed first."""
+    r = np.hypot(x, y)
+    f, df, ddf = _loglog_profile(r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cx, cy = np.where(r > 0.0, x / np.maximum(r, 1e-300), 0.0), \
+                 np.where(r > 0.0, y / np.maximum(r, 1e-300), 0.0)
+        inv_r = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
+    f1 = df * cx
+    f2 = df * cy
+    # limit r -> 0 (requires F1(0) = 0): Hessian = F2(0) * identity
+    f11 = np.where(r > 0.0, ddf * cx * cx + df * cy * cy * inv_r, ddf)
+    f12 = np.where(r > 0.0, (ddf - df * inv_r) * cx * cy, 0.0)
+    f22 = np.where(r > 0.0, ddf * cy * cy + df * cx * cx * inv_r, ddf)
+    return f, f1, f2, f11, f12, f22
 
 
-def _bates_like_jets(lam):
-    def jets(x, y):
-        s = x + y * y
-        w = 1.0 + s * s
-        phi = s / np.sqrt(w)
-        dphi = w ** -1.5
-        ddphi = -3.0 * s * w ** -2.5
-        f = 1.0 + lam * phi
-        f1 = lam * dphi
-        f2 = lam * dphi * 2.0 * y
-        f11 = lam * ddphi
-        f12 = lam * ddphi * 2.0 * y
-        f22 = lam * (ddphi * 4.0 * y * y + 2.0 * dphi)
-        return f, f1, f2, f11, f12, f22
-
-    return jets
+def _bates_like_jets(x, y, lam):
+    s = x + y * y
+    w = 1.0 + s * s
+    phi = s / np.sqrt(w)
+    dphi = w ** -1.5
+    ddphi = -3.0 * s * w ** -2.5
+    f = 1.0 + lam * phi
+    f1 = lam * dphi
+    f2 = lam * dphi * 2.0 * y
+    f11 = lam * ddphi
+    f12 = lam * ddphi * 2.0 * y
+    f22 = lam * (ddphi * 4.0 * y * y + 2.0 * dphi)
+    return f, f1, f2, f11, f12, f22
 
 
-def _ridge_jets(lam):
-    def jets(x, y):
-        w = np.sqrt(1.0 + x * x)
-        z = np.zeros_like(x)
-        return (1.0 + lam * w, lam * x / w, z, lam / w ** 3, z, z)
-
-    return jets
+def _ridge_jets(x, y, lam):
+    w = np.sqrt(1.0 + x * x)
+    z = np.zeros_like(x)
+    return (1.0 + lam * w, lam * x / w, z, lam / w ** 3, z, z)
 
 
 # 1D profiles for the separable families: value, slope, curvature
@@ -166,16 +154,12 @@ _PROFILES = {
 }
 
 
-def _separable_jets(lam, g, h):
+def _separable_jets(x, y, lam, g, h):
     g, g1, g2 = _PROFILES[g]
     h, h1, h2 = _PROFILES[h]
-
-    def jets(x, y):
-        z = np.zeros_like(x)
-        return (1.0 + lam * (g(x) + h(y)), lam * g1(x), lam * h1(y),
-                lam * g2(x), z, lam * h2(y))
-
-    return jets
+    z = np.zeros_like(x)
+    return (1.0 + lam * (g(x) + h(y)), lam * g1(x), lam * h1(y),
+            lam * g2(x), z, lam * h2(y))
 
 
 def _asym_bump_jets(x, y):
@@ -202,34 +186,30 @@ def _unit_disk(x, y):
 
 
 _REGISTRY = {s.name: s for s in (
-    FamilySpec("saddle", lambda: _saddle_jets, {}, False, True, False,
-               "f = x*y, negatively curved"),
-    FamilySpec("cylinder", lambda: _cylinder_jets, {}, False, True, False,
+    FamilySpec("saddle", _saddle_jets, {}, True, False, "f = x*y, negatively curved"),
+    FamilySpec("cylinder", _cylinder_jets, {}, True, False,
                "f = x^2, parabolic cylinder ruled along y"),
-    FamilySpec("paraboloid", lambda: _paraboloid_jets, {}, False, False, True,
+    FamilySpec("paraboloid", _paraboloid_jets, {}, False, True,
                "f = x^2 + y^2, single umbilic at the origin"),
-    FamilySpec("sphere_cap", lambda: _sphere_cap_jets, {}, False, False, True,
-               "f = 1 - sqrt(1 - r^2) on r < 1, totally umbilic",
-               domain=_unit_disk),
-    FamilySpec("gaussian_bump", lambda: _gaussian_jets, {}, True, None, None,
+    FamilySpec("sphere_cap", _sphere_cap_jets, {}, False, True,
+               "f = 1 - sqrt(1 - r^2) on r < 1, totally umbilic", domain=_unit_disk),
+    FamilySpec("gaussian_bump", _gaussian_jets, {}, None, None,
                "f = exp(-r^2), c = 0", asymptotic_c=0.0),
-    FamilySpec("inverse_quadratic", lambda: _inverse_quadratic_jets, {},
-               True, None, None, "f = 1/(1 + r^2), c = 0", asymptotic_c=0.0),
-    FamilySpec("loglog_tail", lambda: _loglog_jets, {}, False, None, None,
+    FamilySpec("inverse_quadratic", _inverse_quadratic_jets, {}, None, None,
+               "f = 1/(1 + r^2), c = 0", asymptotic_c=0.0),
+    FamilySpec("loglog_tail", _loglog_jets, {}, None, None,
                "log(log r) outside a compact set, unbounded but with fast gradient decay"),
-    FamilySpec("bates_like", _bates_like_jets, {"lam": 0.1}, False, True, False,
+    FamilySpec("bates_like", _bates_like_jets, {"lam": 0.1}, True, False,
                "bounded umbilic-free graph 1 + lam*(x+y^2)/sqrt(1+(x+y^2)^2)"),
-    FamilySpec("ridge", _ridge_jets, {"lam": 0.1}, False, True, False,
+    FamilySpec("ridge", _ridge_jets, {"lam": 0.1}, True, False,
                "1 + lam*sqrt(1+x^2); inversion has a ridge-type singular point"),
-    FamilySpec("cone_type", lambda lam: _separable_jets(lam, "sqrtlin", "sqrtlin"),
-               {"lam": 0.1}, False, True, True,
+    FamilySpec("cone_type", partial(_separable_jets, g="sqrtlin", h="sqrtlin"),
+               {"lam": 0.1}, True, True,
                "1 + lam*(sqrt(1+x^2)+x+sqrt(1+y^2)+y), positively curved"),
     FamilySpec("separable", _separable_jets, {"lam": 0.1, "g": "exp", "h": "exp"},
-               False, True, True,
-               "1 + lam*(g(x)+h(y)) with monotone convex profiles"),
-    FamilySpec("asym_bump", lambda: _asym_bump_jets, {}, True, None, None,
-               "synthetic asymmetric decaying field for flux decay runs",
-               asymptotic_c=0.0),
+               True, True, "1 + lam*(g(x)+h(y)) with monotone convex profiles"),
+    FamilySpec("asym_bump", _asym_bump_jets, {}, None, None,
+               "synthetic asymmetric decaying field for flux decay runs", asymptotic_c=0.0),
 )}
 
 
@@ -253,7 +233,7 @@ def make_field(name: str, **params) -> ScalarField:
             value = merged[key] = float(value)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"parameter {key} must be positive and finite, got {value}")
-    return ScalarField(name, spec.jets(**merged), asymptotic_c=spec.asymptotic_c,
+    return ScalarField(name, partial(spec.jets, **merged), asymptotic_c=spec.asymptotic_c,
                        domain=spec.domain)
 
 

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .util import check_radii, row_blocks
+from .util import check_finite, check_radii, row_blocks
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,6 @@ def as_xy(p) -> tuple:
     return float(x), float(y)
 
 
-def broadcast_xy(x, y):
-    """Broadcast coordinate inputs to a common float array pair."""
-    xa, ya = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return xa, ya
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """An evaluatable field f: R^2 -> R with jets broadcast over arrays.
@@ -78,14 +72,15 @@ class ScalarField:
     domain: Callable | None = None
     grads: Callable | None = None
 
-    def _check_domain(self, x, y):
+    def _checked(self, x, y):
+        """x and y as float arrays of one shape, checked to lie in the domain."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         if self.domain is not None and not np.all(self.domain(x, y)):
             raise DomainError(f"point outside domain of field '{self.name}'")
+        return x, y
 
     def jet_arrays(self, x, y) -> tuple:
-        xa, ya = broadcast_xy(x, y)
-        self._check_domain(xa, ya)
-        return self.jets(xa, ya)
+        return self.jets(*self._checked(x, y))
 
     def jet(self, p) -> Jet2:
         x, y = as_xy(p)
@@ -102,11 +97,10 @@ class ScalarField:
 
     def values_and_grads(self, x, y):
         """(f, f1, f2) arrays; uses the cheap gradient path when present."""
-        xa, ya = broadcast_xy(x, y)
-        self._check_domain(xa, ya)
+        xy = self._checked(x, y)
         if self.grads is not None:
-            return self.grads(xa, ya)
-        return self.jets(xa, ya)[:3]
+            return self.grads(*xy)
+        return self.jets(*xy)[:3]
 
     def value_polar(self, r, theta):
         r = np.asarray(r, dtype=float)
@@ -168,7 +162,8 @@ def decay_profile(field: ScalarField, radii, n_theta: int = 256) -> DecayProfile
     is otherwise estimated as the mean of f on the largest ring (the
     estimate's variance is reported). The rings are evaluated as rows of one
     array, in whole-ring groups of at most ``util._BLOCK_POINTS`` points
-    (``util.row_blocks``), one field call per group.
+    (``util.row_blocks``), one field call per group. A supremum or variance
+    that is not finite is a DomainError (``util.check_finite``).
     """
     radii = check_radii(radii)
     _check_ring(n_theta)
@@ -182,9 +177,10 @@ def decay_profile(field: ScalarField, radii, n_theta: int = 256) -> DecayProfile
         c, c_source, c_var = float(field.asymptotic_c), "metadata", 0.0
     else:
         c = float(np.mean(f[-1]))
-        c_var = float(np.var(f[-1]))
+        c_var = check_finite(float(np.var(f[-1])), (f[-1],), "ring samples")
         c_source = "ring-mean"
 
-    sup_dev = tuple(np.max(np.abs(f - c), axis=1).tolist())
-    sup_rgrad = tuple((r[:, 0] * np.max(np.hypot(f1, f2), axis=1)).tolist())
+    sups = (np.max(np.abs(f - c), axis=1), r[:, 0] * np.max(np.hypot(f1, f2), axis=1))
+    sup_dev, sup_rgrad = (tuple(v.tolist()) for v in
+                          check_finite(sups, (f, f1, f2), "ring samples"))
     return DecayProfile(tuple(radii), sup_dev, sup_rgrad, c, c_source, c_var)

@@ -50,7 +50,10 @@ def _format_cell(v) -> str:
         return format_float(v)
     if isinstance(v, (int, np.integer)):  # bool too
         return str(int(v))
-    return str(v)
+    text = str(v)
+    if any(c in text for c in ',"\r\n'):  # quoted as RFC 4180 does
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 @functools.cache
@@ -287,46 +290,48 @@ def _write_blocks(path, columns, description, blocks) -> None:
             fh.buffer.write(block)
 
 
+def _float_rows(heads, values):
+    """Line bytes, ``_LINE_BLOCK`` lines at a time, of the rows of a 2-d
+    float array: line k holds the columns ``heads(rows)`` gives for it, then
+    the texts of values[k], comma separated. The values go through the
+    distinct-value pass one ``_FORMAT_BLOCK`` at a time."""
+    width = values.shape[1]
+    ends = [b","] * (width - 1) + [b"\n"]
+    per = max(1, _FORMAT_BLOCK // width)
+    for start in range(0, len(values), per):
+        texts, inverse = _distinct_texts(np.ravel(values[start:start + per]))
+        inverse = inverse.reshape(-1, width)
+        for i in range(0, len(inverse), _LINE_BLOCK):
+            block = inverse[i:i + _LINE_BLOCK]
+            # a generator, so no value texts outlive the line block
+            cells = (cell for col, end in zip(block.T, ends) for cell in (texts[col], end))
+            yield _lines([*heads(np.arange(start + i, start + i + len(block))), *cells])
+        # freed before the next block is formatted (block is a view of inverse)
+        del texts, inverse, block
+
+
 def write_grid_csv(path, column, grid, description: str = "") -> None:
     """The bytes of ``write_csv`` over the rows (x, y, values[i, j]), x
     outer: each coordinate and distinct value is formatted once, and at most
     one ``_FORMAT_BLOCK`` of value texts and one ``_LINE_BLOCK`` of lines are
     held at a time."""
     m = len(grid.ys)
-
-    def blocks():
-        xs, ys = (texts[inverse] for texts, inverse in map(_distinct_texts, (grid.xs, grid.ys)))
-        values = np.ravel(grid.values)
-        for start in range(0, values.size, _FORMAT_BLOCK):
-            texts, inverse = _distinct_texts(values[start:start + _FORMAT_BLOCK])
-            for i in range(0, len(inverse), _LINE_BLOCK):
-                row = np.arange(start + i, start + min(i + _LINE_BLOCK, len(inverse)))
-                yield _lines([xs[row // m], b",", ys[row % m], b",",
-                              texts[inverse[i:i + _LINE_BLOCK]], b"\n"])
-            del texts, inverse  # freed before the next block is formatted
-    _write_blocks(path, ("x", "y", column), description, blocks())
+    xs, ys = (texts[inverse] for texts, inverse in map(_distinct_texts, (grid.xs, grid.ys)))
+    _write_blocks(path, ("x", "y", column), description,
+                  _float_rows(lambda rows: [xs[rows // m], b",", ys[rows % m], b","],
+                              np.reshape(grid.values, (-1, 1))))
 
 
 def write_polyline_csv(path, polylines, description: str = "") -> None:
     """The bytes of ``write_csv`` over the rows (index, x, y) of every
     vertex of every polyline. A contour vertex has one coordinate on a grid
     line, which repeats at that line's every crossing, so the coordinates go
-    through the distinct-value pass, one ``_FORMAT_BLOCK`` at a time."""
-    def blocks():
-        if not polylines:
-            return
-        coords = np.concatenate(polylines)
-        index = np.repeat(np.arange(len(polylines)), [len(p) for p in polylines])
-        labels = np.array([f"{i}," for i in range(len(polylines))], "S")
-        per = max(1, _FORMAT_BLOCK // 2)
-        for start in range(0, len(coords), per):
-            texts, inverse = _distinct_texts(np.ravel(coords[start:start + per]))
-            for i in range(0, len(inverse) // 2, _LINE_BLOCK):
-                x = texts[inverse[2 * i:2 * (i + _LINE_BLOCK):2]]
-                y = texts[inverse[2 * i + 1:2 * (i + _LINE_BLOCK):2]]
-                yield _lines([labels[index[start + i:start + i + len(x)]], x, b",", y, b"\n"])
-            del texts, inverse  # freed before the next block is formatted
-    _write_blocks(path, ("polyline", "x", "y"), description, blocks())
+    through the distinct-value pass."""
+    index = np.repeat(np.arange(len(polylines)), [len(p) for p in polylines])
+    labels = np.array([f"{i}," for i in range(len(polylines))], "S")
+    coords = np.concatenate([np.empty((0, 2)), *polylines])
+    _write_blocks(path, ("polyline", "x", "y"), description,
+                  _float_rows(lambda rows: [labels[index[rows]]], coords))
 
 
 # fixed two-sided palette so sign changes are visible and goldens stable

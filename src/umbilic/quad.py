@@ -15,7 +15,7 @@ import numpy as np
 
 from .curvature import PlaneField, curvature_difference_field, principal_deviation_field
 from .field import Direction, ScalarField
-from .util import check_radii, pairwise_sum
+from .util import check_finite, check_radii, pairwise_sum
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,16 @@ def disk_nodes(r: float, scheme: QuadScheme):
     return x, y, weights
 
 
+def _finite_sum(values, what: str) -> float:
+    """``pairwise_sum`` of the values; a sum that is not finite is a
+    DomainError counting the values that are not (``util.check_finite``)."""
+    return check_finite(pairwise_sum(values), (values,), what)
+
+
 def disk_integral(g, r: float, scheme: QuadScheme = QuadScheme()) -> float:
     """Integral of g(x, y) dx dy over the centered disk of radius r."""
     x, y, w = disk_nodes(r, scheme)
-    return pairwise_sum(np.asarray(g(x, y), dtype=float) * w)
+    return _finite_sum(np.asarray(g(x, y), dtype=float) * w, "disk samples")
 
 
 def _ring_densities(V: PlaneField, radii, n_theta: int):
@@ -81,12 +87,12 @@ def _ring_densities(V: PlaneField, radii, n_theta: int):
 
 def boundary_flux(V: PlaneField, r: float, n_theta: int = 256) -> float:
     """Outward flux of V through the circle of radius r (uniform rule)."""
-    return pairwise_sum(_ring_densities(V, (r,), n_theta)[0])
+    return _finite_sum(_ring_densities(V, (r,), n_theta)[0], "ring samples")
 
 
 def boundary_majorant(V: PlaneField, r: float, n_theta: int = 256) -> float:
     """Integral of |V| over the circle of radius r; bounds |flux| from above."""
-    return pairwise_sum(_ring_densities(V, (r,), n_theta)[1])
+    return _finite_sum(_ring_densities(V, (r,), n_theta)[1], "ring samples")
 
 
 def divergence_consistency(V: PlaneField, r: float,
@@ -110,7 +116,7 @@ def _decay_table(V: PlaneField, areas, radii, scheme: QuadScheme) -> DecayTable:
     radii = check_radii(radii)
     flux, majorant = _ring_densities(V, radii, scheme.n_theta)
     rows = [(r, *(disk_integral(g, r, scheme) for _, g in areas),
-             pairwise_sum(fl), pairwise_sum(mj))
+             _finite_sum(fl, "ring samples"), _finite_sum(mj, "ring samples"))
             for r, fl, mj in zip(radii, flux, majorant)]
     return DecayTable(("r", *(name for name, _ in areas), "I_flux", "majorant"), rows)
 

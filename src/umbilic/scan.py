@@ -15,9 +15,9 @@ import numpy as np
 
 from .curvature import (curvature_direction_arrays, dk_dtheta_arrays,
                         principal_arrays, residual_arrays)
-from .errors import DomainError
 from .field import Direction, ScalarField
-from .util import _libm, greedy_merge, local_minima, newton2, row_blocks, worker_count
+from .util import (_libm, check_finite, greedy_merge, local_minima, newton2, row_blocks,
+                   worker_count)
 
 RESIDUAL_NAMES = ("dk", "dkdtheta", "P1", "P2", "D")
 CURVATURE_NAMES = ("H", "K", "k1", "k2")
@@ -119,10 +119,7 @@ def _sample(ev, region, n: int, m: int):
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         list(pool.map(fill, row_blocks(n, m)))
-    bad = values.size - int(np.count_nonzero(np.isfinite(values)))
-    if bad:
-        raise DomainError(f"{bad} of {values.size} grid samples are not finite")
-    return xs, ys, values
+    return xs, ys, check_finite(values, (values,), "grid samples")
 
 
 def grid_field(field: ScalarField, residual: str, region, n: int, m: int,

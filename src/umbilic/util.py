@@ -1,14 +1,16 @@
-"""Small numeric helpers: deterministic reductions, the radius-ladder and
-offset checks, thread budget, blocks of whole rows, local minima, the
-greedy merge, the one bracketed root solver (Chandrupatla's method on
-arrays), the one damped Newton solver (``newton2``, on arrays of rows that
-step independently), complex-step derivatives and the eigenvalues of
-symmetric 2x2 matrices."""
+"""Small numeric helpers: deterministic reductions, the finiteness,
+radius-ladder and offset checks, thread budget, blocks of whole rows,
+local minima, the greedy merge, the one bracketed root solver
+(Chandrupatla's method on arrays), the one damped Newton solver
+(``newton2``, on arrays of rows that step independently), complex-step
+derivatives and the eigenvalues of symmetric 2x2 matrices."""
 
 import math
 import os
 
 import numpy as np
+
+from .errors import DomainError
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -36,6 +38,18 @@ def pairwise_sum(values):
             a = np.concatenate([a, [0.0]])
         a = a[0::2] + a[1::2]
     return float(a[0])
+
+
+def check_finite(result, samples, what: str):
+    """``result``, computed from the arrays ``samples``, if it is finite; a
+    DomainError otherwise, counting the samples that are not finite (only
+    then, so a finite result costs no pass over them)."""
+    if np.all(np.isfinite(result)):
+        return result
+    bad = sum(a.size - int(np.count_nonzero(np.isfinite(a))) for a in samples)
+    size = sum(a.size for a in samples)
+    raise DomainError(f"{bad} of {size} {what} are not finite" if bad else
+                      f"all {size} {what} are finite, but a result computed from them is not")
 
 
 def check_radii(radii):

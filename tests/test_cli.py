@@ -1,4 +1,5 @@
 import ast
+import csv
 import hashlib
 import math
 import os
@@ -22,6 +23,20 @@ def test_fields_list(capsys):
     assert main(["fields", "list"]) == 0
     out = capsys.readouterr().out
     assert "bates_like" in out and "loglog_tail" in out
+
+
+def test_fields_list_csv_quotes_text_cells(tmp_path):
+    # a note holding a comma is quoted, so every row keeps the header's cells
+    out = tmp_path / "fields.csv"
+    assert main(["fields", "list", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))[1:]
+    assert len(header) == 6 and all(len(row) == 6 for row in rows)
+    specs = umbilic.list_families()
+    assert [row[0] for row in rows] == [s.name for s in specs]
+    col = header.index("asymptotically_constant")
+    assert [row[col] for row in rows] == [str(int(s.asymptotic_c is not None)) for s in specs]
+    assert [row[-1] for row in rows] == [s.notes for s in specs]
 
 
 def test_verify_thm2_csv_contract(tmp_path):
@@ -596,6 +611,27 @@ def test_nonfinite_grid_exit_code(tmp_path, capsys, argv):
                       "1000", "1000", "--out", str(out)])
     assert rc == 3
     assert "grid samples are not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv, message", [
+    (["decay", "--radii", "1000", "--ntheta", "16"], "ring samples are not finite"),
+    (["verify", "thm2", "--radii", "800", "--nr", "4", "--ntheta", "16"],
+     "disk samples are not finite"),
+    (["verify", "divergence", "--radii", "800", "--nr", "4", "--ntheta", "16"],
+     "disk samples are not finite"),
+    # finite samples, but r * |grad f| or the ring-mean's variance overflows
+    (["decay", "--radii", "709", "--ntheta", "16"],
+     "ring samples are finite, but a result computed from them is not"),
+    (["decay", "--radii", "600", "--ntheta", "16"],
+     "ring samples are finite, but a result computed from them is not"),
+], ids=["decay", "thm2", "divergence", "decay-rgrad-overflow", "decay-variance-overflow"])
+def test_nonfinite_ring_and_disk_exit_code(tmp_path, capsys, argv, message):
+    # exp overflows on the far rings and disks, as on the far grids above
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--field", "separable", "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -59,6 +59,9 @@ def test_registry_builds_each_spec(spec):
     explicit = make_field(spec.name, **spec.defaults)
     assert all(np.array_equal(a, b) for a, b in zip(f.jet_arrays(x, y),
                                                      explicit.jet_arrays(x, y)))
+    # the spec's jets take the parameters: bound to the defaults, they are the field's
+    assert [a.tobytes() for a in spec.jets(x, y, **spec.defaults)] == [
+        b.tobytes() for b in f.jet_arrays(x, y)]
     assert (f.asymptotic_c, f.domain is not None) == _FIELD_ATTRS[spec.name]
     assert f.grads is None
 
