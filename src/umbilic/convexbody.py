@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvexityError, DomainError, NonConvergenceError
-from .util import (_check_offset, _floating, _row_norms, bracket_root, check_radii,
-                   complex_step, greedy_merge, local_minima, newton2, row_blocks, sym_eigvals,
-                   unit3)
+from .util import (_check_offset, _floating, _row_norms, bracket_root, check_finite,
+                   check_radii, complex_step, greedy_merge, local_minima, newton2, row_blocks,
+                   sym_eigvals, unit3)
 
 FIND_TOL = 1e-9    # rho2 - rho1 at which find_umbilic's search has converged
 SITES_TOL = 1e-8   # rho2 - rho1 below which umbilic_sites keeps a polished site
@@ -414,7 +414,10 @@ def theorem1_pipeline(body: SupportBody, offset_r: float | None = None,
     # monotonicity ladder: phi from well inside the largest bin out to the cap
     phi_lo = min(0.01 / max(radii), 1e-4)
     phis = np.geomspace(phi_lo, 2.8, 220)
-    rbar = _ladder_rbar(posed, phis, thetas)
+    # a ladder whose posed points underflow divides by |q|^2 = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rbar = _ladder_rbar(posed, phis, thetas)
+    check_finite(rbar, (rbar,), "ladder samples")
     monotone = bool(np.all(np.diff(rbar, axis=0) < 0.0))
     if not monotone:
         return PipelineReport(site.u, offset_r, c, [], False)

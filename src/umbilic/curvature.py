@@ -138,7 +138,7 @@ def dk_dtheta(field: ScalarField, p, theta0: float) -> float:
 
 
 def _null_direction(M: np.ndarray) -> np.ndarray:
-    """Unit null vector of a (numerically) singular 2x2 matrix.
+    """Unit null vector of a (numerically) singular, nonzero 2x2 matrix.
 
     Uses the larger-pivot row to avoid cancellation; ties and signs are
     resolved toward the positive x half-plane for determinism.
@@ -149,10 +149,7 @@ def _null_direction(M: np.ndarray) -> np.ndarray:
         v = np.array([-M[0, 1], M[0, 0]])
     else:
         v = np.array([-M[1, 1], M[1, 0]])
-    n = math.hypot(v[0], v[1])
-    if n == 0.0:
-        return np.array([1.0, 0.0])
-    v = v / n
+    v = v / math.hypot(v[0], v[1])
     if v[0] < 0.0 or (v[0] == 0.0 and v[1] < 0.0):
         v = -v
     return v

@@ -93,35 +93,27 @@ def _smoothstep5(t):
 
 
 def _loglog_profile(r):
-    safe = np.maximum(r, E)  # the cutoff kills everything below r = e
+    safe = np.maximum(r, E)  # the cutoff and log log e make F, F', F'' +0.0 for r <= e
     lg = np.log(safe)
     L = np.log(lg)
     L1 = 1.0 / (safe * lg)
     L2 = -(1.0 + lg) / (safe * lg) ** 2
     chi, dchi, ddchi = _smoothstep5(r - E)
-    F = chi * L
-    F1 = dchi * L + chi * L1
-    F2 = ddchi * L + 2.0 * dchi * L1 + chi * L2
-    low = r <= E
-    return (np.where(low, 0.0, F), np.where(low, 0.0, F1), np.where(low, 0.0, F2))
+    return chi * L, dchi * L + chi * L1, ddchi * L + 2.0 * dchi * L1 + chi * L2
 
 
 def _loglog_jets(x, y):
     """Jets of f(x, y) = F(r) from ``_loglog_profile(r) -> (F, F', F'')``, a
-    function of its own so that its temporaries are freed first."""
+    function of its own so that its temporaries are freed first. F' = F'' = 0
+    for r <= e, so max(r, e) stands in for r, and r = 0 needs no case."""
     r = np.hypot(x, y)
     f, df, ddf = _loglog_profile(r)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cx, cy = np.where(r > 0.0, x / np.maximum(r, 1e-300), 0.0), \
-                 np.where(r > 0.0, y / np.maximum(r, 1e-300), 0.0)
-        inv_r = np.where(r > 0.0, 1.0 / np.maximum(r, 1e-300), 0.0)
-    f1 = df * cx
-    f2 = df * cy
-    # limit r -> 0 (requires F1(0) = 0): Hessian = F2(0) * identity
-    f11 = np.where(r > 0.0, ddf * cx * cx + df * cy * cy * inv_r, ddf)
-    f12 = np.where(r > 0.0, (ddf - df * inv_r) * cx * cy, 0.0)
-    f22 = np.where(r > 0.0, ddf * cy * cy + df * cx * cx * inv_r, ddf)
-    return f, f1, f2, f11, f12, f22
+    safe = np.maximum(r, E)
+    cx, cy, inv_r = x / safe, y / safe, 1.0 / safe
+    f11 = ddf * cx * cx + df * cy * cy * inv_r
+    f12 = (ddf - df * inv_r) * cx * cy
+    f22 = ddf * cy * cy + df * cx * cx * inv_r
+    return f, df * cx, df * cy, f11, f12, f22
 
 
 def _bates_like_jets(x, y, lam):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, GraphConditionError, NonConvergenceError, RegularityError
 from .field import ScalarField
-from .util import (_EPS, _check_offset, _floating, _libm, bracket_root, complex_step,
+from .util import (_EPS, _TINY, _check_offset, _floating, _libm, bracket_root, complex_step,
                    sym_eigvals, unit3)
 
 
@@ -63,8 +63,8 @@ def graph_condition(field: ScalarField, r0: float) -> GraphConditionReport:
     line at most once. Requires f and grad f to vanish at the origin
     (measured values are reported on violation).
     """
-    if r0 <= 0.0:
-        raise ValueError("r0 must be positive")
+    if not (r0 > 0.0 and r0 * r0 >= _TINY):  # also refuses NaN
+        raise ValueError(f"r0 must be positive and its square must not underflow, got {r0}")
     j0 = field.jet((0.0, 0.0))
     f0, g0 = abs(j0.f), math.hypot(j0.f1, j0.f2)
     if f0 > 1e-10 or g0 > 1e-10:
@@ -127,10 +127,15 @@ class ExteriorGraph:
         """
         rbar, theta = np.broadcast_arrays(np.asarray(rbar, dtype=float),
                                           np.asarray(theta, dtype=float))
-        outside = ~(rbar >= self.rbar_min)
+        # on the bracket w = r^2 + f^2 >= 1/(4 rbar^2): _graph_jet's w^2 is a
+        # normal float up to rbar_max
+        rbar_max = 0.5 * _TINY ** -0.25
+        outside = ~((rbar >= self.rbar_min) & (rbar <= rbar_max))
         if np.any(outside):
-            raise DomainError(f"rbar = {rbar[outside][0]:.6g} below exterior domain "
-                              f"(min {self.rbar_min:.6g})")
+            bad = rbar[outside][0]
+            raise DomainError(f"rbar = {bad:.6g} " + (
+                f"above exterior domain (max {rbar_max:.6g})" if bad > rbar_max
+                else f"below exterior domain (min {self.rbar_min:.6g})"))
         c, s = np.cos(theta), np.sin(theta)
 
         def g(r):

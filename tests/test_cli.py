@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import umbilic
-from umbilic.cli import main
+from umbilic.cli import console_main, main
 
 
 def read(path):
@@ -77,6 +77,20 @@ def test_pipeline_radius_outside_the_ladder_exit_code(tmp_path, capsys):
                  "--ntheta", "16", "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
         "check failed: target radius 0.01 outside sampled ladder\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radii", ["1e160", "1e200"])
+def test_pipeline_ladder_that_underflows_exit_code(tmp_path, capsys, radii):
+    # the ladder starts at phi = 0.01 / 1e160, where a posed point's |q|^2
+    # underflows to 0 and rbar = |q_xy| / |q|^2 is inf or NaN: not a failed
+    # graph check, and no row is written from it
+    out = tmp_path / "p.csv"
+    assert main(["pipeline", "thm1", "--body", "triaxial", "--radii", radii,
+                 "--ntheta", "16", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: ")
+    assert err.endswith(" of 3520 ladder samples are not finite\n")
     assert not out.exists()
 
 
@@ -205,6 +219,16 @@ def test_bad_option_value_is_a_usage_error(tmp_path, capsys, argv, flag):
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
+    assert not out.exists()
+
+
+def test_invert_graph_r0_whose_square_underflows_is_a_usage_error(tmp_path, capsys):
+    # r0^2 + fmax^2 would be 0 in the exterior's rbar_min = r0 / (r0^2 + fmax^2)
+    out = tmp_path / "x.csv"
+    assert main(["invert", "graph", "--field", "paraboloid", "--r0", "1e-200",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: r0 must be positive and its square must not underflow, got 1e-200\n")
     assert not out.exists()
 
 
@@ -639,7 +663,23 @@ def test_nonfinite_ring_and_disk_exit_code(tmp_path, capsys, argv, message):
     (["--field", "gaussian_bump", "--r0", "0.5"], "vanish to first order"),
     (["--field", "saddle", "--r0", "0.3", "--normalize"], "umbilic critical point"),
     (["--field", "gaussian_bump", "--r0", "0.3", "--normalize"], "positive curvature"),
-], ids=["origin", "umbilic", "curvature"])
+    # the exterior ends where w = r^2 + f^2 >= 1/(4 rbar^2) could square to a
+    # subnormal: 0.5 tiny^(-1/4)
+    (["--field", "paraboloid", "--r0", "0.3", "--radii", "4.1e76", "--ntheta", "16"],
+     "rbar = 4.1e+76 above exterior domain (max 4.09387e+76)"),
+    (["--field", "paraboloid", "--r0", "0.3", "--radii", "1e90", "--ntheta", "16"],
+     "rbar = 1e+90 above exterior domain"),
+    (["--field", "cylinder", "--r0", "0.3", "--radii", "1e150", "--ntheta", "16"],
+     "rbar = 1e+150 above exterior domain"),
+    (["--field", "sphere_cap", "--r0", "0.3", "--radii", "1e150", "--ntheta", "16"],
+     "rbar = 1e+150 above exterior domain"),
+    (["--field", "paraboloid", "--r0", "0.3", "--radii", "10,1e155", "--ntheta", "16"],
+     "rbar = 1e+155 above exterior domain"),
+    (["--field", "paraboloid", "--r0", "0.3", "--radii", "1e300", "--ntheta", "16"],
+     "rbar = 1e+300 above exterior domain"),
+], ids=["origin", "umbilic", "curvature", "above-exterior-4.1e76", "above-exterior-1e90",
+        "above-exterior-cylinder", "above-exterior-sphere-cap", "above-exterior-1e155",
+        "above-exterior-1e300"])
 def test_inversion_precondition_exit_code(tmp_path, capsys, argv, reason):
     # a failed precondition of the inversion is a failed check, not a usage error
     out = tmp_path / "x.csv"
@@ -662,6 +702,24 @@ def test_invert_graph_saddle_rays_where_f_vanishes(tmp_path):
     rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
     assert [row[0] for row in rows] == [2.88464, 22.8315, 180.708]
     assert all(math.isfinite(v) and v >= 0.0 for row in rows for v in row)
+
+
+def test_umbilic_scan_reports_a_totally_umbilic_region(tmp_path, capsys):
+    # on the sphere cap every node is umbilic: the CSV says so, and stderr too
+    out = tmp_path / "s.csv"
+    assert main(["umbilic", "scan", "--field", "sphere_cap", "--region", "-0.7", "-0.7",
+                 "0.7", "0.7", "--n", "21", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "region flagged totally umbilic\n"
+    assert out.read_text().splitlines()[0].endswith("totally_umbilic=True")
+
+
+@pytest.mark.parametrize("argv, code", [(["fields", "list"], 0), (["no-such-command"], 1)])
+def test_console_main_exits_with_the_code_of_main(monkeypatch, capsys, argv, code):
+    # the installed `umbilic` script: sys.argv in, main's exit code out
+    monkeypatch.setattr(sys, "argv", ["umbilic", *argv])
+    with pytest.raises(SystemExit) as exc:
+        console_main()
+    assert exc.value.code == code
 
 
 def test_cli_import_leaves_scipy_out():

@@ -178,3 +178,9 @@ def test_decay_profile_outside_the_domain_raises_as_per_ring(make, radii):
 def test_sphere_cap_domain_error():
     with pytest.raises(DomainError):
         make_field("sphere_cap").jet((0.8, 0.8))
+
+
+def test_jet_refuses_a_non_finite_value():
+    # the paraboloid has no domain to refuse a NaN point, so its jet does
+    with pytest.raises(DomainError, match="non-finite jet of 'paraboloid' at \\(nan, 0.0\\)"):
+        make_field("paraboloid").jet((math.nan, 0.0))

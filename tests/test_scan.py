@@ -60,6 +60,8 @@ def test_grid_validates():
         grid_field(make_field("saddle"), "nope", (-1, -1, 1, 1), 5, 5)
     with pytest.raises(ValueError):
         grid_field(make_field("saddle"), "dk", (-1, -1, 1, 1), 5, 5)  # no X, Y
+    with pytest.raises(ValueError, match="requires theta0"):
+        grid_field(make_field("saddle"), "dkdtheta", (-1, -1, 1, 1), 5, 5)
 
 
 @pytest.mark.parametrize("field", all_fields(), ids=lambda f: f.name)

@@ -14,7 +14,8 @@ from umbilic import (DomainError, GraphConditionError, decay_profile,
                      perturbed_sphere_patch, plane_patch,
                      principal_preservation_check, pushforward_inversion,
                      sphere_patch)
-from umbilic import RegularityError, invert_patch, list_families, transform
+from umbilic import (NonConvergenceError, RegularityError, invert_patch, list_families,
+                     transform)
 from umbilic.curvature import principal_arrays
 from umbilic.transform import _rescaled_field
 
@@ -29,6 +30,8 @@ def test_invert_point_examples():
     assert np.allclose(invert_point([0.0, 0.0, 1.0]), [0.0, 0.0, 1.0])
     with pytest.raises(DomainError):
         invert_point([0.0, 0.0, 0.0])
+    with pytest.raises(DomainError):
+        pushforward_inversion([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -81,6 +84,13 @@ def test_graph_condition_cap_fails_at_090():
 def test_graph_condition_flat_field():
     rep = graph_condition(uniform_field(0.0), 5.0)
     assert rep.passes and rep.sup_fr == 0.0
+
+
+@pytest.mark.parametrize("r0", [0.0, -1.0, math.nan, 1e-200, 1e-160])
+def test_graph_condition_refuses_r0(r0):
+    # not positive, NaN, or with a square below the normal floats
+    with pytest.raises(ValueError, match="r0 must be positive and its square must not"):
+        graph_condition(make_field("paraboloid"), r0)
 
 
 def test_graph_condition_rejects_shifted_fields():
@@ -181,6 +191,23 @@ def test_exterior_field_domain_is_the_solve_domain():
     assert graph.as_field().jet(p).f == float(graph._graph_jet(rbar, theta)[0])
     with pytest.raises(DomainError, match="below exterior domain"):
         graph.as_field().jet((1.0, 2.0))
+
+
+def test_exterior_domain_ends_where_w_squared_stays_normal():
+    # on the bracket w >= 1/(4 rbar^2), so w^2 >= tiny up to 0.5 tiny^(-1/4)
+    graph = invert_local_graph(make_field("paraboloid"), 0.3)
+    rbar_max = 0.5 * np.finfo(float).tiny ** -0.25
+    assert all(np.isfinite(v) for v in graph.evaluate(rbar_max, 1.0))
+    with pytest.raises(DomainError, match="above exterior domain"):
+        graph.solve_r([10.0, np.nextafter(rbar_max, math.inf)], 1.0)
+
+
+def test_solve_r_bracket_violated_where_the_slope_bound_fails():
+    # built directly, past graph_condition: the cylinder's |df/dr| reaches
+    # 4 on r0 = 2, and on the ray theta = 0 g(0.5 / rbar) < 0 for rbar < 0.5
+    graph = transform.ExteriorGraph(make_field("cylinder"), 2.0, 0.1)
+    with pytest.raises(NonConvergenceError, match="bisection bracket violated"):
+        graph.solve_r(0.3, 0.0)
 
 
 def test_exterior_field_jets_consistent():

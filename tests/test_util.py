@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbilic.util import _solve2, bracket_root, greedy_merge, local_minima
+from umbilic.util import (_solve2, bracket_root, greedy_merge, local_minima, pairwise_sum,
+                          worker_count)
 
 
 def brute_minima(values, wrap_cols=False):
@@ -258,3 +259,15 @@ def test_greedy_merge_chains_and_empty():
     assert _chebyshev_merge([(2, 0), (1, 0), (0, 0)]) == [True, False, True]
     assert _chebyshev_merge([(1, 0), (0, 0), (2, 0), (1, 5)]) == [True, False, False, True]
     assert _chebyshev_merge([]) == []
+
+
+def test_pairwise_sum_of_nothing_is_zero():
+    assert pairwise_sum([]) == 0.0
+    assert pairwise_sum(np.zeros((0, 3))) == 0.0
+
+
+@pytest.mark.parametrize("raw, workers", [("abc", 1), ("", 1), ("0", 1), ("3", 3), ("999", 64)])
+def test_worker_count_reads_umbilic_threads(monkeypatch, raw, workers):
+    # a value that is not an integer means one worker; others are clamped to [1, 64]
+    monkeypatch.setenv("UMBILIC_THREADS", raw)
+    assert worker_count() == workers
