@@ -74,39 +74,73 @@ class PlaneField:
 
 
 # ---------------------------------------------------------------------------
-# array-level formulas shared by scalar ops, quadrature, and grid scans
+# array-level formulas shared by scalar ops, quadrature, and grid scans: one
+# per quantity, so a caller computes only what it reads
 # ---------------------------------------------------------------------------
+
+def p1_arrays(f1, f2, f11, f12, f22):
+    """P1 = (1 + f1^2) f12 - f1 f2 f11."""
+    return (1.0 + f1 * f1) * f12 - f1 * f2 * f11
+
+
+def p2_arrays(f1, f2, f11, f12, f22):
+    """P2 = (1 + f1^2) f22 - (1 + f2^2) f11."""
+    return (1.0 + f1 * f1) * f22 - (1.0 + f2 * f2) * f11
+
+
+def discriminant_arrays(f1, f2, f11, f12, f22):
+    """(D, q): the quartic discriminant of ``UmbilicResiduals`` and q = |grad f|^2."""
+    q = f1 * f1 + f2 * f2
+    A = f22 * (1.0 + f1 * f1) - 2.0 * f1 * f2 * f12 + f11 * (1.0 + f2 * f2)
+    return A * A - 4.0 * (1.0 + q) * (f22 * f11 - f12 * f12), q
+
 
 def residual_arrays(f1, f2, f11, f12, f22):
     """(P1, P2, D, q) from jet component arrays."""
-    q = f1 * f1 + f2 * f2
-    P1 = (1.0 + f1 * f1) * f12 - f1 * f2 * f11
-    P2 = (1.0 + f1 * f1) * f22 - (1.0 + f2 * f2) * f11
-    A = f22 * (1.0 + f1 * f1) - 2.0 * f1 * f2 * f12 + f11 * (1.0 + f2 * f2)
-    D = A * A - 4.0 * (1.0 + q) * (f22 * f11 - f12 * f12)
-    return P1, P2, D, q
+    jet = f1, f2, f11, f12, f22
+    return (p1_arrays(*jet), p2_arrays(*jet), *discriminant_arrays(*jet))
+
+
+def mean_curvature_arrays(f1, f2, f11, f12, f22):
+    """H = ((1 + f2^2) f11 - 2 f1 f2 f12 + (1 + f1^2) f22) / (2 (1 + q)^(3/2))."""
+    w = 1.0 + (f1 * f1 + f2 * f2)
+    return ((1.0 + f2 * f2) * f11 - 2.0 * f1 * f2 * f12
+            + (1.0 + f1 * f1) * f22) / (2.0 * w ** 1.5)
+
+
+def gauss_curvature_arrays(f1, f2, f11, f12, f22):
+    """K = (f11 f22 - f12^2) / (1 + q)^2."""
+    w = 1.0 + (f1 * f1 + f2 * f2)
+    return (f11 * f22 - f12 * f12) / (w * w)
 
 
 def principal_arrays(f1, f2, f11, f12, f22):
     """(H, K, k1, k2) from jet component arrays, k1 <= k2:
-
-        H = ((1 + f2^2) f11 - 2 f1 f2 f12 + (1 + f1^2) f22) / (2 (1 + q)^(3/2))
-        K = (f11 f22 - f12^2) / (1 + q)^2
-    """
-    q = f1 * f1 + f2 * f2
-    w = 1.0 + q
-    H = ((1.0 + f2 * f2) * f11 - 2.0 * f1 * f2 * f12
-         + (1.0 + f1 * f1) * f22) / (2.0 * w ** 1.5)
-    K = (f11 * f22 - f12 * f12) / (w * w)
+    k1, k2 = H -/+ sqrt(max(H^2 - K, 0))."""
+    jet = f1, f2, f11, f12, f22
+    H, K = mean_curvature_arrays(*jet), gauss_curvature_arrays(*jet)
     s = np.sqrt(np.maximum(H * H - K, 0.0))
     return H, K, H - s, H + s
 
 
+def _slice_curvature(jet, cx, sx, sq):
+    """Normal curvature along (cx, sx), given sq = sqrt(1 + q)."""
+    fX, fXX = directional_arrays(*jet, cx, sx)
+    return fXX / ((1.0 + fX * fX) * sq)
+
+
 def curvature_direction_arrays(f1, f2, f11, f12, f22, cx, sx):
     """Normal curvature along the unit direction (cx, sx)."""
-    fX, fXX = directional_arrays(f1, f2, f11, f12, f22, cx, sx)
-    q = f1 * f1 + f2 * f2
-    return fXX / ((1.0 + fX * fX) * np.sqrt(1.0 + q))
+    jet = f1, f2, f11, f12, f22
+    return _slice_curvature(jet, cx, sx, np.sqrt(1.0 + (f1 * f1 + f2 * f2)))
+
+
+def curvature_difference_arrays(f1, f2, f11, f12, f22, cx, sx, cy, sy):
+    """k_X - k_Y, the normal curvatures along the unit directions (cx, sx)
+    and (cy, sy), sharing their sqrt(1 + q)."""
+    jet = f1, f2, f11, f12, f22
+    sq = np.sqrt(1.0 + (f1 * f1 + f2 * f2))
+    return _slice_curvature(jet, cx, sx, sq) - _slice_curvature(jet, cy, sy, sq)
 
 
 def dk_dtheta_arrays(f1, f2, f11, f12, f22, theta0):
@@ -234,10 +268,8 @@ def curvature_difference_field(field: ScalarField, X: Direction, Y: Direction) -
 
     def integrand(x, y):
         (f1, f2, f11, f12, f22), (fX, _), (fY, _) = _parts(x, y)
-        kX = curvature_direction_arrays(f1, f2, f11, f12, f22, cx, sx)
-        kY = curvature_direction_arrays(f1, f2, f11, f12, f22, cy, sy)
-        q = f1 * f1 + f2 * f2
-        return (kX - kY) * (1.0 + fX * fX) * (1.0 + fY * fY) * np.sqrt(1.0 + q)
+        dk = curvature_difference_arrays(f1, f2, f11, f12, f22, cx, sx, cy, sy)
+        return dk * (1.0 + fX * fX) * (1.0 + fY * fY) * np.sqrt(1.0 + (f1 * f1 + f2 * f2))
 
     return PlaneField(vector, div, integrand,
                       label=f"curvature-difference X={X.theta:.6g} Y={Y.theta:.6g}")

@@ -97,7 +97,8 @@ def _loglog_profile(r):
     lg = np.log(safe)
     L = np.log(lg)
     L1 = 1.0 / (safe * lg)
-    L2 = -(1.0 + lg) / (safe * lg) ** 2
+    with np.errstate(over="ignore"):  # (safe lg)^2 is inf past r ~ 1e152; L2 is -0.0 there
+        L2 = -(1.0 + lg) / (safe * lg) ** 2
     chi, dchi, ddchi = _smoothstep5(r - E)
     return chi * L, dchi * L + chi * L1, ddchi * L + 2.0 * dchi * L1 + chi * L2
 

@@ -2,8 +2,11 @@
 
 Disk integrals use fixed-order Gauss-Legendre nodes per unit annulus
 composited radially, times a uniform angular grid (spectrally accurate
-for smooth periodic integrands). All reductions run through a fixed
-pairwise tree so repeated runs agree bitwise.
+for smooth periodic integrands). A radius ladder evaluates each disk node
+once: the disks share the whole unit annuli of the largest, and each
+radius adds only its last annulus. All reductions run through a fixed
+pairwise tree, over each disk's nodes in the order ``disk_nodes`` gives
+them, so repeated runs and every ladder agree bitwise.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .curvature import PlaneField, curvature_difference_field, principal_deviation_field
 from .field import Direction, ScalarField
-from .util import check_finite, check_radii, pairwise_sum
+from .util import check_finite, check_radii, pairwise_sum, row_blocks
 
 
 @dataclass(frozen=True)
@@ -43,14 +46,10 @@ class DecayTable:
     rows: list
 
 
-def disk_nodes(r: float, scheme: QuadScheme):
-    """Quadrature nodes (x, y) and weights for the disk of radius r."""
-    check_radii((r,))
+def _annulus_nodes(edges, scheme: QuadScheme):
+    """Quadrature nodes (x, y) and weights of the annuli between consecutive
+    radii of ``edges``, in rows of n_theta nodes from the inner annulus out."""
     t, w = np.polynomial.legendre.leggauss(scheme.n_r)
-    # for r > 0 the edges 0, 1, ..., ceil(r) - 1, r number at least 2 and
-    # strictly increase, so every annulus has positive width
-    edges = np.arange(0.0, np.ceil(r) + 1.0)
-    edges[-1] = r
     half = 0.5 * (edges[1:, None] - edges[:-1, None])
     rs = (0.5 * (edges[:-1, None] + edges[1:, None]) + half * t).ravel()
     wr = (half * w).ravel()
@@ -61,16 +60,59 @@ def disk_nodes(r: float, scheme: QuadScheme):
     return x, y, weights
 
 
+def disk_nodes(r: float, scheme: QuadScheme):
+    """Quadrature nodes (x, y) and weights for the disk of radius r."""
+    check_radii((r,))
+    # for r > 0 the edges 0, 1, ..., ceil(r) - 1, r number at least 2 and
+    # strictly increase, so every annulus has positive width
+    edges = np.arange(0.0, np.ceil(r) + 1.0)
+    edges[-1] = r
+    return _annulus_nodes(edges, scheme)
+
+
 def _finite_sum(values, what: str) -> float:
     """``pairwise_sum`` of the values; a sum that is not finite is a
     DomainError counting the values that are not (``util.check_finite``)."""
     return check_finite(pairwise_sum(values), (values,), what)
 
 
+def _disk_integrals(densities, radii, scheme: QuadScheme):
+    """For each checked radius in turn, the tuple of ``disk_integral(g, r,
+    scheme)`` over the densities g, each disk node evaluated once.
+
+    The disks share the whole unit annuli of the largest, so its nodes
+    (``disk_nodes``) are evaluated, in row blocks of whole annuli, and so
+    is the last annulus of each smaller radius that is not an integer. The
+    samples of a radius are summed in the order ``disk_nodes(r)`` gives them.
+    """
+    radii = check_radii(radii)
+    n_r = scheme.n_r
+
+    def samples(x, y, w):
+        out = np.empty((len(densities), *x.shape))
+        for block in row_blocks(x.shape[0] // n_r, n_r * x.shape[1]):
+            rows = slice(block.start * n_r, block.stop * n_r)
+            for g, o in zip(densities, out):
+                o[rows] = np.asarray(g(x[rows], y[rows]), dtype=float) * w[rows]
+        return out
+
+    def integrals(values):
+        return tuple(_finite_sum(v, "disk samples") for v in values)
+
+    outer = samples(*disk_nodes(radii[-1], scheme))
+    for r in radii[:-1]:
+        whole = (math.ceil(r) - 1) * n_r  # rows of the whole unit annuli
+        if r == math.ceil(r):
+            yield integrals(outer[:, :whole + n_r])
+        else:
+            last = samples(*_annulus_nodes(np.array([math.ceil(r) - 1.0, r]), scheme))
+            yield integrals(np.concatenate([outer[:, :whole], last], axis=1))
+    yield integrals(outer)
+
+
 def disk_integral(g, r: float, scheme: QuadScheme = QuadScheme()) -> float:
     """Integral of g(x, y) dx dy over the centered disk of radius r."""
-    x, y, w = disk_nodes(r, scheme)
-    return _finite_sum(np.asarray(g(x, y), dtype=float) * w, "disk samples")
+    return next(_disk_integrals((g,), (r,), scheme))[0]
 
 
 def _ring_densities(V: PlaneField, radii, n_theta: int):
@@ -95,14 +137,21 @@ def boundary_majorant(V: PlaneField, r: float, n_theta: int = 256) -> float:
     return _finite_sum(_ring_densities(V, (r,), n_theta)[1], "ring samples")
 
 
-def divergence_consistency(V: PlaneField, r: float,
-                           scheme: QuadScheme = QuadScheme()) -> float:
-    """|disk integral of div V - boundary flux of V|.
+def divergence_residuals(V: PlaneField, radii,
+                         scheme: QuadScheme = QuadScheme()) -> list:
+    """(r, |disk integral of div V - boundary flux of V|) per radius.
 
     By the divergence theorem this residual is pure quadrature error and
     validates the scheme on the given field.
     """
-    return abs(disk_integral(V.div, r, scheme) - boundary_flux(V, r, scheme.n_theta))
+    table = _decay_table(V, (("I_area", V.div),), radii, scheme)
+    return [(r, abs(area - flux)) for r, area, flux, _ in table.rows]
+
+
+def divergence_consistency(V: PlaneField, r: float,
+                           scheme: QuadScheme = QuadScheme()) -> float:
+    """``divergence_residuals`` at the one radius r."""
+    return divergence_residuals(V, (r,), scheme)[0][1]
 
 
 DEFAULT_RADII = (2.0, 4.0, 8.0, 16.0)
@@ -115,9 +164,9 @@ def _decay_table(V: PlaneField, areas, radii, scheme: QuadScheme) -> DecayTable:
     boundary ring."""
     radii = check_radii(radii)
     flux, majorant = _ring_densities(V, radii, scheme.n_theta)
-    rows = [(r, *(disk_integral(g, r, scheme) for _, g in areas),
-             _finite_sum(fl, "ring samples"), _finite_sum(mj, "ring samples"))
-            for r, fl, mj in zip(radii, flux, majorant)]
+    disks = _disk_integrals([g for _, g in areas], radii, scheme)
+    rows = [(r, *disk, _finite_sum(fl, "ring samples"), _finite_sum(mj, "ring samples"))
+            for r, disk, fl, mj in zip(radii, disks, flux, majorant)]
     return DecayTable(("r", *(name for name, _ in areas), "I_flux", "majorant"), rows)
 
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (curvature_direction_arrays, dk_dtheta_arrays,
-                        principal_arrays, residual_arrays)
+from .curvature import (curvature_difference_arrays, discriminant_arrays,
+                        dk_dtheta_arrays, gauss_curvature_arrays, mean_curvature_arrays,
+                        p1_arrays, p2_arrays, principal_arrays, residual_arrays)
 from .field import Direction, ScalarField
 from .util import (_libm, check_finite, greedy_merge, local_minima, newton2, row_blocks,
                    worker_count)
@@ -79,14 +80,13 @@ class FloorReport:
 # directions X, Y and the angle theta0; the formulas are looked up by module
 # attribute at call time
 _FORMULAS = {
-    "dk": lambda j, X, Y, t: (curvature_direction_arrays(*j, X.x, X.y)
-                              - curvature_direction_arrays(*j, Y.x, Y.y)),
+    "dk": lambda j, X, Y, t: curvature_difference_arrays(*j, X.x, X.y, Y.x, Y.y),
     "dkdtheta": lambda j, X, Y, t: dk_dtheta_arrays(*j, float(t)),
-    "P1": lambda j, X, Y, t: residual_arrays(*j)[0],
-    "P2": lambda j, X, Y, t: residual_arrays(*j)[1],
-    "D": lambda j, X, Y, t: residual_arrays(*j)[2],
-    "H": lambda j, X, Y, t: principal_arrays(*j)[0],
-    "K": lambda j, X, Y, t: principal_arrays(*j)[1],
+    "P1": lambda j, X, Y, t: p1_arrays(*j),
+    "P2": lambda j, X, Y, t: p2_arrays(*j),
+    "D": lambda j, X, Y, t: discriminant_arrays(*j)[0],
+    "H": lambda j, X, Y, t: mean_curvature_arrays(*j),
+    "K": lambda j, X, Y, t: gauss_curvature_arrays(*j),
     "k1": lambda j, X, Y, t: principal_arrays(*j)[2],
     "k2": lambda j, X, Y, t: principal_arrays(*j)[3],
 }
@@ -368,8 +368,10 @@ def umbilic_free_floor(field: ScalarField, region, n: int) -> FloorReport:
     """min over the grid of max(|P1|, |P2|) / (1+q)^(3/2), with its argmin."""
 
     def ev(x, y):
-        P1n, P2n = _normalized_pair(field, x, y)
-        return np.maximum(np.abs(P1n), np.abs(P2n))
+        # one division: x -> x / w rounds monotonely for w > 0, so it
+        # commutes with max(|P1|, |P2|) bit for bit
+        P1, P2, _, q = _residuals(field, x, y)
+        return np.maximum(np.abs(P1), np.abs(P2)) / (1.0 + q) ** 1.5
 
     xs, ys, floor_map = _sample(ev, _check_region(region), n, n)
     idx = np.unravel_index(np.argmin(floor_map), floor_map.shape)

@@ -563,6 +563,63 @@ def test_readme_example_golden_bytes(tmp_path, monkeypatch, command, threads):
     assert hashlib.sha256(read(out)).hexdigest() == README_GOLDEN[command]
 
 
+# sha256 of the maps of the six quantities that no golden above covers, taken
+# before each quantity had an array formula of its own
+QUANTITY_MAP_ARGS = ("--field asym_bump --region -3 -3 3 3 --n 41 --m 37 "
+                     "--X 0.3 --Y 1.9 --theta0 0.7")
+QUANTITY_MAP_GOLDEN = {
+    "H": "e77735180e0fba39a5c4609b2684fb6f9d63240e2f4b195f9cc7de7de1a5c4c8",
+    "k1": "c7baed07999801639d7abcdd8843219f598c41cc8f304f2165f249ab6ca3c12d",
+    "dk": "4d6e7af202dfaa00809fa6727b2a604f97b8b7bbcfb237da97bbd4c7d4af5c5a",
+    "dkdtheta": "d3700364d9ac760629a0ba7d209f9be716c238365e78fa58dbbdbdaf7b0b7b16",
+    "P1": "eaad6c2f4699c4ca3a401728f9ce9e7541581282077d975f4d6902dede5e1f29",
+    "D": "2ab48198a926791d27c025c773f6ecb7c325fc212f7cc08410d449c46c394747",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("quantity", sorted(QUANTITY_MAP_GOLDEN))
+def test_quantity_map_golden_bytes(tmp_path, monkeypatch, quantity, threads):
+    monkeypatch.setenv("UMBILIC_THREADS", threads)
+    out = tmp_path / "map.csv"
+    assert main(["curvature", "map", "--quantity", quantity, *QUANTITY_MAP_ARGS.split(),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == QUANTITY_MAP_GOLDEN[quantity]
+
+
+# sha256 of flux-ladder CSVs on radii whose last annulus is not a whole one
+# (below 1, two in one unit annulus, past an integer), taken while each
+# radius evaluated its whole disk
+LADDER_GOLDEN = {
+    "verify thm2 --field asym_bump --X 0.3 --Y 1.9 --radii 0.7,2.5,2.9,6.3":
+        "a385a1e7a1bdd4e879966798c57ecdfa7e7e6a8442bf5e0f467fc365b913029a",
+    "verify thm3 --field asym_bump --theta0 0.7 --radii 0.7,2.5,2.9,6.3":
+        "b111ab279c646399ad4ec0f1b85cb9dce2675dc15698483256eaccf105074f4d",
+    "verify divergence --field asym_bump --which v2 --X 0.3 --Y 1.9 --radii 0.7,2.5,2.9,6.3":
+        "009121652565041feec87183f3abc0cd4b41e5d35c1e0dcd896e295831112406",
+    "verify divergence --field asym_bump --which v3 --theta0 0.7 --radii 0.7,2.5,2.9,6.3":
+        "a3d850dbee7c86b473a098574e6e5cf6364849457b1d0c7e9b0ae872ac3f6f1f",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(LADDER_GOLDEN))
+def test_flux_ladder_golden_bytes(tmp_path, monkeypatch, command, threads):
+    monkeypatch.setenv("UMBILIC_THREADS", threads)
+    out = tmp_path / "ladder.csv"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == LADDER_GOLDEN[command]
+
+
+def test_invert_graph_of_loglog_tail_far_out_exits_zero(tmp_path):
+    # graph_condition samples the field out to r0, where (r log r)^2 in F''
+    # overflows to inf; F'' is then -0.0, and pytest makes a RuntimeWarning
+    # an error
+    out = tmp_path / "inv.csv"
+    assert main(["invert", "graph", "--field", "loglog_tail", "--r0", "1e200",
+                 "--ntheta", "16", "--out", str(out)]) == 0
+
+
 # sha256 of `invert graph` CSVs of exterior fields, taken before the decay
 # profile evaluated its rings in one call
 INVERT_GOLDEN = {

@@ -10,8 +10,9 @@ from umbilic import (Direction, Patch3, curvature_difference_field, dk_dtheta,
                      list_families, make_field, normal_curvature, patch_principal,
                      principal_deviation_field, shape_operator,
                      umbilic_residuals)
+from umbilic import curvature
 from umbilic.curvature import principal_arrays, residual_arrays
-from umbilic.field import rotate_jet_arrays
+from umbilic.field import directional_arrays, rotate_jet_arrays
 
 
 def rel_close(a, b, tol, floor=1.0):
@@ -294,6 +295,77 @@ def test_P1_conservative_form(rng):
         fd = (jp.f2 / math.sqrt(1 + jp.f1 ** 2)
               - jm.f2 / math.sqrt(1 + jm.f1 ** 2)) / (2 * h)
         assert abs(P1 / (1 + j.f1 ** 2) ** 1.5 - fd) < 1e-6
+
+
+# --- one formula per quantity ------------------------------------------------
+
+def _residuals_in_one(f1, f2, f11, f12, f22):
+    """(P1, P2, D, q) as one formula computed them before the split."""
+    q = f1 * f1 + f2 * f2
+    P1 = (1.0 + f1 * f1) * f12 - f1 * f2 * f11
+    P2 = (1.0 + f1 * f1) * f22 - (1.0 + f2 * f2) * f11
+    A = f22 * (1.0 + f1 * f1) - 2.0 * f1 * f2 * f12 + f11 * (1.0 + f2 * f2)
+    D = A * A - 4.0 * (1.0 + q) * (f22 * f11 - f12 * f12)
+    return P1, P2, D, q
+
+
+def _principal_in_one(f1, f2, f11, f12, f22):
+    """(H, K, k1, k2) as one formula computed them before the split."""
+    q = f1 * f1 + f2 * f2
+    w = 1.0 + q
+    H = ((1.0 + f2 * f2) * f11 - 2.0 * f1 * f2 * f12
+         + (1.0 + f1 * f1) * f22) / (2.0 * w ** 1.5)
+    K = (f11 * f22 - f12 * f12) / (w * w)
+    s = np.sqrt(np.maximum(H * H - K, 0.0))
+    return H, K, H - s, H + s
+
+
+def _random_jets(seed, n=20000):
+    """Seeded jets (f1, f2, f11, f12, f22) of mixed sign and scale, from
+    1e-8 to gradients and Hessians of 1e6, a fifth of the entries exact
+    zeros (some -0.0) and the first rows all zero."""
+    rng = np.random.default_rng(seed)
+    jet = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-8, 7, size=(5, n))
+    zero = rng.random((5, n)) < 0.2
+    jet[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    jet[:, :4] = 0.0
+    return tuple(jet)
+
+
+def _same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_per_quantity_formulas_keep_the_bits_of_the_joint_ones(seed):
+    jet = _random_jets(seed)
+    P1, P2, D, q = _residuals_in_one(*jet)
+    H, K, k1, k2 = _principal_in_one(*jet)
+    assert _same_bits(curvature.p1_arrays(*jet), P1)
+    assert _same_bits(curvature.p2_arrays(*jet), P2)
+    assert all(map(_same_bits, curvature.discriminant_arrays(*jet), (D, q)))
+    assert _same_bits(curvature.mean_curvature_arrays(*jet), H)
+    assert _same_bits(curvature.gauss_curvature_arrays(*jet), K)
+    assert all(map(_same_bits, residual_arrays(*jet), (P1, P2, D, q)))
+    assert all(map(_same_bits, principal_arrays(*jet), (H, K, k1, k2)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_curvature_difference_keeps_the_bits_of_two_directions(seed):
+    # one sqrt(1 + q) for both directions rounds as one per direction did
+    jet = _random_jets(seed)
+    f1, f2 = jet[:2]
+
+    def k(d):  # the normal curvature as one formula computed it before the split
+        fX, fXX = directional_arrays(*jet, d.x, d.y)
+        q = f1 * f1 + f2 * f2
+        return fXX / ((1.0 + fX * fX) * np.sqrt(1.0 + q))
+
+    for tx, ty in ((0.0, math.pi / 2), (0.3, 1.9), (2.5, 0.1)):
+        X, Y = Direction(tx), Direction(ty)
+        assert _same_bits(curvature.curvature_direction_arrays(*jet, X.x, X.y), k(X))
+        assert _same_bits(curvature.curvature_difference_arrays(*jet, X.x, X.y, Y.x, Y.y),
+                          k(X) - k(Y))
 
 
 # --- flux fields ------------------------------------------------------------

@@ -7,8 +7,9 @@ from oracles import column
 from umbilic import (Direction, QuadScheme, boundary_flux, boundary_majorant,
                      curvature_difference_decay, curvature_difference_field,
                      disk_integral, divergence_consistency, make_field,
-                     principal_deviation_decay, principal_deviation_field)
+                     principal_deviation_decay, principal_deviation_field, quad)
 from umbilic.curvature import PlaneField
+from umbilic.util import pairwise_sum
 
 EX = Direction(0.0)
 EY = Direction(math.pi / 2)
@@ -184,6 +185,50 @@ def test_decay_ladder_rings_match_the_single_ring_rules(ladder):
         [repr(boundary_flux(V, r, scheme.n_theta)) for r in radii]
     assert [repr(v) for v in column(table, "majorant")] == \
         [repr(boundary_majorant(V, r, scheme.n_theta)) for r in radii]
+
+
+# radii below 1, two in one unit annulus, integers, and a largest radius
+# that is or is not an integer
+LADDERS = [(0.7, 2.5, 2.9, 3.0, 5.0, 6.3), (0.5, 1.0, 2.0, 4.0), (1.5, 1.75), (2.0,)]
+
+
+@pytest.mark.parametrize("radii", LADDERS)
+def test_disk_ladder_evaluates_each_node_once_with_the_bits_of_each_disk(radii):
+    # the disks share the whole unit annuli of the largest; a radius that
+    # is not an integer adds its last annulus, and each radius sums the
+    # samples of its own disk_nodes in their order
+    V = principal_deviation_field(make_field("asym_bump"), 0.3)
+    scheme = QuadScheme(8, 48)
+    points = []
+
+    def counted(g):
+        return lambda x, y: points.append(x.size) or g(x, y)
+
+    densities = (V.integrand, V.div)
+    ladder = list(quad._disk_integrals([counted(g) for g in densities], radii, scheme))
+    partial = sum(1 for r in radii[:-1] if r != math.ceil(r))
+    assert sum(points) == 2 * scheme.n_r * scheme.n_theta * (math.ceil(radii[-1]) + partial)
+    for r, row in zip(radii, ladder):
+        x, y, w = quad.disk_nodes(r, scheme)
+        alone = [pairwise_sum(g(x, y) * w) for g in densities]
+        assert [repr(v) for v in row] == [repr(v) for v in alone]
+        assert [repr(v) for v in row] == [repr(disk_integral(g, r, scheme)) for g in densities]
+
+
+@pytest.mark.parametrize("radii", LADDERS)
+def test_ladder_tables_match_the_one_radius_rules(radii):
+    field, scheme = make_field("asym_bump"), QuadScheme(8, 48)
+    V = principal_deviation_field(field, 0.3)
+    table = principal_deviation_decay(field, 0.3, radii, scheme)
+    for name, g in (("I_area_stated", V.integrand), ("I_area", V.div)):
+        assert [repr(v) for v in column(table, name)] == \
+            [repr(disk_integral(g, r, scheme)) for r in radii]
+    rows = quad.divergence_residuals(V, radii, scheme)
+    assert [(repr(r), repr(v)) for r, v in rows] == [
+        (repr(r), repr(abs(disk_integral(V.div, r, scheme) - boundary_flux(V, r, scheme.n_theta))))
+        for r in radii]
+    assert [repr(v) for _, v in rows] == [repr(divergence_consistency(V, r, scheme))
+                                          for r in radii]
 
 
 def test_decay_table_requires_increasing_radii():

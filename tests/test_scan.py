@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import all_fields, sample_box
 from oracles import column, graph_mean_divergence, rotate_frame
-from umbilic import (Direction, Jet2, contours, dk_dtheta, grid_field, make_field,
-                     normal_curvature, scan, umbilic_free_floor, umbilic_residuals,
+from umbilic import (Direction, Jet2, contours, curvature, dk_dtheta, grid_field,
+                     make_field, normal_curvature, scan, umbilic_free_floor, umbilic_residuals,
                      umbilic_search)
 from umbilic.cli import main
 from umbilic.curvature import principal_arrays
@@ -88,6 +88,26 @@ def test_grid_quantities_equal_scalar_apis(field):
                 assert grids[q].values[i, k] == value, (q, p)
             assert rotate_frame(j, theta0) == Jet2(
                 j.f, *rotate_jet_arrays(j.f1, j.f2, j.f11, j.f12, j.f22, theta0))
+
+
+# each quantity's public curvature formula, which scan looks up when it
+# runs, so a wrapper patched into scan (a tracer, a counter) sees its calls
+GRID_FORMULAS = {"dk": "curvature_difference_arrays", "dkdtheta": "dk_dtheta_arrays",
+                 "P1": "p1_arrays", "P2": "p2_arrays", "D": "discriminant_arrays",
+                 "H": "mean_curvature_arrays", "K": "gauss_curvature_arrays",
+                 "k1": "principal_arrays", "k2": "principal_arrays"}
+
+
+@pytest.mark.parametrize("quantity", sorted(GRID_FORMULAS))
+def test_grid_quantities_call_their_public_formula(monkeypatch, quantity):
+    name = GRID_FORMULAS[quantity]
+    formula = getattr(curvature, name)
+    assert getattr(scan, name) is formula
+    calls = []
+    monkeypatch.setattr(scan, name, lambda *a: calls.append(a[0].shape) or formula(*a))
+    grid_field(make_field("asym_bump"), quantity, (-2, -2, 2, 2), 7, 6,
+               X=EX, Y=EY, theta0=0.4)
+    assert calls == [(7, 6)]
 
 
 # --- contours ---------------------------------------------------------------
@@ -604,6 +624,40 @@ def test_floor_zero_at_paraboloid_umbilic():
     rep = umbilic_free_floor(make_field("paraboloid"), (-20, -20, 20, 20), 401)
     assert rep.floor == 0.0
     assert rep.argmin == (0.0, 0.0)
+
+
+def test_floor_and_search_read_residual_arrays_through_scan(monkeypatch):
+    # looked up in scan when they run, so a tracer patched into scan counts
+    # the points of the floors and of the search grid
+    formula = curvature.residual_arrays
+    calls = []
+    monkeypatch.setattr(scan, "residual_arrays",
+                        lambda *a: calls.append(a[0].shape) or formula(*a))
+    umbilic_free_floor(make_field("paraboloid"), (-1, -1, 1, 1), 9)
+    assert calls == [(9, 9)]
+    umbilic_search(make_field("paraboloid"), (-1, -1, 1, 1), 9)
+    assert calls[1] == (9, 9)
+
+
+def test_floor_one_division_keeps_the_bits_of_two(rng):
+    # x -> x / w rounds monotonely for w > 0, so max(|P1|, |P2|) / w is
+    # max(|P1 / w|, |P2 / w|) bit for bit, subnormal quotients included
+    P1, P2 = rng.standard_normal((2, 100000)) * 10.0 ** rng.integers(-300, 300, (2, 100000))
+    P1[:1000] = P2[:1000]
+    w = (1.0 + 10.0 ** rng.uniform(-20, 20, 100000)) ** 1.5
+    assert (np.maximum(np.abs(P1), np.abs(P2)) / w).tobytes() == \
+        np.maximum(np.abs(P1 / w), np.abs(P2 / w)).tobytes()
+
+
+@pytest.mark.parametrize("field", all_fields(), ids=lambda f: f.name)
+def test_floor_equals_the_max_of_the_normalized_pair(field):
+    lo, hi = sample_box(field)
+    rep = umbilic_free_floor(field, (lo, lo, hi, hi), 61)
+    xs = np.linspace(lo, hi, 61)
+    P1n, P2n = _normalized_pair(field, *np.meshgrid(xs, xs, indexing="ij"))
+    two = np.maximum(np.abs(P1n), np.abs(P2n))
+    i, j = np.unravel_index(np.argmin(two), two.shape)
+    assert (rep.floor, rep.argmin) == (float(two[i, j]), (float(xs[i]), float(xs[j])))
 
 
 def test_separable_P1_constant_sign():
